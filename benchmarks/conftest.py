@@ -63,8 +63,8 @@ def run_once(benchmark, func, *args, extra=None, **kwargs):
     tracers: List[EngineTracer] = []
     original_init = SimulationEngine.__init__
 
-    def traced_init(self, seed=0, trace=False, tracer=None):
-        original_init(self, seed=seed, trace=True, tracer=tracer)
+    def traced_init(self, seed=0, tracer=None):
+        original_init(self, seed=seed, tracer=tracer if tracer is not None else EngineTracer())
         tracers.append(self.tracer)
 
     SimulationEngine.__init__ = traced_init

@@ -455,31 +455,14 @@ class OnlineInvariantMonitor:
         self.violations: List[OnlineViolation] = []
         self.on_violation = on_violation
         self._unsubscribe: Optional[Callable[[], None]] = None
-        self._next_seq: Optional[int] = None
-        self._pending: Dict[int, TelemetryEvent] = {}
 
     def observe(self, event: TelemetryEvent) -> None:
-        """Fold one event through every check, strictly in seq order.
+        """Fold one event through every check.
 
-        Bus fan-out is re-entrant: a subscriber ahead of the monitor
-        that emits while handling event *n* delivers event *n+1* here
-        before *n* itself arrives.  A post-run ``bus.events()`` fold
-        never sees that inversion, so to keep online verdicts
-        bit-identical the monitor holds early arrivals in a small
-        reorder buffer and releases them once the gap fills.
+        The bus delivers in ``seq`` order even when a subscriber emits
+        during fan-out, so a live monitor folds exactly the sequence a
+        post-run ``bus.events()`` fold does.
         """
-        if self._next_seq is None:
-            self._next_seq = event.seq
-        if event.seq != self._next_seq:
-            self._pending[event.seq] = event
-            return
-        self._fold(event)
-        self._next_seq += 1
-        while self._next_seq in self._pending:
-            self._fold(self._pending.pop(self._next_seq))
-            self._next_seq += 1
-
-    def _fold(self, event: TelemetryEvent) -> None:
         for check in self.checks:
             for problem in check.observe(event):
                 violation = OnlineViolation(

@@ -120,8 +120,8 @@ def _build_parser() -> argparse.ArgumentParser:
     obs.add_argument("--gantt-width", type=int, default=64,
                      help="character width of the span timeline")
     obs.add_argument("--profile", action="store_true",
-                     help="also print the engine's wall-clock profile "
-                          "(events/sec, hottest callback labels)")
+                     help="also print the engine's hot-path profile "
+                          "(events/sec, per-subsystem and hottest label groups)")
     obs_sub = obs.add_subparsers(
         dest="obs_command", metavar="{explain,markets,profile,trace,slo,watch}"
     )
@@ -746,7 +746,7 @@ def _cmd_obs_watch(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs(args: argparse.Namespace) -> int:
-    from repro.obs import RunReport, Telemetry, write_jsonl
+    from repro.obs import RunReport, Telemetry, attach_profiler, write_jsonl
 
     obs_command = getattr(args, "obs_command", None)
     if obs_command == "explain":
@@ -772,8 +772,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 
     telemetry = Telemetry()
     provider = CloudProvider(seed=args.seed, telemetry=telemetry, observatory=True)
-    if args.profile:
-        provider.engine.trace = True
+    profiler = attach_profiler(provider.engine) if args.profile else None
     result = _run_obs_fleet(args, provider)
 
     print(result.summary())
@@ -787,10 +786,10 @@ def _cmd_obs(args: argparse.Namespace) -> int:
             return 2
         print()
         print(f"event stream written to {args.events} ({lines} lines)")
-    if args.profile and provider.engine.tracer is not None:
+    if profiler is not None:
         print()
         print("engine wall-clock profile:")
-        print(provider.engine.tracer.report())
+        print(profiler.profile().report())
     return 0 if result.all_complete else 1
 
 

@@ -30,6 +30,7 @@ from repro.obs.export import (
 from repro.obs.flight import FlightRecorder
 from repro.obs.live import (
     FleetRollup,
+    FleetView,
     LiveExporter,
     LivePlane,
     SegmentWriter,
@@ -55,6 +56,7 @@ from repro.obs.provenance import (
 )
 from repro.obs.slo import (
     LatencyWatcher,
+    SLOBudget,
     SLOResult,
     SLOScorecard,
     SLOSpec,
@@ -67,7 +69,6 @@ from repro.obs.slo import (
 from repro.obs.watch import WatchState, render_dashboard
 from repro.obs.spans import (
     EngineTracer,
-    LabelStats,
     Span,
     WorkloadSpanTree,
     build_spans,
@@ -150,13 +151,13 @@ __all__ = [
     "EventBus",
     "EventType",
     "FleetRollup",
+    "FleetView",
     "FlightRecorder",
     "Gauge",
     "Histogram",
     "HopRecord",
     "HotPathProfile",
     "HotPathProfiler",
-    "LabelStats",
     "LatencyWatcher",
     "LiveExporter",
     "LivePlane",
@@ -167,6 +168,7 @@ __all__ = [
     "RingSeries",
     "RunReport",
     "SLOBreach",
+    "SLOBudget",
     "SLOResult",
     "SLOScorecard",
     "SLOSpec",

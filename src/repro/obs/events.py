@@ -8,16 +8,17 @@ a workload finishing — is emitted as a typed, sim-timestamped
 
 The bus is deliberately dumb: an append-only, totally ordered record
 (monotonic ``seq``, non-decreasing sim ``time``) plus synchronous
-subscribers.  Everything richer — metrics, span trees, reports — is
-derived from the stream, which is what makes a run inspectable after
-the fact from a JSONL file alone.
+subscribers that see that same order.  Everything richer — metrics,
+span trees, reports — is a fold over the stream, which is what makes a
+run inspectable after the fact from a JSONL file alone.
 """
 
 from __future__ import annotations
 
 import enum
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 
 class EventType(enum.Enum):
@@ -162,13 +163,22 @@ class EventBus:
     * ``seq`` is strictly increasing in emission order;
     * ``time`` is non-decreasing (the sim clock never runs backwards),
       so interleaved interruptions across workloads keep their causal
-      order in the stream.
+      order in the stream;
+    * every subscriber receives events in ``seq`` order.  An event
+      emitted by a subscriber is stamped and appended at once, but
+      delivered only after the event being fanned out has reached
+      every subscriber — so a live consumer folds exactly the sequence
+      a post-run ``events()`` fold sees.
     """
 
     def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
         self._clock: Callable[[], float] = clock if clock is not None else (lambda: 0.0)
         self._events: List[TelemetryEvent] = []
-        self._subscribers: List[tuple] = []  # (callback, frozenset[EventType] | None)
+        # (callback, frozenset[EventType] | None) entries; replaced, never
+        # mutated, so a fan-out iterates a stable snapshot.
+        self._subscribers: Tuple[tuple, ...] = ()
+        self._undelivered: Deque[TelemetryEvent] = deque()
+        self._delivering = False
         self._seq = 0
 
     def attach_clock(self, clock: Callable[[], float]) -> None:
@@ -192,7 +202,7 @@ class EventBus:
         option: str = "",
         **attrs: Any,
     ) -> TelemetryEvent:
-        """Stamp and append one event; fan out to subscribers."""
+        """Stamp and append one event; deliver it to subscribers in order."""
         event = TelemetryEvent(
             seq=self._seq,
             time=self._clock(),
@@ -206,10 +216,28 @@ class EventBus:
         )
         self._seq += 1
         self._events.append(event)
-        for callback, wanted in list(self._subscribers):
-            if wanted is None or type in wanted:
-                callback(event)
+        if self._subscribers:
+            self._undelivered.append(event)
+            if not self._delivering:
+                self._deliver()
         return event
+
+    def _deliver(self) -> None:
+        """Fan out queued events, oldest first, one event at a time.
+
+        A subscriber's exception propagates to the emitter; events still
+        queued then go out, in order, with the next emit.
+        """
+        undelivered = self._undelivered
+        self._delivering = True
+        try:
+            while undelivered:
+                event = undelivered.popleft()
+                for callback, wanted in self._subscribers:
+                    if wanted is None or event.type in wanted:
+                        callback(event)
+        finally:
+            self._delivering = False
 
     # ------------------------------------------------------------------
     # Subscription
@@ -221,11 +249,12 @@ class EventBus:
     ) -> Callable[[], None]:
         """Register *callback* (optionally filtered); returns an unsubscriber."""
         entry = (callback, frozenset(types) if types is not None else None)
-        self._subscribers.append(entry)
+        self._subscribers += (entry,)
 
         def unsubscribe() -> None:
-            if entry in self._subscribers:
-                self._subscribers.remove(entry)
+            self._subscribers = tuple(
+                other for other in self._subscribers if other is not entry
+            )
 
         return unsubscribe
 

@@ -27,16 +27,20 @@ import json
 import os
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 from repro.obs.events import EventType, TelemetryEvent
 from repro.obs.metrics import Sample
 from repro.obs.provenance import DecisionRecord, decisions_from_events
-from repro.obs.slo import latency_series, series_stats
+from repro.obs.slo import series_stats
 from repro.obs.spans import WorkloadSpanTree, build_spans
 from repro.obs.timeseries import TimeSeriesStore
 from repro.sim.clock import HOUR
+
+if TYPE_CHECKING:
+    from repro.obs.live import FleetView
 
 #: Gantt glyph per phase name.
 PHASE_GLYPHS = {"request": ".", "boot": ":", "run": "=", "migrating": "x"}
@@ -522,31 +526,32 @@ class RunReport:
             "reconciled_interruptions": reconciled,
         }
 
+    @cached_property
+    def fleet_view(self) -> "FleetView":
+        """The stream folded through the :class:`~repro.obs.live.FleetView`
+        the live plane and ``obs watch`` share."""
+        from repro.obs.live import FleetView
+
+        view = FleetView()
+        for event in self.events:
+            view.fold(event)
+        return view
+
     def tenant_stats(self) -> Optional[Dict[str, object]]:
         """Multi-tenant rollups, or None on single-plane runs.
 
-        Folds the stream through the same :class:`FleetRollup` the
-        live dashboard uses, so the report's ``by_tenant`` /
+        Read from :attr:`fleet_view`, so the report's ``by_tenant`` /
         ``by_strategy`` tables match what ``obs watch`` showed.  Gated
         on tenancy events being present so pre-tenancy run reports
         render byte-identically.
         """
-        from repro.obs.live import FleetRollup
-
-        rollup = FleetRollup()
-        registered = 0
-        throttled = 0
-        for event in self.events:
-            rollup.observe(event)
-            if event.type is EventType.TENANT_REGISTERED:
-                registered += 1
-            elif event.type is EventType.TENANT_THROTTLED:
-                throttled += 1
+        rollup = self.fleet_view.rollup
+        registered = self._count(EventType.TENANT_REGISTERED)
         if not (rollup.has_tenants or registered):
             return None
         return {
             "tenants": registered,
-            "throttled": throttled,
+            "throttled": self._count(EventType.TENANT_THROTTLED),
             "by_tenant": rollup.by_tenant(),
             "by_strategy": rollup.by_strategy(),
             "by_status": rollup.by_status(),
@@ -558,7 +563,7 @@ class RunReport:
         """count/p50/p95/max per latency family (empty families omitted)."""
         return {
             name: series_stats(values)
-            for name, values in latency_series(self.events).items()
+            for name, values in self.fleet_view.latency.series.items()
             if values
         }
 

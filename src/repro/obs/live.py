@@ -21,8 +21,13 @@ simulation is still running*:
 * :class:`WindowAggregator` — tumbling sim-time windows of event/
   interruption/reacquire/fault rates feeding the dashboard's rate
   table, with a bounded window history.
-* :class:`LivePlane` — one bus subscription fanning out to all of the
-  above plus an online SLO watch (edge-triggered breach detection per
+* :class:`FleetView` — the one fold every fleet view shares: the
+  rollup, the windows, the latency watcher, and the
+  :class:`~repro.obs.slo.SLOBudget` error budget.  ``obs watch``
+  (:class:`~repro.obs.watch.WatchState`) and the run report fold a
+  saved stream through it; the live plane folds the bus through it.
+* :class:`LivePlane` — a :class:`FleetView` on one bus subscription,
+  plus the exporter, SLO breach notification (edge-triggered per
   target) and, optionally, O(window) telemetry memory: with
   ``trim_bus=True`` the plane clears the bus after every export flush,
   so a perpetual run's memory is bounded by the segment/window caps
@@ -39,12 +44,12 @@ from __future__ import annotations
 import json
 import os
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.events import EventBus, EventType, TelemetryEvent
 from repro.obs.export import stream_lines
-from repro.obs.slo import LatencyWatcher, SLOResult, SLOSpec, default_slo_spec
+from repro.obs.slo import LatencyWatcher, SLOBudget, SLOResult, SLOSpec, default_slo_spec
 from repro.sim.clock import HOUR
 
 #: Manifest schema tag; bump on incompatible layout changes.
@@ -429,6 +434,48 @@ class WindowAggregator:
 
 
 # ----------------------------------------------------------------------
+# The shared fold
+# ----------------------------------------------------------------------
+class FleetView:
+    """Rollup, windows, latency and SLO budget, folded from one stream.
+
+    The live plane, the ``obs watch`` dashboard and the run report all
+    answer "what is the fleet doing and is it within its SLOs" with
+    this one fold, so a live view and a replay of its stream agree.
+
+    Args:
+        window_seconds: Tumbling window width for the rate table.
+        max_windows: Retained window history.
+        slo_spec: SLO objectives tracked (default fleet spec).
+    """
+
+    def __init__(
+        self,
+        window_seconds: float = HOUR,
+        max_windows: int = 48,
+        slo_spec: Optional[SLOSpec] = None,
+    ) -> None:
+        self.rollup = FleetRollup()
+        self.windows = WindowAggregator(window_seconds, max_windows=max_windows)
+        self.latency = LatencyWatcher()
+        self.slo_spec = slo_spec if slo_spec is not None else default_slo_spec()
+        self.budget = SLOBudget(self.slo_spec)
+
+    def fold(self, event: TelemetryEvent) -> Sequence[SLOResult]:
+        """Fold one event; returns the SLO targets it tipped into breach."""
+        self.rollup.observe(event)
+        self.windows.observe(event)
+        sample = self.latency.observe(event)
+        if sample is None:
+            return ()
+        return self.budget.observe(*sample)
+
+    def slo_results(self) -> List[SLOResult]:
+        """Current per-target verdicts."""
+        return self.budget.results()
+
+
+# ----------------------------------------------------------------------
 # The live plane
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
@@ -441,8 +488,8 @@ class SLOBreach:
     objective: float
 
 
-class LivePlane:
-    """One bus subscription fanning out to every live view.
+class LivePlane(FleetView):
+    """A :class:`FleetView` folded live from one bus subscription.
 
     Args:
         telemetry: The provider's :class:`~repro.obs.Telemetry` bundle.
@@ -476,11 +523,8 @@ class LivePlane:
         trim_every: int = DEFAULT_TRIM_EVERY,
         recorder=None,
     ) -> None:
+        super().__init__(window_seconds, max_windows=max_windows, slo_spec=slo_spec)
         self.telemetry = telemetry
-        self.rollup = FleetRollup()
-        self.windows = WindowAggregator(window_seconds, max_windows=max_windows)
-        self.latency = LatencyWatcher()
-        self.slo_spec = slo_spec if slo_spec is not None else default_slo_spec()
         self.exporter = (
             LiveExporter(
                 telemetry,
@@ -497,20 +541,21 @@ class LivePlane:
         self.peak_bus_events = 0
         self.trims = 0
         self.breaches: List[SLOBreach] = []
-        self._slo_counts: Dict[str, List[int]] = {
-            target.metric: [0, 0] for target in self.slo_spec.targets
-        }
-        self._slo_failing: Dict[str, bool] = {}
         self._closed = False
         self._unsubscribe = telemetry.bus.subscribe(self.observe)
 
     def observe(self, event: TelemetryEvent) -> None:
         """Fold one bus event into every live view."""
-        self.rollup.observe(event)
-        self.windows.observe(event)
-        sample = self.latency.observe(event)
-        if sample is not None:
-            self._score(event.time, sample[0], sample[1])
+        for result in self.fold(event):
+            breach = SLOBreach(
+                time=event.time,
+                metric=result.target.metric,
+                compliance=result.compliance,
+                objective=result.target.objective,
+            )
+            self.breaches.append(breach)
+            if self.recorder is not None:
+                self.recorder.on_slo_breach(breach)
         if self.trim_bus:
             bus: EventBus = self.telemetry.bus
             length = len(bus)
@@ -521,40 +566,6 @@ class LivePlane:
                     self.exporter.writer.flush()
                 bus.clear()
                 self.trims += 1
-
-    def _score(self, now: float, metric: str, value: float) -> None:
-        """Update one target's error budget; edge-trigger on breach."""
-        counts = self._slo_counts.get(metric)
-        if counts is None:
-            return
-        target = next(t for t in self.slo_spec.targets if t.metric == metric)
-        counts[0] += 1
-        if value > target.threshold:
-            counts[1] += 1
-        result = SLOResult(target=target, samples=counts[0], violations=counts[1])
-        failing = not result.passed
-        if failing and not self._slo_failing.get(metric, False):
-            breach = SLOBreach(
-                time=now,
-                metric=metric,
-                compliance=result.compliance,
-                objective=target.objective,
-            )
-            self.breaches.append(breach)
-            if self.recorder is not None:
-                self.recorder.on_slo_breach(breach)
-        self._slo_failing[metric] = failing
-
-    def slo_results(self) -> List[SLOResult]:
-        """Current per-target verdicts from the online counters."""
-        return [
-            SLOResult(
-                target=target,
-                samples=self._slo_counts[target.metric][0],
-                violations=self._slo_counts[target.metric][1],
-            )
-            for target in self.slo_spec.targets
-        ]
 
     def close(self) -> None:
         """Unsubscribe and seal the export stream (idempotent)."""
@@ -571,6 +582,7 @@ __all__ = [
     "DEFAULT_SEGMENT_BYTES",
     "DEFAULT_TRIM_EVERY",
     "FleetRollup",
+    "FleetView",
     "LiveExporter",
     "LivePlane",
     "SLOBreach",

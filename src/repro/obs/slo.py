@@ -19,11 +19,14 @@ budgets they imply — evaluates into an :class:`SLOScorecard`
 The error-budget arithmetic: an objective of 0.95 tolerates 5 % of
 samples beyond the threshold.  ``budget_consumed`` is the fraction of
 that allowance actually spent; above 1.0 the objective is breached.
+:class:`SLOBudget` keeps that count incrementally; the live plane, the
+``obs watch`` dashboard and the post-run scorecard all read it, so the
+three can never disagree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
@@ -292,18 +295,51 @@ class SLOScorecard:
         return "\n".join(lines)
 
 
+class SLOBudget:
+    """Incremental error budget for every target of one :class:`SLOSpec`.
+
+    Feed latency samples via :meth:`observe` (the ``(metric, value)``
+    pairs a :class:`LatencyWatcher` yields); :meth:`results` is the
+    current verdict per target.  Each target is edge-triggered:
+    :meth:`observe` returns the targets a sample tipped from passing
+    to failing, so a breach is reported once, not once per bad sample.
+    :func:`evaluate_slo` is the batch fold over this class.
+    """
+
+    def __init__(self, spec: SLOSpec) -> None:
+        self._results = [
+            SLOResult(target=target, samples=0, violations=0) for target in spec.targets
+        ]
+        self._by_metric: Dict[str, List[SLOResult]] = {}
+        for result in self._results:
+            self._by_metric.setdefault(result.target.metric, []).append(result)
+
+    def observe(self, metric: str, value: float) -> List[SLOResult]:
+        """Count one sample; returns the targets it tipped into breach."""
+        breached: List[SLOResult] = []
+        for result in self._by_metric.get(metric, ()):
+            was_passing = result.passed
+            result.samples += 1
+            if value > result.target.threshold:
+                result.violations += 1
+            if was_passing and not result.passed:
+                breached.append(replace(result))
+        return breached
+
+    def results(self) -> List[SLOResult]:
+        """Current per-target verdicts, in spec order."""
+        return [replace(result) for result in self._results]
+
+
 def evaluate_slo(
     spec: SLOSpec, series: Dict[str, Sequence[float]]
 ) -> SLOScorecard:
     """Score *series* (metric name -> raw samples) against *spec*."""
-    scorecard = SLOScorecard(spec=spec)
-    for target in spec.targets:
-        values = series.get(target.metric, ())
-        violations = sum(1 for value in values if value > target.threshold)
-        scorecard.results.append(
-            SLOResult(target=target, samples=len(values), violations=violations)
-        )
-    return scorecard
+    budget = SLOBudget(spec)
+    for metric, values in series.items():
+        for value in values:
+            budget.observe(metric, value)
+    return SLOScorecard(spec=spec, results=budget.results())
 
 
 def evaluate_slo_from_events(

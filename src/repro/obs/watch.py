@@ -2,11 +2,9 @@
 
 A :class:`WatchState` folds a telemetry event stream — a finished
 JSONL file, a growing segmented stream, or a live bus — through the
-same incremental views the live plane maintains
-(:class:`~repro.obs.live.FleetRollup`,
-:class:`~repro.obs.live.WindowAggregator`,
-:class:`~repro.obs.slo.LatencyWatcher`,
-:class:`~repro.obs.export.StreamValidator`) plus a bounded anomaly/
+same :class:`~repro.obs.live.FleetView` the live plane is (rollup,
+windows, latency, SLO budget), plus a
+:class:`~repro.obs.export.StreamValidator` and a bounded anomaly/
 violation feed.  :func:`render_dashboard` turns one state into the
 refreshing terminal screen: fleet rollup tables, window rates, SLO
 status, and the feed's most recent entries.
@@ -26,12 +24,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Iterable, List, Optional
+from typing import Deque, Iterable, Optional
 
 from repro.obs.events import EventType, TelemetryEvent
 from repro.obs.export import StreamValidator, TelemetryStream
-from repro.obs.live import FleetRollup, WindowAggregator
-from repro.obs.slo import LatencyWatcher, SLOResult, SLOSpec, default_slo_spec
+from repro.obs.live import FleetView
+from repro.obs.slo import SLOSpec
 from repro.sim.clock import HOUR
 
 #: Feed entries retained (the dashboard shows the newest few).
@@ -47,7 +45,7 @@ class FeedEntry:
     text: str
 
 
-class WatchState:
+class WatchState(FleetView):
     """Incremental dashboard state folded from an event stream."""
 
     def __init__(
@@ -57,28 +55,28 @@ class WatchState:
         slo_spec: Optional[SLOSpec] = None,
         max_feed: int = DEFAULT_MAX_FEED,
     ) -> None:
-        self.rollup = FleetRollup()
-        self.windows = WindowAggregator(window_seconds, max_windows=max_windows)
-        self.latency = LatencyWatcher()
+        super().__init__(window_seconds, max_windows=max_windows, slo_spec=slo_spec)
         self.validator = StreamValidator()
-        self.slo_spec = slo_spec if slo_spec is not None else default_slo_spec()
         self.feed: Deque[FeedEntry] = deque(maxlen=max(1, int(max_feed)))
         self.events = 0
         self.last_time = 0.0
         self.truncated = False
         self.complete = False
-        self._slo_counts = {target.metric: [0, 0] for target in self.slo_spec.targets}
-        self._slo_failing = {target.metric: False for target in self.slo_spec.targets}
 
     def observe(self, event: TelemetryEvent) -> None:
         """Fold one event into every view and the feed."""
         self.events += 1
         self.last_time = event.time
-        self.rollup.observe(event)
-        self.windows.observe(event)
-        sample = self.latency.observe(event)
-        if sample is not None:
-            self._score(event.time, sample[0], sample[1])
+        for result in self.fold(event):
+            target = result.target
+            self.feed.append(
+                FeedEntry(
+                    event.time,
+                    "slo",
+                    f"{target.metric} breached: compliance {result.compliance:.1%} "
+                    f"< objective {target.objective:.0%}",
+                )
+            )
         for problem in self.validator.observe(event):
             self.feed.append(FeedEntry(event.time, "stream", problem))
         if event.type is EventType.MARKET_ANOMALY:
@@ -128,38 +126,6 @@ class WatchState:
                     f"/{event.attrs.get('limit', '?')})",
                 )
             )
-
-    def _score(self, now: float, metric: str, value: float) -> None:
-        counts = self._slo_counts.get(metric)
-        if counts is None:
-            return
-        target = next(t for t in self.slo_spec.targets if t.metric == metric)
-        counts[0] += 1
-        if value > target.threshold:
-            counts[1] += 1
-        result = SLOResult(target=target, samples=counts[0], violations=counts[1])
-        failing = not result.passed
-        if failing and not self._slo_failing[metric]:
-            self.feed.append(
-                FeedEntry(
-                    now,
-                    "slo",
-                    f"{metric} breached: compliance {result.compliance:.1%} "
-                    f"< objective {target.objective:.0%}",
-                )
-            )
-        self._slo_failing[metric] = failing
-
-    def slo_results(self) -> List[SLOResult]:
-        """Current per-target verdicts from the online counters."""
-        return [
-            SLOResult(
-                target=target,
-                samples=self._slo_counts[target.metric][0],
-                violations=self._slo_counts[target.metric][1],
-            )
-            for target in self.slo_spec.targets
-        ]
 
     def observe_all(self, events: Iterable[TelemetryEvent]) -> "WatchState":
         """Fold a whole event sequence; returns self for chaining."""

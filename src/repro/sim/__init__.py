@@ -20,7 +20,7 @@ from repro.sim.clock import (
 from repro.sim.engine import SimulationEngine
 from repro.sim.events import Event, EventQueue
 from repro.sim.rng import RandomStreams
-from repro.sim.trace import EngineTracer, LabelStats, TraceRecord
+from repro.sim.trace import EngineTracer, TraceRecord
 
 __all__ = [
     "DAY",
@@ -30,7 +30,6 @@ __all__ = [
     "EngineTracer",
     "Event",
     "EventQueue",
-    "LabelStats",
     "RandomStreams",
     "SimulationEngine",
     "TraceRecord",

@@ -28,12 +28,11 @@ class SimulationEngine:
 
     Args:
         seed: Master seed for the engine's :class:`RandomStreams`.
-        trace: When true, every fired event is recorded by an
+        tracer: Record every fired event into this
             :class:`~repro.sim.trace.EngineTracer` — a labeled,
-            filterable trace with per-callback wall timings
-            (:attr:`tracer`; tuple-shaped views come from
-            :meth:`~repro.sim.trace.EngineTracer.as_tuples`).
-        tracer: Install a specific tracer (implies tracing on).
+            filterable trace with per-callback wall timings.  Also
+            settable later through :attr:`tracer`; ``None`` (the
+            default) keeps :meth:`_fire` on its untraced fast path.
         scheduler: Event-queue implementation: ``"wheel"`` (default)
             selects the calendar-queue
             :class:`~repro.sim.events.BucketedEventQueue`; ``"heap"``
@@ -47,7 +46,6 @@ class SimulationEngine:
     def __init__(
         self,
         seed: int = 0,
-        trace: bool = False,
         tracer: Optional[EngineTracer] = None,
         scheduler: str = "wheel",
     ) -> None:
@@ -63,7 +61,7 @@ class SimulationEngine:
         self.scheduler = scheduler
         self._running = False
         self.streams = RandomStreams(seed)
-        self.tracer = tracer if tracer is not None else (EngineTracer() if trace else None)
+        self.tracer = tracer
         #: Called with ``(exc, event)`` when a callback raises, before
         #: the exception propagates — the flight recorder's last-gasp
         #: snapshot hook.  ``None`` (the default) keeps :meth:`_fire`
@@ -71,18 +69,6 @@ class SimulationEngine:
         self.error_hook: Optional[Callable[[BaseException, Event], None]] = None
         self._fired_events = 0
         self._tick_hooks: List[Callable[[], None]] = []
-
-    @property
-    def trace(self) -> bool:
-        """Whether event tracing is on."""
-        return self.tracer is not None
-
-    @trace.setter
-    def trace(self, enabled: bool) -> None:
-        if enabled and self.tracer is None:
-            self.tracer = EngineTracer()
-        elif not enabled:
-            self.tracer = None
 
     # ------------------------------------------------------------------
     # Clock

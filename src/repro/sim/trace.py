@@ -1,15 +1,13 @@
 """Labeled, filterable engine instrumentation with a wall-clock profiler.
 
 Replaces the old informal ``trace_log`` list of ``(time, label)``
-tuples: when tracing is on, the engine hands every fired callback to an
+tuples: with a tracer attached (``SimulationEngine(tracer=...)`` or
+``engine.tracer = ...``), the engine hands every fired callback to an
 :class:`EngineTracer`, which records the virtual timestamp, the event
-label, and the *wall-clock* seconds the callback took.  That yields two
-things the bare tuples could not:
-
-* filterable traces (``tracer.filter(prefix="ec2:")``), and
-* a profile of where simulation wall time goes
-  (:meth:`EngineTracer.stats` / :meth:`EngineTracer.report`), with an
-  events-per-second throughput figure for the whole run.
+label, and the *wall-clock* seconds the callback took.  The records are
+filterable (``tracer.filter(prefix="ec2:")``); the profile of where
+simulation wall time goes is
+:class:`~repro.obs.profiler.HotPathProfile`, built from them.
 
 Wall timings never feed back into the simulation, so determinism of
 virtual time is untouched.
@@ -22,8 +20,7 @@ workload span tooling.
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass
-from typing import Callable, Dict, List, NamedTuple, Optional
+from typing import List, NamedTuple, Optional
 
 
 class TraceRecord(NamedTuple):
@@ -40,21 +37,6 @@ class RunWindow(NamedTuple):
 
     wall: float  # wall-clock seconds the loop ran
     fired: int  # callbacks executed inside the loop
-
-
-@dataclass
-class LabelStats:
-    """Aggregate wall-clock profile for one label group."""
-
-    group: str
-    count: int = 0
-    wall_total: float = 0.0
-    scheduled_total: int = 0
-
-    @property
-    def wall_mean(self) -> float:
-        """Mean wall seconds per callback (0.0 when empty)."""
-        return self.wall_total / self.count if self.count else 0.0
 
 
 def default_group(label: str) -> str:
@@ -75,17 +57,11 @@ def default_group(label: str) -> str:
 
 
 class EngineTracer:
-    """Trace sink + wall-clock profiler for :class:`~repro.sim.engine.SimulationEngine`.
+    """Trace sink for :class:`~repro.sim.engine.SimulationEngine`."""
 
-    Args:
-        group: Maps a raw event label to its profile group; defaults to
-            :func:`default_group`.
-    """
-
-    def __init__(self, group: Optional[Callable[[str], str]] = None) -> None:
+    def __init__(self) -> None:
         self.records: List[TraceRecord] = []
         self.runs: List[RunWindow] = []
-        self._group = group or default_group
         self._wall_first: Optional[float] = None
         self._wall_last: Optional[float] = None
 
@@ -132,51 +108,12 @@ class EngineTracer:
         """The legacy ``(time, label)`` view of the trace."""
         return [(record.time, record.label) for record in self.records]
 
-    # ------------------------------------------------------------------
-    # Wall-clock profile
-    # ------------------------------------------------------------------
     @property
     def wall_elapsed(self) -> float:
         """Wall seconds from the first recorded callback to the last."""
         if self._wall_first is None or self._wall_last is None:
             return 0.0
         return self._wall_last - self._wall_first
-
-    def events_per_second(self) -> float:
-        """Fired callbacks per wall second over the traced window."""
-        elapsed = self.wall_elapsed
-        if elapsed <= 0.0:
-            return 0.0
-        return len(self.records) / elapsed
-
-    def stats(self) -> Dict[str, LabelStats]:
-        """Per-group callback profile, keyed by label group."""
-        by_group: Dict[str, LabelStats] = {}
-        for record in self.records:
-            group = self._group(record.label)
-            entry = by_group.get(group)
-            if entry is None:
-                entry = by_group[group] = LabelStats(group=group)
-            entry.count += 1
-            entry.wall_total += record.wall
-            entry.scheduled_total += record.scheduled
-        return by_group
-
-    def report(self, top: int = 12) -> str:
-        """Human-readable profile: throughput plus the *top* hottest groups."""
-        stats = sorted(self.stats().values(), key=lambda s: s.wall_total, reverse=True)
-        lines = [
-            f"fired events     : {len(self.records)}",
-            f"events/sec (wall): {self.events_per_second():,.0f}",
-        ]
-        if stats:
-            lines.append(f"{'label group':<28s} {'count':>8s} {'wall ms':>10s} {'mean us':>9s}")
-            for entry in stats[:top]:
-                lines.append(
-                    f"{entry.group:<28s} {entry.count:>8d} "
-                    f"{entry.wall_total * 1e3:>10.2f} {entry.wall_mean * 1e6:>9.1f}"
-                )
-        return "\n".join(lines)
 
     def clear(self) -> None:
         """Drop all records and reset the wall window."""

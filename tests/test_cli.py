@@ -241,6 +241,15 @@ class TestObsDeepCommands:
         assert main(["obs", "profile", "--from-profile", str(artifact)]) == 0
         assert "hot label group" in capsys.readouterr().out
 
+    def test_obs_profile_flag_prints_hot_path_profile(self, capsys):
+        assert main(self._SMALL + ["--profile"]) == 0
+        out = capsys.readouterr().out
+        profile = out[out.index("engine wall-clock profile:"):]
+        assert "engines profiled  : 1" in profile
+        headers = [line.split()[:2] for line in profile.splitlines() if line]
+        assert ["subsystem", "events"] in headers
+        assert "hot label group" in profile
+
     def test_profile_rejects_bad_artifact(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("not json")

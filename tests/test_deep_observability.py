@@ -22,7 +22,7 @@ from repro.core.controller import FleetController
 from repro.errors import ReproError
 from repro.obs import RunReport, Telemetry
 from repro.obs.events import EventType, TelemetryEvent
-from repro.obs.profiler import SUBSYSTEMS, HotPathProfile, subsystem_for
+from repro.obs.profiler import SUBSYSTEMS, HotPathProfile, attach_profiler, subsystem_for
 from repro.obs.slo import (
     SLOSpec,
     SLOTarget,
@@ -43,7 +43,7 @@ def _run_chaos_fleet(instrumented: bool):
     """One seeded chaos-campaign fleet, with or without instrumentation."""
     provider = CloudProvider(seed=11, tracing=instrumented)
     if instrumented:
-        provider.engine.trace = True
+        attach_profiler(provider.engine)
     ChaosController(provider, default_campaign().without_kills()).install()
     provider.warmup_markets(24)
     controller = FleetController(

@@ -19,6 +19,7 @@ import os
 
 import pytest
 
+from repro.chaos import ChaosController, default_campaign
 from repro.cloud.provider import CloudProvider
 from repro.core.config import SpotVerseConfig
 from repro.core.controller import FleetController
@@ -32,7 +33,9 @@ from repro.obs import (
     SegmentWriter,
     Telemetry,
     TelemetryStream,
+    WatchState,
     WindowAggregator,
+    evaluate_slo_from_events,
     write_jsonl,
 )
 from repro.obs.flight import DEFAULT_MAX_ARTIFACTS
@@ -64,6 +67,28 @@ def fleet_run(tmp_path):
     recorder.snapshot_final()
     recorder.close()
     yield provider, plane, recorder, result, tmp_path
+    provider.shutdown()
+
+
+@pytest.fixture()
+def chaos_run(tmp_path):
+    """A seeded chaos-campaign fleet with the live plane streaming to disk."""
+    provider = CloudProvider(seed=11)
+    ChaosController(provider, default_campaign().without_kills()).install()
+    provider.warmup_markets(24)
+    stream_dir = tmp_path / "chaos-stream"
+    plane = LivePlane(provider.telemetry, directory=str(stream_dir))
+    controller = FleetController(
+        provider,
+        SingleRegionPolicy(instance_type="m5.xlarge"),
+        SpotVerseConfig(instance_type="m5.xlarge"),
+    )
+    fleet = [
+        synthetic_workload(f"wl-{i}", duration_hours=3.0, n_segments=3) for i in range(6)
+    ]
+    controller.run(fleet, max_hours=72.0)
+    plane.close()
+    yield provider, plane, stream_dir
     provider.shutdown()
 
 
@@ -318,8 +343,8 @@ class TestLivePlane:
         assert results[0].violations == 4
         plane.close()
 
-    def test_plane_emits_nothing_back_onto_the_bus(self, fleet_run):
-        provider, plane, recorder, _, _ = fleet_run
+    def test_plane_emits_nothing_back_onto_the_bus(self, fleet_run, chaos_run):
+        provider, plane, recorder, _, tmp_path = fleet_run
         # A read-only plane: every event on the bus was emitted by the
         # run itself, and folding the saved stream reproduces the
         # rollup exactly.
@@ -328,6 +353,17 @@ class TestLivePlane:
             replayed.observe(event)
         assert replayed.by_status() == plane.rollup.by_status()
         assert replayed.done == plane.rollup.done == 4
+        # The live plane, the dashboard over its exported stream and the
+        # post-run scorecard share one fold, so they agree exactly.
+        for source, live, stream_dir in ((provider, plane, tmp_path / "stream"), chaos_run):
+            events = source.telemetry.bus.events()
+            watch = WatchState.from_stream(TelemetryStream.load(str(stream_dir)))
+            offline = evaluate_slo_from_events(live.slo_spec, events).results
+            assert live.slo_results() == watch.slo_results() == offline
+            assert live.rollup.by_status() == watch.rollup.by_status()
+            assert live.rollup.by_market() == watch.rollup.by_market()
+        # The chaos run breaches an objective, so the budgets are exercised.
+        assert any(result.violations for result in offline)
 
     def test_close_is_idempotent(self, tmp_path):
         telemetry = Telemetry()

@@ -28,7 +28,9 @@ from repro.obs import (
     validate_stream,
     write_jsonl,
 )
+from repro.obs.profiler import HotPathProfile
 from repro.sim.engine import SimulationEngine
+from repro.sim.trace import EngineTracer
 from repro.strategies import OnDemandPolicy, SingleRegionPolicy
 from repro.workloads import genome_reconstruction_workload
 from repro.workloads.base import synthetic_workload
@@ -187,18 +189,19 @@ class TestSpans:
 # ----------------------------------------------------------------------
 class TestEngineTracer:
     def test_traced_engine_records_labels_and_wall_time(self):
-        engine = SimulationEngine(seed=0, trace=True)
+        engine = SimulationEngine(seed=0, tracer=EngineTracer())
         engine.call_in(1.0, lambda: None, label="a:one")
         engine.call_in(2.0, lambda: None, label="b:two")
         engine.run_until(5.0)
         assert engine.fired_events == 2
         assert engine.tracer.as_tuples() == [(1.0, "a:one"), (2.0, "b:two")]
         assert [r.label for r in engine.tracer.filter(prefix="a:")] == ["a:one"]
-        stats = engine.tracer.stats()
-        assert stats["a:one"].count == 1
-        assert stats["a:one"].wall_total >= 0.0
-        assert engine.tracer.events_per_second() > 0.0
-        assert "events/sec" in engine.tracer.report()
+        profile = HotPathProfile.from_tracer(engine.tracer)
+        entries = {entry.group: entry for entry in profile.entries()}
+        assert entries["a:one"].count == 1
+        assert entries["a:one"].wall_total >= 0.0
+        assert profile.events_per_second() > 0.0
+        assert "events/sec" in profile.report()
 
     def test_untraced_engine_has_no_tracer(self):
         engine = SimulationEngine(seed=0)
@@ -208,7 +211,7 @@ class TestEngineTracer:
         assert not hasattr(engine, "trace_log")  # legacy tuple view is gone
 
     def test_reset_zeroes_fired_events_and_trace(self):
-        engine = SimulationEngine(seed=0, trace=True)
+        engine = SimulationEngine(seed=0, tracer=EngineTracer())
         engine.call_in(1.0, lambda: None, label="x")
         engine.run_until(2.0)
         assert engine.fired_events == 1

@@ -8,6 +8,7 @@ under the default chaos campaign, kills included.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +19,16 @@ from repro.chaos import (
     default_campaign,
 )
 from repro.chaos.runner import _execute
-from repro.obs import EventType, FlightRecorder, Telemetry
+from repro.obs import (
+    EventType,
+    FlightRecorder,
+    LivePlane,
+    Telemetry,
+    TelemetryStream,
+    WatchState,
+    segment_files,
+    write_jsonl,
+)
 from repro.workloads.base import synthetic_workload
 from repro.workloads.ngs_preprocessing import ngs_preprocessing_workload
 
@@ -126,26 +136,42 @@ class TestOnlineViolations:
         # The ring carried the offending events into the snapshot.
         assert [e["type"] for e in payload["events"]].count("workload.done") == 2
 
-    def test_reorder_buffer_releases_in_seq_order(self):
-        # Bus fan-out is re-entrant; the monitor must fold by seq, not
-        # by delivery order, to stay bit-identical with a stream fold.
-        from repro.obs.events import TelemetryEvent
+    def test_nested_emits_reach_every_consumer_in_seq_order(self, tmp_path):
+        # A subscriber that emits while handling an event: the nested
+        # event must reach later subscribers only after the event that
+        # caused it, so live consumers fold the stream's own order.
+        telemetry = Telemetry()
+        bus = telemetry.bus
 
-        folded = []
+        def start_on_submit(event):
+            if event.type is EventType.WORKLOAD_SUBMITTED:
+                bus.emit(EventType.WORKLOAD_RUNNING, workload_id=event.workload_id)
+
+        bus.subscribe(start_on_submit)
+        stream_dir = tmp_path / "stream"
+        plane = LivePlane(telemetry, directory=str(stream_dir), flush_lines=1)
+        watch = WatchState()
+        bus.subscribe(watch.observe)
+        recorder = FlightRecorder(telemetry)
         monitor = OnlineInvariantMonitor()
-        for check in monitor.checks:
-            original = check.observe
-            check.observe = (  # noqa: B023 - bind per-check
-                lambda event, _orig=original: (folded.append(event.seq), _orig(event))[1]
-            )
-        events = [
-            TelemetryEvent(seq=s, time=float(s), type=EventType.WORKLOAD_SUBMITTED)
-            for s in range(4)
-        ]
-        for event in (events[0], events[2], events[3], events[1]):
-            monitor.observe(event)
-        n_checks = len(monitor.checks)
-        assert folded == [s for s in range(4) for _ in range(n_checks)]
+        monitor.attach(bus)
+        for i in range(3):
+            bus.emit(EventType.WORKLOAD_SUBMITTED, workload_id=f"w{i}")
+        plane.close()
+
+        in_order = list(range(6))
+        assert [e.seq for e in TelemetryStream.load(str(stream_dir)).events] == in_order
+        assert [e.seq for e in recorder.ring] == in_order
+        # Folded in causal order, every workload ends up running; the
+        # inverted order would leave each one "pending".
+        assert plane.rollup.by_status() == {"running": 3}
+        assert watch.rollup.by_status() == {"running": 3}
+        assert watch.validator.problems == []
+        assert monitor.violations == []
+        # The segments still concatenate to the post-hoc export.
+        segments = "".join(Path(path).read_text() for path in segment_files(str(stream_dir)))
+        write_jsonl(str(tmp_path / "full.jsonl"), telemetry)
+        assert segments == (tmp_path / "full.jsonl").read_text()
 
 
 # ----------------------------------------------------------------------

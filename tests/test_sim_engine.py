@@ -5,6 +5,7 @@ import pytest
 from repro.errors import SchedulingError, SimulationError
 from repro.sim.clock import HOUR, MINUTE, format_duration, hours, minutes
 from repro.sim.engine import SimulationEngine
+from repro.sim.trace import EngineTracer
 
 
 def test_clock_starts_at_zero():
@@ -121,7 +122,7 @@ def test_fired_events_counter():
 
 
 def test_trace_records_labels():
-    engine = SimulationEngine(trace=True)
+    engine = SimulationEngine(tracer=EngineTracer())
     engine.call_at(1.0, lambda: None, label="one")
     engine.run_until(2.0)
     assert engine.tracer.as_tuples() == [(1.0, "one")]
@@ -258,7 +259,7 @@ def test_tick_hooks_fire_between_distinct_timestamps():
 
 def test_tick_hooks_do_not_perturb_event_stream():
     def drive(install_hook):
-        engine = SimulationEngine(trace=True)
+        engine = SimulationEngine(tracer=EngineTracer())
         if install_hook:
             engine.add_tick_hook(lambda: None)
         engine.every(7.0, lambda: None, label="tick")
