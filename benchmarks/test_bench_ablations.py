@@ -10,7 +10,6 @@
 """
 
 import pytest
-from conftest import run_once
 
 from repro.experiments.ablations import (
     run_checkpoint_backend_ablation,
@@ -22,8 +21,8 @@ from repro.experiments.ablations import (
 )
 
 
-def test_ablation_migration_randomness(benchmark):
-    result = run_once(benchmark, run_migration_ablation, n_workloads=40, seed=7)
+def test_ablation_migration_randomness():
+    result = run_migration_ablation(n_workloads=40, seed=7)
     print()
     print(result.render())
     random_arm = result.arms["random-migration"].fleet
@@ -45,8 +44,8 @@ def test_ablation_migration_randomness(benchmark):
     assert busiest_non_start(cheapest_arm) >= busiest_non_start(random_arm)
 
 
-def test_ablation_on_demand_fallback(benchmark):
-    result = run_once(benchmark, run_fallback_ablation, n_workloads=10, seed=7)
+def test_ablation_on_demand_fallback():
+    result = run_fallback_ablation(n_workloads=10, seed=7)
     print()
     print(result.render())
     fleet = result.with_fallback.fleet
@@ -55,8 +54,8 @@ def test_ablation_on_demand_fallback(benchmark):
     assert fleet.total_interruptions == 0
 
 
-def test_ablation_checkpoint_backend(benchmark):
-    result = run_once(benchmark, run_checkpoint_backend_ablation, n_workloads=20, seed=7)
+def test_ablation_checkpoint_backend():
+    result = run_checkpoint_backend_ablation(n_workloads=20, seed=7)
     print()
     print(result.render())
     s3 = result.arms["s3"].fleet
@@ -75,8 +74,8 @@ def test_ablation_checkpoint_backend(benchmark):
     assert abs(s3.total_cost - efs.total_cost) < 0.15
 
 
-def test_ablation_predictive_policy(benchmark):
-    result = run_once(benchmark, run_predictive_policy_ablation, n_workloads=40, seed=7)
+def test_ablation_predictive_policy():
+    result = run_predictive_policy_ablation(n_workloads=40, seed=7)
     print()
     print(result.render())
     standard = result.arms["spotverse"].fleet
@@ -89,8 +88,8 @@ def test_ablation_predictive_policy(benchmark):
     assert predictive.makespan_hours <= standard.makespan_hours * 1.15
 
 
-def test_ablation_deadline_policy(benchmark):
-    result = run_once(benchmark, run_deadline_policy_ablation, n_workloads=40, seed=7)
+def test_ablation_deadline_policy():
+    result = run_deadline_policy_ablation(n_workloads=40, seed=7)
     print()
     print(result.render())
     plain = result.arms["spotverse"].fleet
@@ -106,10 +105,9 @@ def test_ablation_deadline_policy(benchmark):
     assert deadline.total_cost < 1.35 * plain.total_cost
 
 
-def test_ablation_checkpoint_granularity(benchmark):
-    result = run_once(
-        benchmark, run_checkpoint_granularity, segment_counts=[1, 5, 20, 80],
-        n_workloads=20, seed=7,
+def test_ablation_checkpoint_granularity():
+    result = run_checkpoint_granularity(
+        segment_counts=[1, 5, 20, 80], n_workloads=20, seed=7
     )
     print()
     print(result.render())

@@ -10,13 +10,11 @@ Shape claims from Section 5.2.4:
 * savings shrink as duration grows for every threshold.
 """
 
-from conftest import run_once
-
 from repro.experiments.thresholds import DURATIONS_HOURS, THRESHOLDS, run_threshold_study
 
 
-def test_fig10_threshold_study(benchmark):
-    result = run_once(benchmark, run_threshold_study, n_workloads=40, seed=3)
+def test_fig10_threshold_study():
+    result = run_threshold_study(n_workloads=40, seed=3)
     print()
     print(result.render())
 

@@ -8,13 +8,11 @@ Shape claims checked against the paper's Figure 2:
   variation) — the volatility the multi-region strategy exploits.
 """
 
-from conftest import run_once
-
 from repro.experiments.price_diversity import FIGURE2_TYPES, run_price_diversity
 
 
-def test_fig2_price_diversity(benchmark):
-    result = run_once(benchmark, run_price_diversity, days=30, seed=0)
+def test_fig2_price_diversity():
+    result = run_price_diversity(days=30, seed=0)
     print()
     print(result.render())
 

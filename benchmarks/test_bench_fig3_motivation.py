@@ -9,13 +9,11 @@ cost allowed a small tolerance for the checkpoint workload where the
 paper's own effect is under 10 %.
 """
 
-from conftest import run_once
-
 from repro.experiments.motivation import run_motivation_experiment
 
 
-def test_fig3_motivation(benchmark):
-    result = run_once(benchmark, run_motivation_experiment, n_workloads=42, seed=7)
+def test_fig3_motivation():
+    result = run_motivation_experiment(n_workloads=42, seed=7)
     print()
     print(result.render())
 

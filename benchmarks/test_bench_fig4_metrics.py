@@ -10,13 +10,12 @@ Shape claims:
 """
 
 import numpy as np
-from conftest import run_once
 
 from repro.experiments.metrics_analysis import FIGURE4_TYPES, run_metrics_analysis
 
 
-def test_fig4_metrics(benchmark):
-    result = run_once(benchmark, run_metrics_analysis, days=180, seed=0)
+def test_fig4_metrics():
+    result = run_metrics_analysis(days=180, seed=0)
     print()
     print(result.render())
 

@@ -11,13 +11,11 @@ Shape claims from Section 5.2.1:
   interruptions in ca-central-1, SpotVerse spreads them over regions.
 """
 
-from conftest import run_once
-
 from repro.experiments.workload_comparison import run_workload_comparison
 
 
-def test_fig7_workload_comparison(benchmark):
-    result = run_once(benchmark, run_workload_comparison, n_workloads=40, seed=7)
+def test_fig7_workload_comparison():
+    result = run_workload_comparison(n_workloads=40, seed=7)
     print()
     print(result.render())
 

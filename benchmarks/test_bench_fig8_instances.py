@@ -13,13 +13,11 @@ Shape claims from Section 5.2.2:
   c5.2xlarge's savings come against on-demand (paper: 52 %).
 """
 
-from conftest import run_once
-
 from repro.experiments.instance_study import run_instance_study
 
 
-def test_fig8_instance_study(benchmark):
-    result = run_once(benchmark, run_instance_study, n_workloads=40, seed=7)
+def test_fig8_instance_study():
+    result = run_instance_study(n_workloads=40, seed=7)
     print()
     print(result.render())
 

@@ -7,15 +7,11 @@ interruptions for both workload kinds (paper: -32 % for standard) and
 reduces completion time and cost (paper: up to -12 % and -11 %).
 """
 
-from conftest import run_once
-
 from repro.experiments.initial_distribution import run_initial_distribution_experiment
 
 
-def test_fig9_initial_distribution(benchmark):
-    result = run_once(
-        benchmark, run_initial_distribution_experiment, n_workloads=40, seed=7
-    )
+def test_fig9_initial_distribution():
+    result = run_initial_distribution_experiment(n_workloads=40, seed=7)
     print()
     print(result.render())
 

@@ -7,13 +7,11 @@ SpotVerse's multi-region spread stays flat — a mechanistic complement
 to the paper's Figure 9.
 """
 
-from conftest import run_once
-
 from repro.experiments.footprint import POOL_CAPACITY, run_footprint_study
 
 
-def test_footprint_study(benchmark):
-    result = run_once(benchmark, run_footprint_study, fleet_sizes=(20, 50, 80), seed=7)
+def test_footprint_study():
+    result = run_footprint_study(fleet_sizes=(20, 50, 80), seed=7)
     print()
     print(result.render())
 

@@ -8,16 +8,11 @@ append per market per hour) and the default
 
 * same-seed price traces are **bit-identical** between the paths, and
 * the lattice is at least 3x faster at pure market stepping.
-
-The committed ``BENCH_test_market_lattice_stepping.json`` carries the
-measured speedup so CI history shows the fast path staying fast.
 """
 
 from __future__ import annotations
 
 import time
-
-from conftest import run_once
 
 from repro.cloud.provider import CloudProvider
 from repro.sim.clock import HOUR
@@ -37,24 +32,16 @@ def _run_markets(vectorized: bool) -> CloudProvider:
     return provider
 
 
-def test_market_lattice_stepping(benchmark):
-    scalar_start = time.perf_counter()
-    scalar_provider = _run_markets(vectorized=False)
-    scalar_wall = time.perf_counter() - scalar_start
+def _timed_markets(vectorized: bool):
+    start = time.perf_counter()
+    provider = _run_markets(vectorized)
+    return provider, time.perf_counter() - start
 
-    extra = {"scalar_wall_seconds": round(scalar_wall, 4)}
 
-    def vectorized_run():
-        start = time.perf_counter()
-        provider = _run_markets(vectorized=True)
-        wall = time.perf_counter() - start
-        # Filled mid-run so run_once picks these up for the baseline.
-        extra["vectorized_wall_seconds"] = round(wall, 4)
-        extra["speedup_vs_scalar"] = round(scalar_wall / wall, 2)
-        return provider
-
-    vector_provider = run_once(benchmark, vectorized_run, extra=extra)
-    speedup = extra["speedup_vs_scalar"]
+def test_market_lattice_stepping():
+    scalar_provider, scalar_wall = _timed_markets(vectorized=False)
+    vector_provider, vector_wall = _timed_markets(vectorized=True)
+    speedup = scalar_wall / vector_wall
 
     # Bit-exact equivalence: every market's recorded price and metric
     # series must match the scalar reference sample for sample.
@@ -66,5 +53,5 @@ def test_market_lattice_stepping(benchmark):
     assert speedup >= MIN_SPEEDUP, (
         f"vectorized market stepping only {speedup:.2f}x faster than scalar "
         f"(required {MIN_SPEEDUP:g}x): scalar {scalar_wall:.3f}s, "
-        f"vectorized {extra['vectorized_wall_seconds']:.3f}s"
+        f"vectorized {vector_wall:.3f}s"
     )

@@ -1,17 +1,15 @@
 """Profiler-overhead bench: instrumented vs. plain fig3 scenario.
 
 Runs the motivation experiment with the same seed with no engine
-tracer (the production fast path) and under ``run_once``, which forces
-every engine to trace so the hot-path profile can be attributed.  The
-ratio of the two wall times is committed as ``profiler_overhead_x``
-and guarded by ``check_regression.py``: instrumentation that starts
-costing materially more than the committed overhead fails CI even when
-absolute wall time stays inside the generous noise band.
+tracer (the production fast path) and with a
+:class:`~repro.obs.profiler.HotPathProfiler` attached to every engine
+the experiment builds.  The ratio of the two wall times must stay
+under :data:`MAX_OVERHEAD_X`.
 
 Each leg is the **best of two** timed runs after a shared untimed
 warm-up — a single-shot ratio on a busy 1-core runner can swing 2x
 from scheduler noise and allocator state left by earlier benchmarks,
-which is exactly the false-positive the guardrail must not produce.
+which is exactly the false-positive this bound must not produce.
 
 The two modes must also produce identical experiment deltas —
 profiling is read-only and must never perturb virtual time, RNG
@@ -22,9 +20,9 @@ from __future__ import annotations
 
 import time
 
-from conftest import run_once
-
 from repro.experiments.motivation import run_motivation_experiment
+from repro.obs.profiler import attach_profiler
+from repro.sim.engine import SimulationEngine
 
 N_WORKLOADS = 42
 SEED = 7
@@ -47,28 +45,25 @@ def _best_of(n):
     return best, result
 
 
-def test_profiler_overhead(benchmark):
+def test_profiler_overhead(monkeypatch):
     run_motivation_experiment(n_workloads=N_WORKLOADS, seed=SEED)  # warm-up
     plain_wall, plain = _best_of(TIMED_RUNS)
 
-    extra = {"plain_wall_seconds": round(plain_wall, 4)}
+    plain_init = SimulationEngine.__init__
 
-    def instrumented_run():
-        wall, result = _best_of(TIMED_RUNS)
-        # Filled mid-run so run_once folds these into the baseline.
-        extra["instrumented_wall_seconds"] = round(wall, 4)
-        extra["profiler_overhead_x"] = (
-            round(wall / plain_wall, 2) if plain_wall > 0 else 0.0
-        )
-        return result
+    def profiled_init(self, *args, **kwargs):
+        plain_init(self, *args, **kwargs)
+        attach_profiler(self)
 
-    instrumented = run_once(benchmark, instrumented_run, extra=extra)
+    monkeypatch.setattr(SimulationEngine, "__init__", profiled_init)
+    instrumented_wall, instrumented = _best_of(TIMED_RUNS)
+    overhead = instrumented_wall / plain_wall
 
     assert instrumented.deltas == plain.deltas, (
         "tracing perturbed the experiment: instrumented and plain runs of "
         "the same seed disagree"
     )
-    assert extra["profiler_overhead_x"] <= MAX_OVERHEAD_X, (
-        f"engine tracing costs {extra['profiler_overhead_x']:.2f}x the plain "
+    assert overhead <= MAX_OVERHEAD_X, (
+        f"engine tracing costs {overhead:.2f}x the plain "
         f"run (allowed {MAX_OVERHEAD_X:g}x)"
     )

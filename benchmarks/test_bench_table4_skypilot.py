@@ -6,13 +6,11 @@ shorter completion (paper: -60 %) than the price-chasing SkyPilot
 broker, whose numbers land close to the single-region baseline.
 """
 
-from conftest import run_once
-
 from repro.experiments.skypilot_comparison import run_skypilot_comparison
 
 
-def test_table4_skypilot_comparison(benchmark):
-    result = run_once(benchmark, run_skypilot_comparison, n_workloads=40, seed=7)
+def test_table4_skypilot_comparison():
+    result = run_skypilot_comparison(n_workloads=40, seed=7)
     print()
     print(result.render())
 

@@ -6,15 +6,12 @@ reclaim bursts and the diurnal swing concentrate interruptions into a
 minority of hours, which is the signal a predictive allocator exploits.
 """
 
-from conftest import run_once
-
 from repro.experiments.time_patterns import run_time_pattern_study
 
 
-def test_time_pattern_study(benchmark):
-    result = run_once(
-        benchmark, run_time_pattern_study,
-        n_workloads=30, region="ca-central-1", observation_hours=30.0, seed=7,
+def test_time_pattern_study():
+    result = run_time_pattern_study(
+        n_workloads=30, region="ca-central-1", observation_hours=30.0, seed=7
     )
     print()
     print(result.render())

@@ -158,7 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--top", type=int, default=5,
                          help="how many hot label groups to list")
     profile.add_argument("--from-profile", default=None, metavar="PATH",
-                         help="render a committed PROFILE_<name>.json artifact; "
+                         help="render a profile written by --json; "
                               "no fleet runs")
     profile.add_argument("--json", default=None, metavar="PATH",
                          help="also write the profile artifact as JSON")

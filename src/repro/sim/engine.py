@@ -18,7 +18,7 @@ from time import perf_counter
 from typing import Callable, List, Optional, Sequence
 
 from repro.errors import SchedulingError, SimulationError
-from repro.sim.events import BucketedEventQueue, Callback, Event, EventQueue
+from repro.sim.events import Callback, Event, EventQueue
 from repro.sim.rng import RandomStreams
 from repro.sim.trace import EngineTracer
 
@@ -33,32 +33,15 @@ class SimulationEngine:
             filterable trace with per-callback wall timings.  Also
             settable later through :attr:`tracer`; ``None`` (the
             default) keeps :meth:`_fire` on its untraced fast path.
-        scheduler: Event-queue implementation: ``"wheel"`` (default)
-            selects the calendar-queue
-            :class:`~repro.sim.events.BucketedEventQueue`; ``"heap"``
-            the binary-heap reference
-            :class:`~repro.sim.events.EventQueue`.  Both satisfy the
-            same ``(time, seq)`` determinism contract, so results are
-            bit-identical either way — the flag exists for equivalence
-            testing and benchmarking.
     """
 
     def __init__(
         self,
         seed: int = 0,
         tracer: Optional[EngineTracer] = None,
-        scheduler: str = "wheel",
     ) -> None:
         self._now = 0.0
-        if scheduler == "wheel":
-            self._queue = BucketedEventQueue()
-        elif scheduler == "heap":
-            self._queue = EventQueue()
-        else:
-            raise SchedulingError(
-                f"unknown scheduler {scheduler!r}; expected 'wheel' or 'heap'"
-            )
-        self.scheduler = scheduler
+        self._queue = EventQueue()
         self._running = False
         self.streams = RandomStreams(seed)
         self.tracer = tracer

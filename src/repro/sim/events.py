@@ -1,35 +1,22 @@
-"""Event objects and the time-ordered event queues.
+"""Event objects and the time-ordered event queue.
 
-Two interchangeable schedulers implement the same contract — pops are
-ordered by ``(time, sequence)``, where the sequence number is a
-monotonically increasing counter assigned at scheduling time, which
-makes pops deterministic when several events share a timestamp: they
-fire in scheduling order.
+:class:`EventQueue` is a binary min-heap whose pops are ordered by
+``(time, sequence)``, where the sequence number is a monotonically
+increasing counter assigned at scheduling time, which makes pops
+deterministic when several events share a timestamp: they fire in
+scheduling order.
 
-* :class:`EventQueue` — the binary-heap reference implementation.
-  Every push/pop pays ``O(log n)`` comparisons against the whole
-  pending set.
-* :class:`BucketedEventQueue` — a calendar-queue (bucketed timer
-  wheel).  Events land in fixed-width time buckets appended in O(1);
-  only the bucket currently being drained is sorted, once, when the
-  clock reaches it.  A discrete-event engine pops in nondecreasing
-  time order, so each bucket is sorted exactly once and most push/pop
-  pairs never touch a heap.  Re-entrant pushes into the active bucket
-  (a callback scheduling work for the current tick) are insorted into
-  the drain list, preserving the ``(time, seq)`` contract exactly.
-
-Both queues cancel lazily — ``Event.cancel`` is O(1) and the entry is
-discarded when encountered — and both compact their storage when more
-than half the stored entries are dead, so cancel-heavy runs (reclaim
-storms re-arming timers, chaos campaigns) do not balloon memory.
+Cancellation is lazy — ``Event.cancel`` is O(1) and the entry is
+discarded when encountered — and the heap is compacted when more than
+half the stored entries are dead, so cancel-heavy runs (reclaim storms
+re-arming timers, chaos campaigns) do not balloon memory.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from bisect import insort
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Optional
 
 from repro.errors import SchedulingError
 
@@ -76,7 +63,9 @@ class Event:
 
         Cancellation is O(1); the entry stays in the heap until its
         timestamp is reached and is then discarded.  Cancelling twice
-        is a no-op.
+        is a no-op, and cancelling an event that already left its
+        queue (fired, or dropped by :meth:`EventQueue.clear`) leaves
+        that queue's live count alone.
         """
         if self._cancelled:
             return
@@ -89,9 +78,6 @@ class Event:
     def cancelled(self) -> bool:
         """Whether :meth:`cancel` has been called."""
         return self._cancelled
-
-    def sort_key(self) -> tuple:
-        return (self.time, self.seq)
 
 
 class EventQueue:
@@ -116,24 +102,23 @@ class EventQueue:
 
     def _note_cancel(self) -> None:
         self._live -= 1
-        # Lazy-deletion leak fix: cancelled entries used to sit in the
-        # heap until their timestamp.  Rebuild without them once more
-        # than half the stored entries are dead, so reclaim-storm runs
-        # that cancel thousands of timers keep the heap proportional to
-        # the *live* set.
+        # Rebuild without cancelled entries once more than half the
+        # stored entries are dead, so reclaim-storm runs that cancel
+        # thousands of timers keep the heap proportional to the *live*
+        # set.
         heap = self._heap
         if len(heap) > COMPACT_MIN_ENTRIES and self._live * 2 < len(heap):
-            self._heap = [entry for entry in heap if not entry[1]._cancelled]
+            self._heap = [entry for entry in heap if not entry[2]._cancelled]
             heapq.heapify(self._heap)
 
     def push(self, time: float, callback: Callback, label: str = "") -> Event:
         """Schedule *callback* at absolute *time* and return its event."""
         if callback is None:
             raise SchedulingError("cannot schedule a None callback")
-        event = Event(
-            time=time, seq=next(self._counter), callback=callback, label=label, queue=self
-        )
-        heapq.heappush(self._heap, (event.sort_key(), event))
+        seq = next(self._counter)
+        event = Event(time, seq, callback, label, self)
+        # ``seq`` is unique, so entries compare without reaching the event.
+        heapq.heappush(self._heap, (time, seq, event))
         self._live += 1
         self.pushes += 1
         return event
@@ -144,186 +129,30 @@ class EventQueue:
         Cancelled events at the head of the heap are dropped eagerly so
         the returned time always refers to an event that will fire.
         """
-        while self._heap:
-            _, event = self._heap[0]
-            if event.cancelled:
-                heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            entry = heap[0]
+            if entry[2]._cancelled:
+                heapq.heappop(heap)
                 continue
-            return event.time
+            return entry[0]
         return None
 
     def pop(self) -> Optional[Event]:
         """Remove and return the next live event, or ``None`` when empty."""
-        while self._heap:
-            _, event = heapq.heappop(self._heap)
-            if event.cancelled:
+        heap = self._heap
+        while heap:
+            event = heapq.heappop(heap)[2]
+            if event._cancelled:
                 continue
             self._live -= 1
+            event._queue = None  # no longer counted live
             return event
         return None
 
     def clear(self) -> None:
         """Drop every pending event."""
+        for entry in self._heap:
+            entry[2]._queue = None
         self._heap.clear()
         self._live = 0
-
-
-#: One stored entry: ``(time, seq, event)`` — tuples compare without
-#: ever reaching the event because ``seq`` is unique.
-_Entry = Tuple[float, int, "Event"]
-
-
-class BucketedEventQueue:
-    """Calendar-queue scheduler: same contract as :class:`EventQueue`.
-
-    Pending events are partitioned into fixed-width time buckets
-    (``index = floor(time / bucket_width)``).  A small heap orders the
-    bucket *indices*; events within a bucket are appended unsorted and
-    the bucket is sorted once, lazily, when the clock reaches it.  The
-    engine consumes time in nondecreasing order, so:
-
-    * a push costs an O(1) append (plus an O(log buckets) index push
-      only for a bucket's *first* event),
-    * a pop costs an O(1) list read from the active drain list,
-    * each bucket pays one ``list.sort`` — and sorting one tick's
-      events at once beats sifting them through a heap one at a time.
-
-    Re-entrant pushes whose bucket is at or behind the active one are
-    insorted into the drain list past the consumed prefix, which keeps
-    the global ``(time, seq)`` fire order identical to the heap's.
-
-    Attributes:
-        pushes: Lifetime count of scheduled events (engine profiler
-            odometer, mirroring :attr:`EventQueue.pushes`).
-    """
-
-    #: Default bucket width in virtual seconds.  Control-plane periodic
-    #: work clusters on minute-scale ticks, so one bucket usually holds
-    #: one tick's burst; correctness never depends on the width.
-    DEFAULT_BUCKET_WIDTH = 60.0
-
-    def __init__(self, bucket_width: float = DEFAULT_BUCKET_WIDTH) -> None:
-        if bucket_width <= 0:
-            raise SchedulingError(f"bucket width must be positive, got {bucket_width!r}")
-        self._width = bucket_width
-        self._buckets: Dict[int, List[_Entry]] = {}
-        self._index_heap: List[int] = []
-        self._current: List[_Entry] = []  # sorted drain list for the active bucket
-        self._pos = 0  # consumed prefix of _current
-        self._active_index: Optional[int] = None
-        self._counter = itertools.count()
-        self._live = 0
-        self._total = 0  # stored entries, live + cancelled-but-unreclaimed
-        self.pushes = 0
-
-    def __len__(self) -> int:
-        return self._live
-
-    def __bool__(self) -> bool:
-        return self._live > 0
-
-    def push(self, time: float, callback: Callback, label: str = "") -> Event:
-        """Schedule *callback* at absolute *time* and return its event."""
-        if callback is None:
-            raise SchedulingError("cannot schedule a None callback")
-        event = Event(
-            time=time, seq=next(self._counter), callback=callback, label=label, queue=self
-        )
-        entry = (time, event.seq, event)
-        index = int(time // self._width)
-        active = self._active_index
-        if active is not None and index <= active:
-            # The entry's bucket is already draining (or fully drained):
-            # merge it into the drain list.  ``lo=self._pos`` is safe —
-            # a fresh event carries the largest seq ever issued, so it
-            # can never sort before an already-consumed entry.
-            insort(self._current, entry, lo=self._pos)
-        else:
-            bucket = self._buckets.get(index)
-            if bucket is None:
-                self._buckets[index] = [entry]
-                heapq.heappush(self._index_heap, index)
-            else:
-                bucket.append(entry)
-        self._live += 1
-        self._total += 1
-        self.pushes += 1
-        return event
-
-    def _advance(self) -> Optional[_Entry]:
-        """Position on the next live entry and return it (or ``None``)."""
-        while True:
-            current = self._current
-            pos = self._pos
-            size = len(current)
-            while pos < size:
-                entry = current[pos]
-                if entry[2]._cancelled:
-                    pos += 1
-                    self._total -= 1
-                    continue
-                self._pos = pos
-                return entry
-            self._pos = pos
-            if not self._index_heap:
-                return None
-            index = heapq.heappop(self._index_heap)
-            bucket = self._buckets.pop(index)
-            bucket.sort()
-            self._current = bucket
-            self._pos = 0
-            self._active_index = index
-
-    def peek_time(self) -> Optional[float]:
-        """Timestamp of the next live event, or ``None`` when empty."""
-        entry = self._advance()
-        return entry[0] if entry is not None else None
-
-    def pop(self) -> Optional[Event]:
-        """Remove and return the next live event, or ``None`` when empty."""
-        entry = self._advance()
-        if entry is None:
-            return None
-        self._pos += 1
-        self._live -= 1
-        self._total -= 1
-        return entry[2]
-
-    def _note_cancel(self) -> None:
-        self._live -= 1
-        if self._total > COMPACT_MIN_ENTRIES and self._live * 2 < self._total:
-            self._compact()
-
-    def _compact(self) -> None:
-        """Rebuild storage without cancelled entries (same fire order)."""
-        entries = [entry for entry in self._current[self._pos:] if not entry[2]._cancelled]
-        split = len(entries)  # everything before split belongs to the drain list
-        for bucket in self._buckets.values():
-            entries.extend(entry for entry in bucket if not entry[2]._cancelled)
-        self._buckets = {}
-        indices: List[int] = []
-        for entry in entries[split:]:
-            index = int(entry[0] // self._width)
-            bucket = self._buckets.get(index)
-            if bucket is None:
-                self._buckets[index] = [entry]
-                indices.append(index)
-            else:
-                bucket.append(entry)
-        heapq.heapify(indices)
-        self._index_heap = indices
-        current = entries[:split]
-        current.sort()
-        self._current = current
-        self._pos = 0
-        self._total = len(entries)
-
-    def clear(self) -> None:
-        """Drop every pending event."""
-        self._buckets.clear()
-        self._index_heap.clear()
-        self._current = []
-        self._pos = 0
-        self._active_index = None
-        self._live = 0
-        self._total = 0

@@ -36,12 +36,23 @@ from repro.cloud.billing import CostCategory, S3_CROSS_REGION_TRANSFER_PRICE
 from repro.cloud.provider import CloudProvider
 from repro.core.config import SpotVerseConfig
 from repro.core.controller import FleetController
-from repro.core.dag import StepGraph, StepTask, compile_graph, compile_workload
+from repro.core.dag import (
+    StepGraph,
+    StepTask,
+    compile_graph,
+    compile_workflow,
+    compile_workload,
+)
 from repro.core.monitor import Monitor
 from repro.core.policy import Placement, PlacementPolicy, PurchasingOption
 from repro.errors import ExperimentError
+from repro.galaxy.history import History
+from repro.galaxy.jobs import JobRunner
+from repro.galaxy.tools import default_toolshed
+from repro.galaxy.workflow import Invocation, StepInput, Workflow, WorkflowStep
 from repro.obs import EventType, Telemetry, render_explanation
 from repro.sim.clock import HOUR
+from repro.sim.engine import SimulationEngine
 from repro.strategies import OnDemandPolicy
 from repro.workloads.base import WorkloadKind
 
@@ -98,6 +109,47 @@ def fan_out_graph(width: int = 8) -> StepGraph:
     return StepGraph("fanout", steps)
 
 
+def fan_out_workflow(width: int = 8) -> Workflow:
+    """The Galaxy form of :func:`fan_out_graph`: prep -> samples -> merge."""
+    steps = [WorkflowStep("prep", "cutadapt", duration=0.5 * HOUR)]
+    steps += [
+        WorkflowStep(
+            f"sample{i}",
+            "fastqc",
+            inputs={"reads": StepInput("prep", "out")},
+            duration=2.0 * HOUR,
+        )
+        for i in range(width)
+    ]
+    steps.append(
+        WorkflowStep(
+            "merge",
+            "multiqc",
+            inputs={f"report{i}": StepInput(f"sample{i}", "out") for i in range(width)},
+            duration=0.5 * HOUR,
+        )
+    )
+    return Workflow("fanout", steps)
+
+
+def job_runner_makespan_hours(workflow: Workflow) -> float:
+    """Makespan of *workflow* run step by step on one Galaxy JobRunner."""
+    engine = SimulationEngine(seed=SEED)
+    finished_at = []
+    runner = JobRunner(
+        engine,
+        default_toolshed(),
+        History("fanout"),
+        execute_payloads=False,
+        on_finished=lambda invocation: finished_at.append(engine.now),
+    )
+    invocation = Invocation(workflow, "serial")
+    runner.start(invocation)
+    engine.run_until(engine.now + 48 * HOUR)
+    assert invocation.ok and finished_at
+    return finished_at[0] / HOUR
+
+
 def build_controller(policy_name: str, seed: int = SEED):
     config = SCENARIOS[policy_name]()
     provider = CloudProvider(seed=seed)
@@ -142,6 +194,21 @@ class TestFanOut:
         assert all(r.completed_at is not None for r in result.records)
         serial_hours = dag.serial_duration() / HOUR  # 17 h on one instance
         assert result.makespan_hours * 3 < serial_hours
+
+    def test_fan_out_beats_serial_job_runner_by_3x(self):
+        # The same workflow through Galaxy's serial JobRunner (one
+        # instance, step by step) and through compile_workflow +
+        # run_dags (ready samples fan out across instances).
+        workflow = fan_out_workflow(8)
+        serial_hours = job_runner_makespan_hours(workflow)
+        provider, controller = build_controller("on-demand")
+        dag = compile_workflow(workflow, "run1", output_bytes=2 * GiB)
+        result = controller.run_dags([dag], max_hours=48.0)
+        provider.shutdown()
+        assert len(result.records) == dag.n_stages
+        assert all(r.completed_at is not None for r in result.records)
+        assert serial_hours >= workflow.total_duration() / HOUR  # 17 h of steps
+        assert serial_hours >= 3 * result.makespan_hours
 
     def test_ready_set_places_in_one_batched_decision(self):
         # Only the SpotVerse optimizer writes the decision audit trail.

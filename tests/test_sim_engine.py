@@ -151,30 +151,6 @@ def test_clock_helpers():
     assert format_duration(93784) == "1d 02:03:04"
     assert format_duration(42.9) == "00:00:42"
 
-# ----------------------------------------------------------------------
-# Scheduler selection
-# ----------------------------------------------------------------------
-def test_scheduler_flag_selects_queue_class():
-    from repro.sim.events import BucketedEventQueue, EventQueue
-
-    assert isinstance(SimulationEngine()._queue, BucketedEventQueue)
-    assert isinstance(SimulationEngine(scheduler="heap")._queue, EventQueue)
-    with pytest.raises(SchedulingError):
-        SimulationEngine(scheduler="fifo")
-
-
-def test_heap_and_wheel_engines_run_identically():
-    def drive(engine):
-        fired = []
-        engine.every(7.0, lambda: fired.append(("periodic", engine.now)))
-        engine.call_at(10.0, lambda: engine.call_in(0.0, lambda: fired.append(("child", engine.now))))
-        doomed = engine.call_at(15.0, lambda: fired.append(("doomed", engine.now)))
-        engine.call_at(12.0, doomed.cancel)
-        engine.run_until(60.0)
-        return fired
-
-    assert drive(SimulationEngine(scheduler="heap")) == drive(SimulationEngine(scheduler="wheel"))
-
 
 # ----------------------------------------------------------------------
 # Batched periodic work

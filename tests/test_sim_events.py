@@ -1,27 +1,14 @@
-"""Unit tests for the event queues.
-
-Every contract test runs against both schedulers — the binary-heap
-reference :class:`EventQueue` and the calendar-queue
-:class:`BucketedEventQueue` — because the engine treats them as
-interchangeable.  The equivalence section drives both with identical
-pseudo-random schedules (ties, cancels, re-entrant pushes) and asserts
-identical fire order, which is the determinism contract the golden
-fixtures rely on.
-"""
-
-import random
+"""Unit tests for the engine's event queue."""
 
 import pytest
 
 from repro.errors import SchedulingError
-from repro.sim.events import COMPACT_MIN_ENTRIES, BucketedEventQueue, EventQueue
-
-QUEUES = [EventQueue, BucketedEventQueue]
+from repro.sim.events import COMPACT_MIN_ENTRIES, EventQueue
 
 
-@pytest.fixture(params=QUEUES, ids=["heap", "wheel"])
-def queue(request):
-    return request.param()
+@pytest.fixture
+def queue():
+    return EventQueue()
 
 
 def test_push_and_pop_in_time_order(queue):
@@ -104,46 +91,9 @@ def test_pushes_odometer_counts_lifetime_schedules(queue):
 
 
 # ----------------------------------------------------------------------
-# Wheel-specific behaviour
-# ----------------------------------------------------------------------
-def test_wheel_rejects_nonpositive_bucket_width():
-    with pytest.raises(SchedulingError):
-        BucketedEventQueue(bucket_width=0.0)
-
-
-def test_wheel_reentrant_push_into_active_bucket_preserves_order():
-    # Draining bucket [0, 60): a push at the *current* timestamp from a
-    # callback must still fire this tick, after already-scheduled peers.
-    queue = BucketedEventQueue(bucket_width=60.0)
-    fired = []
-    queue.push(10.0, lambda: queue.push(10.0, lambda: fired.append("child"), label="child"))
-    queue.push(10.0, lambda: fired.append("sibling"), label="sibling")
-    queue.push(20.0, lambda: fired.append("later"), label="later")
-    while queue:
-        queue.pop().callback()
-    assert fired == ["sibling", "child", "later"]
-
-
-def test_wheel_push_behind_active_bucket_lands_in_drain_list():
-    queue = BucketedEventQueue(bucket_width=10.0)
-    queue.push(25.0, lambda: None, label="ahead")
-    assert queue.pop().label == "ahead"  # activates bucket index 2
-    queue.push(5.0, lambda: None, label="behind")  # bucket 0 < active 2
-    assert queue.pop().label == "behind"
-
-
-# ----------------------------------------------------------------------
 # Lazy-cancel compaction
 # ----------------------------------------------------------------------
-def _stored_entries(queue):
-    if isinstance(queue, EventQueue):
-        return len(queue._heap)
-    return queue._total
-
-
-@pytest.mark.parametrize("queue_cls", QUEUES, ids=["heap", "wheel"])
-def test_compaction_reclaims_cancelled_entries(queue_cls):
-    queue = queue_cls()
+def test_compaction_reclaims_cancelled_entries(queue):
     events = [queue.push(float(i % 7), lambda: None, label=str(i)) for i in range(400)]
     for event in events[:300]:
         event.cancel()
@@ -151,16 +101,14 @@ def test_compaction_reclaims_cancelled_entries(queue_cls):
     # whenever more than half the stored entries are dead), so the 300
     # cancelled entries cannot all still be resident.
     assert len(queue) == 100
-    assert _stored_entries(queue) <= 2 * len(queue)
+    assert len(queue._heap) <= 2 * len(queue)
     order = []
     while queue:
         order.append(queue.pop().label)
-    assert order == [event.label for event in sorted(events[300:], key=lambda e: e.sort_key())]
+    assert order == [event.label for event in sorted(events[300:], key=lambda e: (e.time, e.seq))]
 
 
-@pytest.mark.parametrize("queue_cls", QUEUES, ids=["heap", "wheel"])
-def test_small_queues_skip_compaction(queue_cls):
-    queue = queue_cls()
+def test_small_queues_skip_compaction(queue):
     events = [queue.push(float(i), lambda: None) for i in range(COMPACT_MIN_ENTRIES // 2)]
     for event in events:
         event.cancel()
@@ -169,82 +117,25 @@ def test_small_queues_skip_compaction(queue_cls):
     assert queue.pop() is None
 
 
-def test_wheel_compaction_mid_drain_preserves_order():
-    queue = BucketedEventQueue(bucket_width=10.0)
-    events = [queue.push(float(i % 30), lambda: None, label=str(i)) for i in range(300)]
-    # Consume a prefix so the drain list has a consumed region, then
-    # cancel enough to trigger a rebuild mid-drain.
-    popped = [queue.pop().label for _ in range(5)]
-    survivors = [event for event in events if event.label not in popped]
-    for event in survivors[:250]:
-        event.cancel()
-    expected = [
-        event.label
-        for event in sorted(survivors[250:], key=lambda e: e.sort_key())
-    ]
-    drained = []
-    while queue:
-        drained.append(queue.pop().label)
-    assert drained == expected
-
-
 # ----------------------------------------------------------------------
-# Property-style scheduler equivalence (heap vs wheel)
+# Cancelling an event that already left the queue
 # ----------------------------------------------------------------------
-def _drive(queue, seed, steps=600):
-    """Run a seeded op mix against *queue*; return the fire order.
-
-    The mix covers the contract's hard cases: dense same-timestamp
-    ties, cancels of pending events, and re-entrant pushes from
-    callbacks (including pushes at the firing timestamp itself).
-    """
-    rng = random.Random(seed)
-    fired = []
-    pending = []
-    label_counter = [0]
-
-    def schedule(time):
-        label_counter[0] += 1
-        label = f"e{label_counter[0]}"
-
-        def callback():
-            fired.append(label)
-            # Re-entrant scheduling: same tick, near future, and far
-            # future, each with a small probability.
-            roll = rng.random()
-            if roll < 0.15:
-                schedule(time)  # same-timestamp child
-            elif roll < 0.30:
-                schedule(time + rng.choice([0.0, 0.5, 7.0, 61.0]))
-
-        pending.append(queue.push(time, callback, label=label))
-
-    for _ in range(steps):
-        action = rng.random()
-        if action < 0.55 or not queue:
-            # Cluster times so ties are common across bucket widths.
-            schedule(float(rng.randrange(0, 50)) * 2.5)
-        elif action < 0.75 and pending:
-            rng.choice(pending).cancel()
-        else:
-            event = queue.pop()
-            if event is not None and event.callback is not None:
-                event.callback()
-    while queue:
-        event = queue.pop()
-        if event is not None and event.callback is not None:
-            event.callback()
-    return fired
+def test_cancel_after_pop_keeps_live_count(queue):
+    fired = queue.push(1.0, lambda: None)
+    queue.push(2.0, lambda: None)
+    assert queue.pop() is fired
+    fired.cancel()
+    assert fired.cancelled
+    assert len(queue) == 1
+    assert queue
+    assert queue.pop().time == 2.0
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_heap_and_wheel_fire_identically(seed):
-    assert _drive(EventQueue(), seed) == _drive(BucketedEventQueue(), seed)
+def test_cancel_after_clear_keeps_live_count(queue):
+    dropped = queue.push(1.0, lambda: None)
+    queue.clear()
+    dropped.cancel()
+    assert len(queue) == 0
+    queue.push(2.0, lambda: None)
+    assert len(queue) == 1
 
-
-@pytest.mark.parametrize("width", [0.5, 7.0, 60.0, 1e9])
-def test_fire_order_is_bucket_width_invariant(width):
-    # Correctness must never depend on the tuning knob: a tiny wheel
-    # (every event its own bucket) and a giant one (everything in one
-    # bucket) both match the heap reference.
-    assert _drive(BucketedEventQueue(bucket_width=width), 3) == _drive(EventQueue(), 3)

@@ -277,6 +277,67 @@ def test_teardown_resume_with_non_empty_admission_queue():
 
 
 # ----------------------------------------------------------------------
+# Fleet-scale batch audit
+# ----------------------------------------------------------------------
+AUDIT_TENANTS = 100
+AUDIT_LIFECYCLES = 4000
+AUDIT_QUOTA = 4  # per-tenant concurrent lifecycles -> up to 400 in flight
+AUDIT_DECISION_CAP = 16  # well under the round count, so the ring drops
+
+
+def test_fleet_scale_admission_batches_one_scoring_pass_per_round():
+    # Thousands of lifecycles across 100 quota-bound tenants: every
+    # admission must ride an ``initial`` decision, and each admission
+    # round must be ONE region-scoring pass however many tenants'
+    # workloads it carries.
+    provider = CloudProvider(seed=SEED)
+    provider.warmup_markets(24)
+    controller = _controller(provider, n_shards=16, admit_interval=300.0)
+    decisions = provider.telemetry.decisions
+    decisions.cap(AUDIT_DECISION_CAP)
+    audit = {"rounds": 0, "batched": 0, "times": set(), "peak_in_flight": 0}
+
+    def observe(event):
+        if event.type is EventType.DECISION_EVALUATED:
+            payload = event.attrs.get("decision", {})
+            if payload.get("kind") == "initial":
+                audit["rounds"] += 1
+                audit["batched"] += payload.get(
+                    "batch_size", len(payload.get("workload_ids", ()))
+                )
+                audit["times"].add(event.time)
+                audit["peak_in_flight"] = max(
+                    audit["peak_in_flight"],
+                    *(row["in_flight"] for row in controller.usage().values()),
+                )
+
+    provider.telemetry.bus.subscribe(observe)
+    for index in range(AUDIT_TENANTS):
+        controller.register_tenant(
+            TenantSpec(
+                tenant_id=f"tenant-{index:03d}",
+                weight=float(1 + index % 5),
+                max_in_flight=AUDIT_QUOTA,
+            )
+        )
+    for index in range(AUDIT_LIFECYCLES):
+        assert controller.submit(
+            f"tenant-{index % AUDIT_TENANTS:03d}",
+            synthetic_workload(f"wl-{index:06d}", duration_hours=0.25, n_segments=1),
+        )
+    result = controller.wait(max_hours=4000.0)
+    provider.shutdown()
+
+    done = sum(1 for record in result.records if record.completed_at is not None)
+    assert done == AUDIT_LIFECYCLES
+    assert audit["batched"] == AUDIT_LIFECYCLES
+    assert len(audit["times"]) == audit["rounds"]
+    assert audit["peak_in_flight"] <= AUDIT_QUOTA
+    assert done / audit["rounds"] >= 20.0
+    assert decisions.decisions_dropped > 0
+
+
+# ----------------------------------------------------------------------
 # Golden equivalence: tenancy façade == plain controller, bit for bit
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
