@@ -200,13 +200,14 @@ def _execute(
     if tenants is not None:
         from repro.core.tenancy import MultiTenantController
 
+        controller_cls = MultiTenantController
         specs, submissions = tenant_fleet(tenants)
-        controller = MultiTenantController(provider, policy, config, monitor=monitor)
         fleet = [workload for _, workload in submissions]
     else:
+        controller_cls = FleetController
         specs, submissions = [], []
-        controller = FleetController(provider, policy, config, monitor=monitor)
         fleet = list(workloads) if workloads is not None else default_fleet()
+    controller = controller_cls(provider, policy, config, monitor=monitor)
     invariant_monitor = OnlineInvariantMonitor(
         fleet,
         on_violation=recorder.on_invariant_violation if recorder is not None else None,
@@ -221,43 +222,28 @@ def _execute(
     # faults); everything else is the chaos controller's business.
     chaos = ChaosController(provider, campaign.without_kills())
     chaos.install()
-    kills = campaign.kills if apply_kills else ()
     if tenants is not None:
-        from repro.core.tenancy import MultiTenantController
-
         for spec in specs:
             controller.register_tenant(spec)
         for tenant_id, workload in submissions:
             controller.submit(tenant_id, workload)
-        engine = provider.engine
-        for offset in kills:
-            target = chaos.started_at + offset
-            if target > engine.now:
-                engine.run_until(target)
-            store = controller.state_store
-            controller.teardown()
-            del controller
-            controller = MultiTenantController(
-                provider, policy, config, monitor=monitor, state_store=store
-            )
-            controller.restore(fleet)
-        result = controller.wait(max_hours=max_hours)
-    elif not kills:
-        result = controller.run(fleet, max_hours=max_hours)
     else:
         controller.submit(fleet)
-        engine = provider.engine
-        for offset in kills:
-            target = chaos.started_at + offset
-            if target > engine.now:
-                engine.run_until(target)
-            store = controller.state_store
-            controller.teardown()
-            del controller
-            controller = FleetController(
-                provider, policy, config, monitor=monitor, state_store=store
-            )
-            controller.restore(fleet)
+    engine = provider.engine
+    for offset in campaign.kills if apply_kills else ():
+        target = chaos.started_at + offset
+        if target > engine.now:
+            engine.run_until(target)
+        store = controller.state_store
+        controller.teardown()
+        del controller
+        controller = controller_cls(
+            provider, policy, config, monitor=monitor, state_store=store
+        )
+        controller.restore(fleet)
+    if tenants is not None:
+        result = controller.wait(max_hours=max_hours)
+    else:
         result = controller.wait(fleet, max_hours=max_hours)
     chaos.deactivate()
     invariant_monitor.detach()
@@ -330,7 +316,14 @@ def run_campaign(
     extra: List[InvariantResult] = []
     if verify_resume_equivalence and campaign.kills:
         baseline_provider, _, baseline, _, _ = _execute(
-            policy, campaign, seed, max_hours, warmup_steps, workloads, apply_kills=False
+            policy,
+            campaign,
+            seed,
+            max_hours,
+            warmup_steps,
+            workloads,
+            apply_kills=False,
+            tenants=tenants,
         )
         baseline_provider.shutdown()
         extra.append(_compare_results(result, baseline))
@@ -375,11 +368,6 @@ def _compare_results(killed: FleetResult, baseline: FleetResult) -> InvariantRes
     )
 
 
-def scorecards_equal(lhs: Dict[str, Any], rhs: Dict[str, Any]) -> bool:
-    """Whether two scorecards are identical (replay determinism check)."""
-    return lhs == rhs
-
-
 # Deadline horizon re-export used by callers sizing run_until targets.
 __all__ = [
     "ChaosRunOutcome",
@@ -390,6 +378,5 @@ __all__ = [
     "POLICY_NAMES",
     "default_fleet",
     "run_campaign",
-    "scorecards_equal",
     "tenant_fleet",
 ]

@@ -17,6 +17,7 @@ Every command is deterministic given ``--seed``.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from typing import List, Optional
 
@@ -372,7 +373,8 @@ def _cmd_recommend(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _run_fleet(args: argparse.Namespace, provider: CloudProvider):
+    """Run the fleet the ``run`` / ``obs`` flags describe on *provider*."""
     factory = WORKLOAD_FACTORIES[args.workload]
     fleet = [
         factory(f"wl-{i:03d}", duration_hours=args.duration_hours)
@@ -385,15 +387,37 @@ def _cmd_run(args: argparse.Namespace) -> int:
         start_region=args.start_region,
     )
     if args.strategy == "spotverse":
-        provider = CloudProvider(seed=args.seed)
-        result = SpotVerse(provider, config).run(fleet, max_hours=args.max_hours)
-    else:
-        provider = CloudProvider(seed=args.seed)
-        provider.warmup_markets(48)
-        policy = BASELINE_POLICIES[args.strategy](args)
-        controller = FleetController(provider, policy, config)
-        result = controller.run(fleet, max_hours=args.max_hours)
-        controller.teardown()
+        return SpotVerse(provider, config).run(fleet, max_hours=args.max_hours)
+    provider.warmup_markets(48)
+    policy = BASELINE_POLICIES[args.strategy](args)
+    controller = FleetController(provider, policy, config)
+    result = controller.run(fleet, max_hours=args.max_hours)
+    controller.teardown()
+    return result
+
+
+def _write_file(path: str, text: str, what: str) -> bool:
+    """Write *text* to *path* for a file export.
+
+    On an unwritable path prints ``error: cannot write <what> <path>``
+    and returns False; the caller exits 2.
+    """
+    try:
+        with open(path, "w") as handle:
+            handle.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {what} {path!r}: {exc}")
+        return False
+    return True
+
+
+def _json_text(payload) -> str:
+    """The JSON form every CLI export writes (sorted keys, trailing newline)."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    result = _run_fleet(args, CloudProvider(seed=args.seed))
     print(result.summary())
     if args.lifelines:
         from repro.experiments.gantt import render_lifelines
@@ -404,12 +428,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         from repro.experiments import timeline
 
         if args.export_csv:
-            with open(args.export_csv, "w") as handle:
-                handle.write(timeline.to_csv(result))
+            if not _write_file(args.export_csv, timeline.to_csv(result), "timeline CSV"):
+                return 2
             print(f"timeline CSV written to {args.export_csv}")
         if args.export_json:
-            with open(args.export_json, "w") as handle:
-                handle.write(timeline.to_json(result))
+            if not _write_file(args.export_json, timeline.to_json(result), "timeline JSON"):
+                return 2
             print(f"timeline JSON written to {args.export_json}")
     return 0 if result.all_complete else 1
 
@@ -494,32 +518,7 @@ def _cmd_obs_markets(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_obs_fleet(args: argparse.Namespace, provider: CloudProvider):
-    """Run the fleet the parent ``obs`` flags describe on *provider*."""
-    factory = WORKLOAD_FACTORIES[args.workload]
-    fleet = [
-        factory(f"wl-{i:03d}", duration_hours=args.duration_hours)
-        for i in range(args.workloads)
-    ]
-    config = SpotVerseConfig(
-        instance_type=args.instance_type,
-        score_threshold=args.threshold,
-        initial_distribution=not args.no_initial_distribution,
-        start_region=args.start_region,
-    )
-    if args.strategy == "spotverse":
-        return SpotVerse(provider, config).run(fleet, max_hours=args.max_hours)
-    provider.warmup_markets(48)
-    policy = BASELINE_POLICIES[args.strategy](args)
-    controller = FleetController(provider, policy, config)
-    result = controller.run(fleet, max_hours=args.max_hours)
-    controller.teardown()
-    return result
-
-
 def _cmd_obs_profile(args: argparse.Namespace) -> int:
-    import json
-
     from repro.obs.profiler import HotPathProfile, attach_profiler
 
     if args.from_profile:
@@ -541,18 +540,13 @@ def _cmd_obs_profile(args: argparse.Namespace) -> int:
 
     provider = CloudProvider(seed=args.seed)
     profiler = attach_profiler(provider.engine)
-    result = _run_obs_fleet(args, provider)
+    result = _run_fleet(args, provider)
     profile = profiler.profile()
     print(result.summary())
     print()
     print(profile.report(top=args.top))
     if args.json:
-        try:
-            with open(args.json, "w") as handle:
-                json.dump(profile.to_payload(), handle, indent=2, sort_keys=True)
-                handle.write("\n")
-        except OSError as exc:
-            print(f"error: cannot write profile {args.json!r}: {exc}")
+        if not _write_file(args.json, _json_text(profile.to_payload()), "profile"):
             return 2
         print()
         print(f"profile artifact written to {args.json}")
@@ -560,8 +554,6 @@ def _cmd_obs_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs_trace(args: argparse.Namespace) -> int:
-    import json
-
     from repro.obs.tracing import render_trace
 
     provider = CloudProvider(seed=args.seed, tracing=True)
@@ -571,7 +563,7 @@ def _cmd_obs_trace(args: argparse.Namespace) -> int:
         # Controller kills are process-level faults the chaos runner
         # executes; a single in-process run traces everything else.
         ChaosController(provider, default_campaign().without_kills()).install()
-    _run_obs_fleet(args, provider)
+    _run_fleet(args, provider)
     tracer = provider.telemetry.tracer
     hops = tracer.hops_for(args.workload_id)
     if not hops:
@@ -583,14 +575,7 @@ def _cmd_obs_trace(args: argparse.Namespace) -> int:
         return 2
     print(render_trace(hops, args.workload_id))
     if args.json:
-        try:
-            with open(args.json, "w") as handle:
-                json.dump(
-                    [hop.to_dict() for hop in hops], handle, indent=2, sort_keys=True
-                )
-                handle.write("\n")
-        except OSError as exc:
-            print(f"error: cannot write hops {args.json!r}: {exc}")
+        if not _write_file(args.json, _json_text([hop.to_dict() for hop in hops]), "hops"):
             return 2
         print()
         print(f"hop records written to {args.json}")
@@ -598,8 +583,6 @@ def _cmd_obs_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs_slo(args: argparse.Namespace) -> int:
-    import json
-
     from repro.obs.slo import SLOSpec, default_slo_spec, evaluate_slo_from_events
 
     spec = default_slo_spec()
@@ -626,27 +609,19 @@ def _cmd_obs_slo(args: argparse.Namespace) -> int:
         print(scorecard.render())
     else:
         provider = CloudProvider(seed=args.seed)
-        result = _run_obs_fleet(args, provider)
+        result = _run_fleet(args, provider)
         scorecard = evaluate_slo_from_events(spec, list(provider.telemetry.bus))
         print(result.summary())
         print()
         print(scorecard.render())
         if args.export_metrics:
-            try:
-                with open(args.export_metrics, "w") as handle:
-                    handle.write(provider.telemetry.metrics.exposition())
-            except OSError as exc:
-                print(f"error: cannot write metrics {args.export_metrics!r}: {exc}")
+            exposition = provider.telemetry.metrics.exposition()
+            if not _write_file(args.export_metrics, exposition, "metrics"):
                 return 2
             print()
             print(f"metrics exposition written to {args.export_metrics}")
     if args.json:
-        try:
-            with open(args.json, "w") as handle:
-                json.dump(scorecard.to_dict(), handle, indent=2, sort_keys=True)
-                handle.write("\n")
-        except OSError as exc:
-            print(f"error: cannot write scorecard {args.json!r}: {exc}")
+        if not _write_file(args.json, _json_text(scorecard.to_dict()), "scorecard"):
             return 2
         print()
         print(f"scorecard written to {args.json}")
@@ -655,7 +630,6 @@ def _cmd_obs_slo(args: argparse.Namespace) -> int:
 
 def _stream_complete(directory: str) -> bool:
     """Whether a segmented stream's manifest says the run ended."""
-    import json
     import os
 
     try:
@@ -696,7 +670,7 @@ def _cmd_obs_watch(args: argparse.Namespace) -> int:
             provider.engine.every(
                 args.refresh_hours * HOUR, _refresh, label="obs-watch-refresh"
             )
-        result = _run_obs_fleet(args, provider)
+        result = _run_fleet(args, provider)
         state.complete = True
         print(render_dashboard(
             state,
@@ -773,7 +747,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     telemetry = Telemetry()
     provider = CloudProvider(seed=args.seed, telemetry=telemetry, observatory=True)
     profiler = attach_profiler(provider.engine) if args.profile else None
-    result = _run_obs_fleet(args, provider)
+    result = _run_fleet(args, provider)
 
     print(result.summary())
     print()
@@ -807,8 +781,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 def _load_campaign(args: argparse.Namespace):
     """Resolve the campaign for ``chaos run``, or None after an error."""
-    import json
-
     from repro.chaos import CampaignSpec, default_campaign, random_campaign
     from repro.cloud.regions import default_region_catalog
 
@@ -832,8 +804,6 @@ def _load_campaign(args: argparse.Namespace):
 
 
 def _cmd_chaos_run(args: argparse.Namespace) -> int:
-    import json
-
     from repro.chaos import render_scorecard, run_campaign
 
     campaign = _load_campaign(args)
@@ -855,20 +825,13 @@ def _cmd_chaos_run(args: argparse.Namespace) -> int:
     if args.blackbox:
         print(f"blackbox artifacts written to {args.blackbox}")
     if args.export:
-        try:
-            with open(args.export, "w") as handle:
-                json.dump(outcome.scorecard, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-        except OSError as exc:
-            print(f"error: cannot write scorecard {args.export!r}: {exc}")
+        if not _write_file(args.export, _json_text(outcome.scorecard), "scorecard"):
             return 2
         print(f"scorecard written to {args.export}")
     return 0 if outcome.all_passed else 1
 
 
 def _cmd_chaos_report(args: argparse.Namespace) -> int:
-    import json
-
     from repro.chaos import render_scorecard
 
     try:
@@ -913,8 +876,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_tenants(args: argparse.Namespace) -> int:
-    import json
-
     from repro.chaos.runner import (
         _MONITOR_POLICIES,
         DEFAULT_WARMUP_STEPS,
@@ -995,12 +956,7 @@ def _cmd_tenants(args: argparse.Namespace) -> int:
                 "workloads": len(result.records),
             },
         }
-        try:
-            with open(args.export, "w") as handle:
-                json.dump(payload, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-        except OSError as exc:
-            print(f"error: cannot write scorecard {args.export!r}: {exc}")
+        if not _write_file(args.export, _json_text(payload), "scorecard"):
             return 2
         print(f"tenant scorecard written to {args.export}")
     provider.shutdown()

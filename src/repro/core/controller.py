@@ -6,7 +6,8 @@ composing the :mod:`repro.core.fleet` services:
 * a :class:`~repro.core.fleet.state.FleetStateStore` keeps workload /
   instance / request state durably in **DynamoDB** — the controller
   object itself holds no fleet state and can be torn down mid-run and
-  rebuilt from the store (:meth:`FleetController.resume`),
+  rebuilt from the store (:meth:`FleetController.restore`, then
+  :meth:`FleetController.wait`),
 * the :class:`~repro.core.fleet.interruption.InterruptionService`
   deploys the **EventBridge rule** → interruption-handler **Lambda** →
   **Step Functions** re-acquire chain,
@@ -20,12 +21,14 @@ composing the :mod:`repro.core.fleet` services:
 
 Every strategy in the paper's evaluation — SpotVerse, single-region,
 on-demand, SkyPilot-like — runs through this same controller; only the
-:class:`~repro.core.policy.PlacementPolicy` differs.
+:class:`~repro.core.policy.PlacementPolicy` differs.  Whole fleets and
+released DAG stages share one batched placement round
+(:meth:`FleetController._place`), and every wait loop is :func:`drive`.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence
 
 from repro.cloud.provider import CloudProvider
 from repro.core.config import SpotVerseConfig
@@ -48,8 +51,22 @@ from repro.sim.clock import HOUR, MINUTE
 from repro.workloads.base import Workload
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.cloud.services.ec2 import Instance
     from repro.core.monitor import Monitor
+    from repro.sim.engine import SimulationEngine
+
+#: Sim-time step between completion checks while a run is driven.
+POLL_INTERVAL = 5 * MINUTE
+
+
+def drive(engine: "SimulationEngine", done: Callable[[], bool], max_hours: float) -> None:
+    """Run *engine* until ``done()`` holds or *max_hours* of sim time pass.
+
+    ``done`` is checked every :data:`POLL_INTERVAL`; the last step stops
+    exactly at the deadline.
+    """
+    deadline = engine.now + max_hours * HOUR
+    while not done() and engine.now < deadline:
+        engine.run_until(min(engine.now + POLL_INTERVAL, deadline))
 
 
 class FleetController:
@@ -64,7 +81,8 @@ class FleetController:
         image_id: Optional Galaxy AMI shaping boot times.
         state_store: Durable fleet state to compose over.  Defaults to
             a fresh store; pass the store of a torn-down controller to
-            rebuild its control plane (then call :meth:`resume`).
+            rebuild its control plane (then call :meth:`restore` and
+            :meth:`wait`).
         n_shards: Shard count for the default store (ignored when
             *state_store* is supplied).  1 — the default — is
             byte-identical to the unsharded store; the multi-tenant
@@ -121,11 +139,9 @@ class FleetController:
         )
         self._dag = DagCoordinator(
             provider=provider,
-            policy=policy,
             store=self.state_store,
             lifecycle=self._lifecycle,
-            capacity=self._capacity,
-            ctx=self._ctx,
+            place=self._place,
         )
         self.state_store.router.bind(self._capacity, self._interruption, provider.ec2)
 
@@ -154,23 +170,27 @@ class FleetController:
     # ------------------------------------------------------------------
     # Fleet entry points
     # ------------------------------------------------------------------
-    def run(
-        self,
-        workloads: Sequence[Workload],
-        max_hours: float = 120.0,
-        poll_interval: float = 5 * MINUTE,
-    ) -> FleetResult:
+    def run(self, workloads: Sequence[Workload], max_hours: float = 120.0) -> FleetResult:
         """Run *workloads* to completion (or the deadline).
 
         Raises:
             ExperimentError: On duplicate workload ids or an empty fleet.
         """
         self.submit(workloads)
-        return self.wait(workloads, max_hours=max_hours, poll_interval=poll_interval)
+        return self.wait(workloads, max_hours=max_hours)
 
     def submit(self, workloads: Sequence[Workload]) -> None:
         """Register *workloads* and acquire their initial capacity."""
         self._lifecycle.register(workloads)
+        self._place(workloads)
+
+    def _place(self, workloads: Sequence[Workload]) -> None:
+        """One batched placement round for registered *workloads*.
+
+        One ``initial_placements`` call scores regions once for the
+        whole batch, then each workload acquires its placement.  Fleet
+        launches and every DAG release tick both place through here.
+        """
         placements = self._policy.initial_placements(workloads, self._ctx)
         if len(placements) != len(workloads):
             raise ExperimentError(
@@ -182,27 +202,15 @@ class FleetController:
                 self._lifecycle.execution(workload.workload_id), placement
             )
 
-    def wait(
-        self,
-        workloads: Sequence[Workload],
-        max_hours: float = 120.0,
-        poll_interval: float = 5 * MINUTE,
-    ) -> FleetResult:
+    def wait(self, workloads: Sequence[Workload], max_hours: float = 120.0) -> FleetResult:
         """Drive the engine until *workloads* finish (or the deadline)."""
-        deadline = self._engine.now + max_hours * HOUR
-        while not self._lifecycle.all_done(workloads) and self._engine.now < deadline:
-            self._engine.run_until(min(self._engine.now + poll_interval, deadline))
+        drive(self._engine, lambda: self._lifecycle.all_done(workloads), max_hours)
         return self._lifecycle.build_result(workloads)
 
     # ------------------------------------------------------------------
     # DAG entry points (DAG-aware placement: the step is the unit)
     # ------------------------------------------------------------------
-    def run_dags(
-        self,
-        dags: Sequence[DagWorkload],
-        max_hours: float = 120.0,
-        poll_interval: float = 5 * MINUTE,
-    ) -> FleetResult:
+    def run_dags(self, dags: Sequence[DagWorkload], max_hours: float = 120.0) -> FleetResult:
         """Run compiled DAGs to completion (or the deadline).
 
         Stages are registered and placed as their dependencies
@@ -213,27 +221,20 @@ class FleetController:
         to :meth:`run` — the degenerate single-chain case.
         """
         self.submit_dags(dags)
-        return self.wait_dags(dags, max_hours=max_hours, poll_interval=poll_interval)
+        return self.wait_dags(dags, max_hours=max_hours)
 
     def submit_dags(self, dags: Sequence[DagWorkload]) -> None:
         """Register *dags* and acquire capacity for their root stages."""
         self._dag.submit(dags)
 
-    def wait_dags(
-        self,
-        dags: Sequence[DagWorkload],
-        max_hours: float = 120.0,
-        poll_interval: float = 5 * MINUTE,
-    ) -> FleetResult:
+    def wait_dags(self, dags: Sequence[DagWorkload], max_hours: float = 120.0) -> FleetResult:
         """Drive the engine until every stage finishes (or the deadline).
 
         The result carries one record per *released* stage workload;
         on a deadline hit, stages whose dependencies never completed
         were never scheduled and do not appear.
         """
-        deadline = self._engine.now + max_hours * HOUR
-        while not self._dag.all_done(dags) and self._engine.now < deadline:
-            self._engine.run_until(min(self._engine.now + poll_interval, deadline))
+        drive(self._engine, lambda: self._dag.all_done(dags), max_hours)
         return self._lifecycle.build_result(self._dag.released_workloads(dags))
 
     def restore_dags(self, dags: Sequence[DagWorkload]) -> None:
@@ -242,19 +243,9 @@ class FleetController:
         Only for controllers that ran DAGs exclusively: the underlying
         :meth:`LifecycleService.restore` needs a definition for every
         stored workload, and this supplies the stage workloads of
-        *dags*.
+        *dags*.  Call :meth:`wait_dags` to finish the run.
         """
         self._dag.restore(dags)
-
-    def resume_dags(
-        self,
-        dags: Sequence[DagWorkload],
-        max_hours: float = 120.0,
-        poll_interval: float = 5 * MINUTE,
-    ) -> FleetResult:
-        """Rebuild from the state store and finish the DAG run."""
-        self.restore_dags(dags)
-        return self.wait_dags(dags, max_hours=max_hours, poll_interval=poll_interval)
 
     # ------------------------------------------------------------------
     # Teardown / restore (crash recovery over the durable store)
@@ -265,7 +256,8 @@ class FleetController:
         Pending boot/segment timers are cancelled (they lived in the
         dead process) and the router endpoints detach.  The cloud-side
         wiring and every byte of fleet state stay put — build a new
-        controller over ``state_store`` and :meth:`resume` to continue.
+        controller over ``state_store``, :meth:`restore`, and
+        :meth:`wait` to continue.
         """
         # Land staged writes first: the store is the only thing the next
         # controller can rebuild from, so nothing may die in the overlay.
@@ -276,21 +268,13 @@ class FleetController:
     def restore(self, workloads: Sequence[Workload]) -> None:
         """Rebuild executions from the state store without running.
 
+        Call :meth:`wait` afterwards to finish the run.
+
         Args:
             workloads: Definitions of the stored workloads (state is
                 durable; definitions are code the client re-supplies).
         """
         self._lifecycle.restore(workloads)
-
-    def resume(
-        self,
-        workloads: Sequence[Workload],
-        max_hours: float = 120.0,
-        poll_interval: float = 5 * MINUTE,
-    ) -> FleetResult:
-        """Rebuild executions from the state store and finish the run."""
-        self.restore(workloads)
-        return self.wait(workloads, max_hours=max_hours, poll_interval=poll_interval)
 
     # ------------------------------------------------------------------
     # Introspection (used by tests and tools)
@@ -314,10 +298,6 @@ class FleetController:
     def execution(self, workload_id: str) -> WorkloadExecution:
         """Return the execution for *workload_id*."""
         return self._lifecycle.execution(workload_id)
-
-    def register_instance(self, instance: "Instance", execution: WorkloadExecution) -> None:
-        """Track an externally attached instance (tests/tools)."""
-        self.state_store.bind_instance(instance, execution.workload.workload_id)
 
     @property
     def _by_instance(self) -> Dict[str, WorkloadExecution]:

@@ -6,8 +6,9 @@ existing services with stage workloads:
 
 * ``submit`` registers each DAG's root stages through the
   :class:`~repro.core.fleet.lifecycle.LifecycleService` and places
-  them via one batched ``policy.initial_placements`` call, exactly as
-  a whole-workload fleet launch would.
+  them through the controller's batched placement round (one
+  ``policy.initial_placements`` call), exactly as a whole-workload
+  fleet launch does.
 * A completion listener on the lifecycle service marks stages done,
   records the region each stage completed in (the producer side of
   the egress model), and *coalesces* every stage that became ready at
@@ -32,7 +33,7 @@ remaining steps as their (already completed) dependencies dictate.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from repro.core.dag import DagWorkload, Stage, StepPlanner
 from repro.core.execution import WorkloadExecution
@@ -41,10 +42,8 @@ from repro.obs import EventType
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cloud.provider import CloudProvider
-    from repro.core.fleet.capacity import CapacityService
     from repro.core.fleet.lifecycle import LifecycleService
     from repro.core.fleet.state import FleetStateStore
-    from repro.core.policy import PlacementPolicy, PolicyContext
     from repro.sim.events import Event
     from repro.workloads.base import Workload
 
@@ -54,32 +53,25 @@ class DagCoordinator:
 
     Args:
         provider: The simulated cloud.
-        policy: The fleet's placement policy (per-step decisions run
-            through the same batched ``initial_placements`` entry
-            point whole fleets use).
         store: Durable fleet state (gains the dags table).
         lifecycle: Registration/completion accounting service.
-        capacity: Spot/on-demand acquisition service.
-        ctx: Policy context shared with the controller.
+        place: The controller's batched placement round for registered
+            workloads (one ``initial_placements`` call, then one
+            acquire each) — the round whole fleets launch through.
     """
 
     def __init__(
         self,
         provider: "CloudProvider",
-        policy: "PlacementPolicy",
         store: "FleetStateStore",
         lifecycle: "LifecycleService",
-        capacity: "CapacityService",
-        ctx: "PolicyContext",
+        place: Callable[[Sequence["Workload"]], None],
     ) -> None:
-        self._provider = provider
         self._engine = provider.engine
         self._telemetry = provider.telemetry
-        self._policy = policy
         self._store = store
         self._lifecycle = lifecycle
-        self._capacity = capacity
-        self._ctx = ctx
+        self._place = place
         self._planners: Dict[str, StepPlanner] = {}
         self._stage_dag: Dict[str, str] = {}
         self._producer_regions: Dict[str, str] = {}
@@ -194,16 +186,7 @@ class DagCoordinator:
         # One scoring round for the whole ready set: the policy scores
         # regions once and spreads the batch (SpotVerse's round-robin
         # over the top-R candidates), exactly like a fleet launch.
-        placements = self._policy.initial_placements(workloads, self._ctx)
-        if len(placements) != len(workloads):
-            raise ExperimentError(
-                f"policy {self._policy.name!r} returned {len(placements)} placements "
-                f"for {len(workloads)} ready steps"
-            )
-        for workload, placement in zip(workloads, placements):
-            self._capacity.acquire(
-                self._lifecycle.execution(workload.workload_id), placement
-            )
+        self._place(workloads)
 
     def _resolve_inputs(self, stage: Stage) -> List[tuple]:
         """Resolve input edges to ``(producer region, bytes)`` pairs."""

@@ -145,9 +145,8 @@ class FleetStateStore:
             :func:`shard_index` over ``(tenant_id, workload_id)`` —
             the tenancy layer assigns tenants via
             :meth:`assign_tenant` before registration, everything else
-            defaults to :data:`DEFAULT_TENANT` — so per-shard scans,
-            flush batches, and :meth:`state_counts` stay O(shard)
-            instead of O(fleet).  The meta / dags / tenants tables are
+            defaults to :data:`DEFAULT_TENANT` — so per-shard scans
+            and flush batches stay O(shard) instead of O(fleet).  The meta / dags / tenants tables are
             control-plane-small and stay unsharded.
     """
 
@@ -407,28 +406,21 @@ class FleetStateStore:
             scope="fleet-state:workload-item",
         )
 
-    def workload_items(self, shard: Optional[int] = None) -> List[Dict[str, Any]]:
-        """Stored workloads, in registration order (one shard or all).
+    def workload_items(self) -> List[Dict[str, Any]]:
+        """Stored workloads, in registration order.
 
         With shards, the order is per-shard registration order
         concatenated in shard order — deterministic, but interleaved
         differently than a 1-shard store would show.
         """
-        tables = (
-            self._workload_shards if shard is None else [self._workload_shards[shard]]
-        )
         items: List[Dict[str, Any]] = []
-        for table in tables:
+        for table in self._workload_shards:
             rows = self._read(
                 lambda table=table: self._dynamodb.scan(table),
                 scope="fleet-state:workload-items",
             )
             items.extend(self._overlay_scan(table, rows, "workload_id"))
         return items
-
-    def workload_ids(self) -> List[str]:
-        """Stored workload ids, in registration order."""
-        return [item["workload_id"] for item in self.workload_items()]
 
     def has_workload(self, workload_id: str) -> bool:
         """Whether *workload_id* is registered."""
@@ -438,8 +430,8 @@ class FleetStateStore:
         """How many stored workloads have finished."""
         return sum(1 for item in self.workload_items() if item["state"] == "done")
 
-    def state_counts(self, shard: Optional[int] = None) -> Dict[str, int]:
-        """Stored workloads per state, name-sorted (one shard or all).
+    def state_counts(self) -> Dict[str, int]:
+        """Stored workloads per state, name-sorted.
 
         The flight recorder embeds this in blackbox snapshots: one
         line of fleet shape ("3 running, 2 migrating, 1 done") that
@@ -449,11 +441,8 @@ class FleetStateStore:
         chaos-gated read there would consume fault-stream RNG draws
         and perturb the very run being recorded.
         """
-        tables = (
-            self._workload_shards if shard is None else [self._workload_shards[shard]]
-        )
         counts: Dict[str, int] = {}
-        for table in tables:
+        for table in self._workload_shards:
             rows = self._overlay_scan(
                 table, self._dynamodb.peek_items(table), "workload_id"
             )

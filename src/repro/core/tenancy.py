@@ -42,13 +42,12 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import SpotVerseConfig
-from repro.core.controller import FleetController
+from repro.core.controller import FleetController, drive
 from repro.core.fleet.state import DEFAULT_TENANT, FleetStateStore
 from repro.core.policy import PlacementPolicy
 from repro.core.result import FleetResult
 from repro.errors import ExperimentError
 from repro.obs.events import EventType
-from repro.sim.clock import HOUR, MINUTE
 from repro.workloads.base import Workload
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
@@ -151,7 +150,7 @@ class TenantRegistry:
         return spec
 
     def reload(self) -> None:
-        """Rebuild the roster from the tenants table (controller resume)."""
+        """Rebuild the roster from the tenants table (controller restore)."""
         self._specs = {}
         self._order = []
         for item in self._store.tenant_items():
@@ -247,7 +246,7 @@ class AdmissionController:
         self.done_counts[tenant_id] = self.done_counts.get(tenant_id, 0) + 1
 
     def note_in_flight(self, tenant_id: str, count: int = 1) -> None:
-        """Seed quota usage from stored state (controller resume)."""
+        """Seed quota usage from stored state (controller restore)."""
         self._in_flight[tenant_id] = self._in_flight.get(tenant_id, 0) + count
 
     # -- scheduling ----------------------------------------------------
@@ -318,7 +317,8 @@ class MultiTenantController:
         image_id: Optional Galaxy AMI shaping boot times.
         state_store: Durable fleet state to compose over; defaults to a
             fresh store with *n_shards* shards.  Pass a torn-down
-            controller's store (plus :meth:`resume`) to recover.
+            controller's store, then :meth:`restore` and :meth:`wait`,
+            to recover.
         n_shards: Shard count for the default store.
         admit_interval: Coalescing window (sim seconds) for admission
             rounds triggered mid-run.  0.0 — the default — drains in a
@@ -366,7 +366,6 @@ class MultiTenantController:
         self._map_meta = store.mapping(self.TENANT_MAP_SECTION)
         self._tenant_of: Dict[str, str] = {}
         self._queue_keys: Dict[str, str] = {}
-        self._queue_defs: Dict[str, Workload] = {}
         self._queue_seq = 0
         self._admitted: List[Workload] = []
         self._drain_pending = False
@@ -419,7 +418,6 @@ class MultiTenantController:
             "workload_id": workload.workload_id,
         }
         self._queue_keys[workload.workload_id] = key
-        self._queue_defs[workload.workload_id] = workload
         self._queue_drain()
         return True
 
@@ -450,7 +448,6 @@ class MultiTenantController:
             key = self._queue_keys.pop(workload_id, None)
             if key is not None:
                 del self._queue_meta[key]
-            self._queue_defs.pop(workload_id, None)
             self._bus.emit(
                 EventType.TENANT_ADMITTED,
                 workload_id=workload_id,
@@ -483,11 +480,7 @@ class MultiTenantController:
     # ------------------------------------------------------------------
     # Run / wait
     # ------------------------------------------------------------------
-    def wait(
-        self,
-        max_hours: float = 120.0,
-        poll_interval: float = 5 * MINUTE,
-    ) -> FleetResult:
+    def wait(self, max_hours: float = 120.0) -> FleetResult:
         """Drive the engine until every submission finishes (or deadline).
 
         The first admission round runs synchronously before the engine
@@ -496,16 +489,17 @@ class MultiTenantController:
         runs bit-identical to the plain controller.
         """
         self._admit_batch()
-        deadline = self._engine.now + max_hours * HOUR
         lifecycle = self._fleet.services["lifecycle"]
-        while (
-            self.admission.queued_count() or not lifecycle.all_done(self._admitted)
-        ) and self._engine.now < deadline:
-            self._engine.run_until(min(self._engine.now + poll_interval, deadline))
+        drive(
+            self._engine,
+            lambda: not self.admission.queued_count()
+            and lifecycle.all_done(self._admitted),
+            max_hours,
+        )
         return lifecycle.build_result(self._admitted)
 
     # ------------------------------------------------------------------
-    # Teardown / resume (crash recovery over the durable store)
+    # Teardown / restore (crash recovery over the durable store)
     # ------------------------------------------------------------------
     def teardown(self) -> None:
         """Discard in-process state; queues and roster stay durable."""
@@ -514,6 +508,8 @@ class MultiTenantController:
 
     def restore(self, definitions: Sequence[Workload]) -> None:
         """Rebuild roster, quotas, executions, and queues from the store.
+
+        Call :meth:`wait` afterwards to finish the run.
 
         Args:
             definitions: Workload definitions covering every stored
@@ -557,20 +553,9 @@ class MultiTenantController:
                 )
             self.admission.enqueue(row["tenant_id"], workload)
             self._queue_keys[workload.workload_id] = key
-            self._queue_defs[workload.workload_id] = workload
             self._queue_seq = max(self._queue_seq, int(key) + 1)
         if self.admission.queued_count():
             self._queue_drain()
-
-    def resume(
-        self,
-        definitions: Sequence[Workload],
-        max_hours: float = 120.0,
-        poll_interval: float = 5 * MINUTE,
-    ) -> FleetResult:
-        """Rebuild from the store and run the fleet to completion."""
-        self.restore(definitions)
-        return self.wait(max_hours=max_hours, poll_interval=poll_interval)
 
     # ------------------------------------------------------------------
     # Introspection (CLI roster / per-tenant scorecard, tests)

@@ -22,7 +22,6 @@ from repro.chaos import (
     Injection,
     POLICY_NAMES,
     default_campaign,
-    default_fleet,
     random_campaign,
     run_campaign,
 )
@@ -278,18 +277,23 @@ class TestFaultModes:
 # Controller kills: crash recovery under active fault windows
 # ----------------------------------------------------------------------
 class TestControllerKill:
-    def test_kill_recovers_bit_identically(self):
+    @pytest.mark.parametrize("tenants", [None, 3])
+    def test_kill_recovers_bit_identically(self, tenants):
         base = default_campaign()
         # 5h sits between the 4h reclaim storm and the 6h blackout, with
         # no rate-based window active — recovery's extra store reads
         # must not consume live window draws for bit-equality to hold.
+        # The tenant case compares against an unkilled multi-tenant run.
         killed = CampaignSpec(
             name="default+kill",
             injections=tuple(base.injections)
             + (Injection(kind="controller-kill", at=5 * HOUR),),
         )
         outcome = run_campaign(
-            policy="spotverse", campaign=killed, verify_resume_equivalence=True
+            policy="spotverse",
+            campaign=killed,
+            verify_resume_equivalence=True,
+            tenants=tenants,
         )
         by_name = {inv["name"]: inv for inv in outcome.scorecard["invariants"]}
         assert by_name["resume-equivalence"]["passed"], by_name["resume-equivalence"]

@@ -106,6 +106,23 @@ class TestRun:
         document = json.loads(json_path.read_text())
         assert len(document["workloads"]) == 2
 
+    @pytest.mark.parametrize("flag", ["--export-csv", "--export-json"])
+    def test_unwritable_export_exits_2(self, capsys, tmp_path, flag):
+        target = tmp_path / "missing-dir" / "timeline.out"
+        code = main(
+            [
+                "run",
+                "--strategy", "on-demand",
+                "--workload", "synthetic",
+                "--workloads", "2",
+                "--duration-hours", "1",
+                flag, str(target),
+            ]
+        )
+        assert code == 2
+        assert "error: cannot write timeline" in capsys.readouterr().out
+        assert not target.exists()
+
     def test_incomplete_fleet_nonzero_exit(self, capsys):
         code = main(
             [

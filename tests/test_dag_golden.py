@@ -89,7 +89,8 @@ def test_chain_restart_mid_run_is_bit_identical(fixture):
     controller.teardown()
     del controller
     rebuilt = FleetController(provider, policy, config, state_store=store)
-    result = rebuilt.resume_dags(dags, max_hours=MAX_HOURS)
+    rebuilt.restore_dags(dags)
+    result = rebuilt.wait_dags(dags, max_hours=MAX_HOURS)
     provider.shutdown()
     assert result_to_dict(result) == fixture[name]
 
@@ -309,7 +310,8 @@ class TestFanOut:
             config,
             state_store=store,
         )
-        result = rebuilt.resume_dags([dag], max_hours=48.0)
+        rebuilt.restore_dags([dag])
+        result = rebuilt.wait_dags([dag], max_hours=48.0)
         provider.shutdown()
         assert len(result.records) == dag.n_stages
         assert all(r.completed_at is not None for r in result.records)

@@ -226,7 +226,8 @@ class TestControllerRestart:
         store = controller.state_store
         controller.teardown()
         rebuilt = FleetController(provider, policy, config, state_store=store)
-        result = rebuilt.resume(workloads, max_hours=72)
+        rebuilt.restore(workloads)
+        result = rebuilt.wait(workloads, max_hours=72)
         assert result.all_complete
         assert {r.workload_id for r in result.records} == {w.workload_id for w in workloads}
 
@@ -253,7 +254,7 @@ class TestControllerRestart:
         controller.teardown()
         rebuilt = FleetController(provider, OnDemandPolicy(), config, state_store=store)
         with pytest.raises(ExperimentError):
-            rebuilt.resume([])
+            rebuilt.restore([])
 
     def test_restore_rejected_on_populated_controller(self, provider):
         config = SpotVerseConfig()
@@ -261,7 +262,7 @@ class TestControllerRestart:
         workloads = [synthetic_workload("w", duration_hours=1.0)]
         controller.submit(workloads)
         with pytest.raises(ExperimentError):
-            controller.resume(workloads)
+            controller.restore(workloads)
 
     def test_unbound_router_discards_fulfillments(self, provider):
         config = SpotVerseConfig(instance_type="m5.xlarge")

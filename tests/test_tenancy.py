@@ -266,7 +266,8 @@ def test_teardown_resume_with_non_empty_admission_queue():
     rebuilt = MultiTenantController(
         provider, policy, config, monitor=monitor, state_store=store
     )
-    result = rebuilt.resume(fleet, max_hours=120.0)
+    rebuilt.restore(fleet)
+    result = rebuilt.wait(max_hours=120.0)
     assert sum(1 for r in result.records if r.completed_at is not None) == 3
     usage = rebuilt.usage()["lab"]
     assert usage["done"] == 3 and usage["queued"] == 0 and usage["in_flight"] == 0
