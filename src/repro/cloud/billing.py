@@ -4,17 +4,18 @@ The paper's cost model (Section 5.1.2) sums per-second instance usage
 at the prevailing spot or on-demand price, plus the differential costs
 of the control plane: Lambda invocations, DynamoDB writes, CloudWatch
 rules, and cross-region S3 transfer for checkpoint workloads.  The
-:class:`CostLedger` records every charge with enough dimensions
-(category, region, tag) for experiments to slice costs per strategy and
-per workload.
+:class:`CostLedger` keeps running totals by category, region and tag
+for experiments to slice costs per strategy and per workload, and
+itemises every per-request charge.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 
 class CostCategory(enum.Enum):
@@ -79,26 +80,39 @@ class CostEntry:
 
 
 class CostLedger:
-    """Append-only ledger of simulated charges.
+    """Ledger of simulated charges: itemised requests, running totals.
 
-    ``charge`` is the single hottest call in a full campaign (every
-    instance-billing window, request unit, and metric put lands here),
-    so the internals are tuned for append cost: entries are stored as
-    plain tuples and materialised into :class:`CostEntry` objects only
-    when :attr:`entries` is read, and the running totals are keyed by
+    Two kinds of charge land here.  Per-request charges (Lambda,
+    DynamoDB, S3, CloudWatch, Step Functions, EFS) arrive one at a time
+    through :meth:`charge` and are itemised in :attr:`entries`.  Compute
+    time arrives in batches through :meth:`accrue` from the EC2
+    billing sweep; it only moves the running totals, because each
+    instance's ``accrued_cost`` is already its itemised compute bill.
+
+    Every total is a left-to-right fold in posting order, so it is the
+    same float however the charges were batched.  Totals are keyed by
     the category's *value* string (hashing an enum member goes through
     two dynamic descriptor lookups per dict operation; a str hash is
-    cached).  Accumulation order — and therefore every float total —
-    is unchanged.
+    cached), and entries are stored as plain tuples that are
+    materialised into :class:`CostEntry` objects only when read.
     """
 
-    __slots__ = ("_entries", "_total_by_category", "_total_by_tag", "_total_by_region")
+    __slots__ = (
+        "_entries",
+        "_total_by_category",
+        "_total_by_tag",
+        "_total_by_region",
+        "last_charge_time",
+    )
 
     def __init__(self) -> None:
         self._entries: List[tuple] = []
         self._total_by_category: Dict[str, float] = defaultdict(float)
         self._total_by_tag: Dict[str, float] = defaultdict(float)
         self._total_by_region: Dict[str, float] = defaultdict(float)
+        #: Latest virtual time any charge (itemised or accrued) was
+        #: posted at; ``-inf`` before the first one.
+        self.last_charge_time = -math.inf
 
     def charge(
         self,
@@ -109,7 +123,7 @@ class CostLedger:
         tag: str = "",
         detail: str = "",
     ) -> None:
-        """Record a charge.
+        """Record one itemised charge.
 
         Zero-amount charges are recorded too — they document that a
         billable action occurred, which keeps audit trails complete.
@@ -118,19 +132,47 @@ class CostLedger:
         if amount < 0:
             raise ValueError(f"cannot charge a negative amount: {amount!r}")
         self._entries.append((time, category, amount, region, tag, detail))
+        if time > self.last_charge_time:
+            self.last_charge_time = time
         self._total_by_category[category._value_str] += amount
         if tag:
             self._total_by_tag[tag] += amount
         if region:
             self._total_by_region[region] += amount
 
+    def accrue(
+        self, time: float, keys: Sequence[Tuple[CostCategory, str, str]], amounts: Sequence[float]
+    ) -> None:
+        """Fold a batch of compute charges posted at *time*, in order.
+
+        ``keys[i]`` is the ``(category, region, tag)`` of the charge
+        ``amounts[i]``.  Each total grows by the same float additions,
+        in the same order, as one :meth:`charge` per element would
+        make; nothing is itemised.  Amounts must be non-negative
+        Python floats.
+        """
+        if not amounts:
+            return
+        if time > self.last_charge_time:
+            self.last_charge_time = time
+        by_category = self._total_by_category
+        by_tag = self._total_by_tag
+        by_region = self._total_by_region
+        for (category, region, tag), amount in zip(keys, amounts):
+            by_category[category._value_str] += amount
+            if tag:
+                by_tag[tag] += amount
+            if region:
+                by_region[region] += amount
+
     # ------------------------------------------------------------------
     # Aggregation
     # ------------------------------------------------------------------
     @property
     def entries(self) -> List[CostEntry]:
-        """All recorded entries in charge order.
+        """Every itemised (per-request) charge, in charge order.
 
+        Compute time posted through :meth:`accrue` is not itemised.
         Materialises a fresh :class:`CostEntry` list from the raw
         storage — O(n) per access, so audit/report code should bind it
         once rather than index it repeatedly.
@@ -145,7 +187,13 @@ class CostLedger:
     def total(self, category: Optional[CostCategory] = None) -> float:
         """Total USD, optionally restricted to one category."""
         if category is None:
-            return sum(self._total_by_category.values())
+            # An explicit left-to-right fold: builtin ``sum`` of floats
+            # is compensated from Python 3.12 on, which would change
+            # the last bit of the total between interpreter versions.
+            total = 0.0
+            for value in self._total_by_category.values():
+                total += value
+            return total
         return self._total_by_category.get(category.value, 0.0)
 
     def total_for_tag(self, tag: str) -> float:

@@ -234,6 +234,8 @@ class MarketLattice:
 
     def step(self, now: float) -> None:
         """Advance every market one interval, bit-equal to scalar steps."""
+        if self._noise is None:
+            raise RuntimeError("the lattice was released and can no longer step")
         if self._noise_cursor == self._noise_block:
             self._refill_noise()
         noise = self._noise[:, self._noise_cursor, :]
@@ -324,6 +326,19 @@ class MarketLattice:
         for market in self.markets:
             market.price_process.history.clear()
             market._metric_history.clear()
+
+    def release(self) -> None:
+        """Flush history, then free the stepping scratch buffers.
+
+        For a finished simulation: every recorded step stays readable
+        through the markets' traces, but the lattice can no longer
+        step (the dropped noise block held draws already taken from
+        the markets' streams).
+        """
+        self.flush()
+        self._noise = None
+        self._pending_times = self._pending_price = None
+        self._pending_placement = self._pending_freq = None
 
     # ------------------------------------------------------------------
     # Detach

@@ -238,8 +238,14 @@ class CloudProvider:
         return best.region, best.price_process.mean
 
     def shutdown(self) -> None:
-        """Cancel periodic machinery and settle outstanding billing."""
+        """Cancel periodic machinery, settle billing, free market scratch.
+
+        Price and metric histories stay readable; the markets can no
+        longer step.
+        """
         self._market_task.cancel()
         self.ec2.settle_billing()
         self.ec2.shutdown()
         self.cloudwatch.remove_all_rules()
+        if self.lattice is not None:
+            self.lattice.release()

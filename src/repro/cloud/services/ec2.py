@@ -16,6 +16,11 @@ to:
   on.
 * **Billing** accrues per-second at the market's current spot price
   (or the fixed on-demand price) into the provider's ledger.
+
+Live instances keep their billing state in launch-ordered NumPy
+columns (:class:`_BillingColumns`), so each hazard sweep prices every
+instance with one elementwise expression and draws every hazard with
+one ``Generator.random(k)`` call instead of a Python loop per instance.
 """
 
 from __future__ import annotations
@@ -24,6 +29,8 @@ import enum
 import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.cloud.billing import CostCategory
 from repro.cloud.interruptions import (
@@ -41,6 +48,7 @@ from repro.obs import EventType
 from repro.sim.clock import HOUR
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.cloud.market import SpotMarket
     from repro.cloud.provider import CloudProvider
 
 
@@ -84,7 +92,8 @@ class Instance:
         state: Current lifecycle state.
         tag: Attribution tag (typically a workload id) used in billing.
         end_time: Termination/interruption timestamp, if ended.
-        accrued_cost: USD billed so far.
+        accrued_cost: USD billed so far (read-only; the itemised
+            compute bill of this instance).
     """
 
     instance_id: str
@@ -96,15 +105,18 @@ class Instance:
     state: InstanceState = InstanceState.RUNNING
     tag: str = ""
     end_time: Optional[float] = None
-    accrued_cost: float = 0.0
-    _last_billed: float = field(default=0.0, repr=False)
-    _detail: str = field(default="", repr=False)
-    #: Launch-time billing caches: the market (spot) / fixed on-demand
-    #: price and the bound cost counter, resolved once instead of per
-    #: billing window.
-    _market: object = field(default=None, repr=False)
-    _od_price: float = field(default=0.0, repr=False)
-    _cost_counter: object = field(default=None, repr=False)
+    #: While live, the billing columns and row holding this instance's
+    #: billing state; the final bill is copied here when it ends.
+    _columns: Optional["_BillingColumns"] = field(default=None, repr=False, compare=False)
+    _row: int = field(default=-1, repr=False, compare=False)
+    _final_cost: float = field(default=0.0, repr=False)
+
+    @property
+    def accrued_cost(self) -> float:
+        """USD billed so far."""
+        if self._columns is not None:
+            return float(self._columns.cost[self._row])
+        return self._final_cost
 
     @property
     def is_live(self) -> bool:
@@ -146,6 +158,84 @@ class SpotRequest:
 #: (EventBridge delivery happens additionally, for rule-based wiring).
 NoticeCallback = Callable[[Instance], None]
 
+#: Row states of :class:`_BillingColumns` (an ended row is a tombstone).
+_ENDED, _RUNNING, _INTERRUPTING = 0, 1, 2
+
+
+class _BillingColumns:
+    """Billing state of the live instances, one row each, in launch order.
+
+    Columns: last-billed time, accrued cost, price slot (one per
+    (region, type, purchasing option); see ``EC2Service._slot``), row
+    state and ledger key (cost category, region, tag), plus the
+    :class:`Instance` objects.  An ending instance leaves a tombstone
+    (state ``_ENDED``) so row numbers stay put while a sweep walks
+    them; :meth:`compact` squeezes the tombstones out and keeps the
+    launch order.
+    """
+
+    __slots__ = ("instances", "keys", "last_billed", "cost", "slot", "state", "n", "live")
+
+    def __init__(self, capacity: int = 64) -> None:
+        self.instances: List[Optional[Instance]] = []
+        self.keys = np.empty(capacity, dtype=object)
+        self.last_billed = np.empty(capacity)
+        self.cost = np.empty(capacity)
+        self.slot = np.empty(capacity, dtype=np.intp)
+        self.state = np.zeros(capacity, dtype=np.int8)
+        #: Rows in use (live and tombstoned) and live rows.
+        self.n = 0
+        self.live = 0
+
+    def append(self, instance: Instance, slot: int, key: tuple, now: float) -> None:
+        """Add a freshly launched instance as the last row."""
+        capacity = len(self.state)
+        if self.n == capacity:
+            for name in ("keys", "last_billed", "cost", "slot", "state"):
+                old = getattr(self, name)
+                grown = np.zeros(2 * capacity, dtype=old.dtype)
+                grown[:capacity] = old
+                setattr(self, name, grown)
+        row = self.n
+        self.keys[row] = key
+        self.last_billed[row] = now
+        self.cost[row] = 0.0
+        self.slot[row] = slot
+        self.state[row] = _RUNNING
+        self.instances.append(instance)
+        instance._columns = self
+        instance._row = row
+        self.n += 1
+        self.live += 1
+
+    def end(self, instance: Instance) -> None:
+        """Tombstone *instance*'s row and copy its final bill onto it."""
+        row = instance._row
+        instance._final_cost = float(self.cost[row])
+        instance._columns = None
+        instance._row = -1
+        self.state[row] = _ENDED
+        self.keys[row] = None
+        self.instances[row] = None
+        self.live -= 1
+
+    def live_rows(self) -> np.ndarray:
+        """Row numbers of the live rows, in order."""
+        return self.state[: self.n].nonzero()[0]
+
+    def compact(self) -> None:
+        """Drop the tombstones, keeping the live rows in launch order."""
+        keep = self.live_rows()
+        count = len(keep)
+        for column in (self.keys, self.last_billed, self.cost, self.slot, self.state):
+            column[:count] = column[keep]
+        self.state[count : self.n] = _ENDED
+        self.keys[count : self.n] = None
+        self.instances = [self.instances[row] for row in keep.tolist()]
+        for row, instance in enumerate(self.instances):
+            instance._row = row
+        self.n = count
+
 
 class EC2Service:
     """The EC2 substrate, spanning every region of the provider."""
@@ -163,21 +253,25 @@ class EC2Service:
         self._telemetry = provider.telemetry
         self._rng = provider.engine.streams.get("ec2")
         self._instances: Dict[str, Instance] = {}
-        # Live subset of ``_instances``, insertion-ordered.  The hazard
-        # evaluator runs every EVALUATION_INTERVAL over *live* instances
-        # only; scanning the full (append-only) instance table made the
-        # evaluator O(all instances ever launched) per tick.  Relative
-        # order matches a live-filtered walk of ``_instances``, so RNG
-        # draw order is unchanged.
-        self._live: Dict[str, Instance] = {}
-        # cost_accrued_usd handles keyed by (region, purchasing option);
-        # binding skips the per-call label sort on the billing hot path.
-        self._cost_counters: Dict[Tuple[str, str], object] = {}
+        # Billing state of the live instances, in launch order (the
+        # order the hazard sweep draws in).
+        self._columns = _BillingColumns()
+        # Price slots, one per (region, type, purchasing option) that
+        # has launched: the spot market (None for on-demand), the
+        # cost_accrued_usd series, and the slot's current price (the
+        # fixed on-demand price, or the spot price as of the last
+        # accrual).
+        self._slot_index: Dict[Tuple[str, str, InstanceLifecycle], int] = {}
+        self._slot_market: List[Optional["SpotMarket"]] = []
+        self._spot_slots: List[Tuple[int, "SpotMarket"]] = []
+        self._slot_price = np.empty(0)
+        self._slot_is_spot = np.empty(0, dtype=bool)
+        self._slot_series = np.empty(0, dtype=object)
+        self._cost_counter = None
         self._requests: Dict[str, SpotRequest] = {}
         self._instance_counter = itertools.count()
         self._request_counter = itertools.count()
         self._notice_callbacks: List[NoticeCallback] = []
-        self._completion_events: Dict[str, object] = {}
         self.interruption_log: List[Tuple[float, str, str, str]] = []
         self._eval_task = self._engine.every(
             EVALUATION_INTERVAL, self._evaluate_interruptions, label="ec2:interruption-eval"
@@ -355,30 +449,45 @@ class EC2Service:
             launch_time=now,
             tag=tag,
         )
-        instance._last_billed = now
-        instance._detail = f"{instance_type} {instance.instance_id}"
+        slot = self._slot(region, instance_type, lifecycle)
         self._instances[instance.instance_id] = instance
-        self._live[instance.instance_id] = instance
-        if lifecycle is InstanceLifecycle.SPOT:
-            market = self._provider.market(region, instance_type)
+        category = (
+            CostCategory.SPOT_INSTANCE
+            if lifecycle is InstanceLifecycle.SPOT
+            else CostCategory.ON_DEMAND_INSTANCE
+        )
+        self._columns.append(instance, slot, (category, region, tag), now)
+        market = self._slot_market[slot]
+        if market is not None:
             market.instances_running += 1
-            instance._market = market
-        else:
-            instance._od_price = self._provider.price_book.od_price(region, instance_type)
-        counter_key = (region, lifecycle.value)
-        bound = self._cost_counters.get(counter_key)
-        if bound is None:
-            bound = self._cost_counters[counter_key] = self._telemetry.metrics.counter(
-                "cost_accrued_usd", "instance spend by region and purchasing option"
-            ).bound(region=region, purchasing_option=lifecycle.value)
-        instance._cost_counter = bound
         return instance
 
-    def _release_capacity(self, instance: Instance) -> None:
-        """Return a spot instance's slot to its market pool."""
-        if instance.lifecycle is InstanceLifecycle.SPOT:
-            market = self._provider.market(instance.region, instance.instance_type)
-            market.instances_running = max(0, market.instances_running - 1)
+    def _slot(self, region: str, instance_type: str, lifecycle: InstanceLifecycle) -> int:
+        """The price slot of (*region*, *instance_type*, *lifecycle*)."""
+        key = (region, instance_type, lifecycle)
+        slot = self._slot_index.get(key)
+        if slot is not None:
+            return slot
+        if lifecycle is InstanceLifecycle.SPOT:
+            market = self._provider.market(region, instance_type)
+            price = market.spot_price
+        else:
+            market = None
+            price = self._provider.price_book.od_price(region, instance_type)
+        slot = self._slot_index[key] = len(self._slot_market)
+        if market is not None:
+            self._spot_slots.append((slot, market))
+        if self._cost_counter is None:
+            self._cost_counter = self._telemetry.metrics.counter(
+                "cost_accrued_usd", "instance spend by region and purchasing option"
+            )
+        series = self._cost_counter.series_key(region=region, purchasing_option=lifecycle.value)
+        self._slot_market.append(market)
+        self._slot_price = np.append(self._slot_price, price)
+        self._slot_is_spot = np.append(self._slot_is_spot, market is not None)
+        self._slot_series = np.append(self._slot_series, None)
+        self._slot_series[slot] = series
+        return slot
 
     # ------------------------------------------------------------------
     # Interruption machinery
@@ -388,40 +497,83 @@ class EC2Service:
         self._notice_callbacks.append(callback)
 
     def _evaluate_interruptions(self) -> None:
-        """Periodic hazard evaluation over every running spot instance.
+        """Bill every live instance and draw every running spot hazard.
 
-        The interruption probability is memoized per (region, type) for
-        the tick — every instance of a market sees the same hazard at
-        one timestamp — and the Bernoulli draw replicates
-        :func:`sample_interruption` exactly (no draw at probability
-        zero), so the "ec2" stream consumes the same sequence as the
-        per-instance formulation.
+        Equivalent, float for float and draw for draw, to walking the
+        live instances in launch order and, per instance, billing it and
+        then (running spot instances only, no draw at probability zero)
+        interrupting it if ``rng.random() < probability``.  Batched:
+        one ``rng.random(k)`` covers every remaining draw.  At the first
+        hit the stream is stepped back to just after it, the rows up to
+        and including the hit are billed, its warning is delivered
+        (callbacks may end, launch or interrupt instances and draw from
+        the stream), and the sweep resumes after it.  Instances
+        launched during the sweep wait for the next one.
+
+        A market's interruption probability is computed when the sweep
+        first reaches one of its running spot instances, as the
+        per-instance walk memoizes it; probabilities computed ahead of
+        a delivered warning are recomputed after it.
         """
+        columns = self._columns
+        if columns.n > 2 * columns.live + 64:
+            columns.compact()
         now = self._engine.now
-        rng = self._rng
-        probabilities: Dict[Tuple[str, str], float] = {}
-        for instance in list(self._live.values()):
-            state = instance.state
-            if state is not InstanceState.RUNNING and state is not InstanceState.INTERRUPTING:
-                continue  # ended by a notice callback earlier this tick
-            self._bill(instance, now)
-            if instance.lifecycle is not InstanceLifecycle.SPOT:
-                continue
-            if state is InstanceState.INTERRUPTING:
-                continue
-            market_key = (instance.region, instance.instance_type)
-            probability = probabilities.get(market_key)
-            if probability is None:
-                probability = probabilities[market_key] = interruption_probability(
-                    instance._market.hazard_at(now), EVALUATION_INTERVAL
+        stop = columns.n
+        probability = np.zeros(len(self._slot_market))
+        reached = np.zeros(len(self._slot_market), dtype=bool)
+        start = 0
+        while start < stop:
+            slots = columns.slot[start:stop]
+            state = columns.state[start:stop]
+            running = (state == _RUNNING) & self._slot_is_spot[slots]
+            running_slots = slots[running]
+            stale = np.bincount(running_slots, minlength=len(reached))
+            stale[reached] = 0
+            for slot in stale.nonzero()[0].tolist():
+                probability[slot] = interruption_probability(
+                    self._slot_market[slot].hazard_at(now), EVALUATION_INTERVAL
                 )
-            if probability > 0.0 and rng.random() < probability:
-                self._begin_interruption(instance)
+            drawn = running.nonzero()[0]
+            chances = probability[running_slots]
+            at_risk = chances > 0.0
+            drawn, chances = drawn[at_risk], chances[at_risk]
+            hits = (self._rng.random(len(drawn)) < chances).nonzero()[0]
+            if not len(hits):
+                self._accrue(start + state.nonzero()[0], now)
+                return
+            first = int(hits[0])
+            self._rewind(len(drawn) - first - 1)
+            reach = int(drawn[first]) + 1
+            reached[slots[:reach][running[:reach]]] = True
+            self._accrue(start + state[:reach].nonzero()[0], now)
+            self._begin_interruption(columns.instances[start + reach - 1])
+            start += reach
+
+    def _rewind(self, draws: int) -> None:
+        """Step the "ec2" stream back over its last *draws* doubles.
+
+        PCG64 state arithmetic is modulo 2**128, so advancing by
+        ``-draws`` steps back.  ``advance`` also clears the 32-bit half
+        a bounded ``integers`` draw may have buffered, which doubles
+        never touch; it is restored, so the whole generator state is
+        what it was right after the kept draws.
+        """
+        if draws == 0:
+            return
+        bit_generator = self._rng.bit_generator
+        before = bit_generator.state
+        bit_generator.advance(-draws % (1 << 128))
+        after = bit_generator.state
+        after["has_uint32"] = before["has_uint32"]
+        after["uinteger"] = before["uinteger"]
+        bit_generator.state = after
 
     def _begin_interruption(self, instance: Instance) -> None:
         """Deliver the two-minute warning and schedule the reclaim."""
         now = self._engine.now
         instance.state = InstanceState.INTERRUPTING
+        self._columns.state[instance._row] = _INTERRUPTING
         self.interruption_log.append((now, instance.instance_id, instance.region, instance.tag))
         self._telemetry.bus.emit(
             EventType.INTERRUPTION_WARNING,
@@ -485,7 +637,7 @@ class EC2Service:
         """
         wanted = set(regions) if regions is not None else None
         count = 0
-        for instance in list(self._live.values()):
+        for instance in [i for i in self._columns.instances if i is not None]:
             if not instance.is_live or instance.state is InstanceState.INTERRUPTING:
                 continue
             if instance.lifecycle is not InstanceLifecycle.SPOT:
@@ -501,12 +653,8 @@ class EC2Service:
     def _finalize_interruption(self, instance: Instance) -> None:
         if instance.state is not InstanceState.INTERRUPTING:
             return  # terminated during the notice window
-        now = self._engine.now
-        self._bill(instance, now)
         instance.state = InstanceState.INTERRUPTED
-        instance.end_time = now
-        self._live.pop(instance.instance_id, None)
-        self._release_capacity(instance)
+        self._end([instance])
         tracer = self._telemetry.tracer
         if tracer is not None:
             attach_ctx = tracer.take(("instance", instance.instance_id))
@@ -529,50 +677,66 @@ class EC2Service:
     # Termination and billing
     # ------------------------------------------------------------------
     def terminate_instances(self, instance_ids: Sequence[str]) -> None:
-        """Terminate instances by id (idempotent for already-ended ones)."""
-        now = self._engine.now
-        for instance_id in instance_ids:
-            instance = self._instances.get(instance_id)
-            if instance is None:
-                raise InstanceNotFoundError(f"unknown instance {instance_id!r}")
-            if not instance.is_live:
-                continue
-            self._bill(instance, now)
-            instance.state = InstanceState.TERMINATED
-            instance.end_time = now
-            self._live.pop(instance_id, None)
-            self._release_capacity(instance)
+        """Terminate instances by id (idempotent for already-ended ones).
 
-    def _bill(self, instance: Instance, now: float) -> None:
-        """Accrue cost since the last billing mark at current prices."""
-        dt = now - instance._last_billed
-        if dt <= 0:
+        An unknown id raises after the ids before it were terminated.
+        """
+        ending: List[Instance] = []
+        try:
+            for instance_id in instance_ids:
+                instance = self._instances.get(instance_id)
+                if instance is None:
+                    raise InstanceNotFoundError(f"unknown instance {instance_id!r}")
+                if instance.is_live:
+                    instance.state = InstanceState.TERMINATED
+                    ending.append(instance)
+        finally:
+            self._end(ending)
+
+    def _end(self, instances: List[Instance]) -> None:
+        """Bill *instances* up to now, in order, then end them."""
+        if not instances:
             return
-        if instance.lifecycle is InstanceLifecycle.SPOT:
-            price = instance._market.spot_price
-            category = CostCategory.SPOT_INSTANCE
-        else:
-            price = instance._od_price
-            category = CostCategory.ON_DEMAND_INSTANCE
-        amount = price * dt / HOUR
-        instance.accrued_cost += amount
-        instance._last_billed = now
-        instance._cost_counter.inc(amount)
-        self._provider.ledger.charge(
-            time=now,
-            category=category,
-            amount=amount,
-            region=instance.region,
-            tag=instance.tag,
-            detail=instance._detail,
-        )
+        now = self._engine.now
+        self._accrue(np.array([instance._row for instance in instances], dtype=np.intp), now)
+        for instance in instances:
+            instance.end_time = now
+            market = self._slot_market[self._columns.slot[instance._row]]
+            self._columns.end(instance)
+            if market is not None:
+                # Return the spot slot to its market pool.
+                market.instances_running = max(0, market.instances_running - 1)
+
+    def _accrue(self, rows: np.ndarray, now: float) -> None:
+        """Bill *rows* from their last-billed time up to *now*, in order.
+
+        The one billing path: every row with time to bill is charged
+        ``price * dt / HOUR`` at its slot's current price (one
+        elementwise expression, so each amount is the float a scalar
+        computation gives).  Its accrued cost, the ledger totals and
+        the ``cost_accrued_usd`` series then each add the amounts one
+        by one in row order.
+        """
+        columns = self._columns
+        since = columns.last_billed[rows]
+        due = since < now
+        rows, since = rows[due], since[due]
+        if not len(rows):
+            return
+        prices = self._slot_price
+        for slot, market in self._spot_slots:
+            prices[slot] = market.spot_price
+        slots = columns.slot[rows]
+        amounts = prices[slots] * (now - since) / HOUR
+        columns.cost[rows] = columns.cost[rows] + amounts
+        columns.last_billed[rows] = now
+        amount_list = amounts.tolist()
+        self._provider.ledger.accrue(now, columns.keys[rows].tolist(), amount_list)
+        self._cost_counter.add_each(self._slot_series[slots].tolist(), amount_list)
 
     def settle_billing(self) -> None:
         """Bill every live instance up to the current time."""
-        now = self._engine.now
-        for instance in self._live.values():
-            if instance.is_live:
-                self._bill(instance, now)
+        self._accrue(self._columns.live_rows(), self._engine.now)
 
     # ------------------------------------------------------------------
     # Describe APIs

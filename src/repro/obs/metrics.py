@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 
@@ -67,15 +67,22 @@ class Counter:
         key = _label_key(labels)
         self._values[key] = self._values.get(key, 0.0) + amount
 
-    def bound(self, **labels: str) -> "BoundCounter":
-        """Pre-resolve *labels* into a reusable hot-path handle.
+    @staticmethod
+    def series_key(**labels: str) -> LabelKey:
+        """The key of the series *labels* select, for :meth:`add_each`."""
+        return _label_key(labels)
 
-        ``inc(**labels)`` sorts and stringifies the label set on every
-        call; a bound handle pays that once.  Hot loops (per-instance
-        billing, per-tick collection) cache one handle per label set
-        and call :meth:`BoundCounter.inc` with just the amount.
+    def add_each(self, keys: Sequence[LabelKey], amounts: Sequence[float]) -> None:
+        """Add ``amounts[i]`` to series ``keys[i]``, one by one in order.
+
+        The batched form of :meth:`inc` for hot loops (per-instance
+        billing): keys are pre-resolved with :meth:`series_key`, and
+        each series sums exactly as the same ``inc`` calls would.
+        Amounts must be non-negative.
         """
-        return BoundCounter(self, _label_key(labels))
+        values = self._values
+        for key, amount in zip(keys, amounts):
+            values[key] = values.get(key, 0.0) + amount
 
     def value(self, **labels: str) -> float:
         """Current value of one labelled series (0.0 if never incremented)."""
@@ -95,25 +102,6 @@ class Counter:
             Sample(name=self.name, kind=self.kind, labels=key, value=value)
             for key, value in sorted(self._values.items())
         ]
-
-
-class BoundCounter:
-    """A :class:`Counter` series with its label key pre-computed."""
-
-    __slots__ = ("_counter", "_key")
-
-    def __init__(self, counter: Counter, key: LabelKey) -> None:
-        self._counter = counter
-        self._key = key
-
-    def inc(self, amount: float = 1.0) -> None:
-        """Add *amount* to the bound series."""
-        if amount < 0:
-            raise ReproError(
-                f"counter {self._counter.name!r} cannot decrease (got {amount!r})"
-            )
-        values = self._counter._values
-        values[self._key] = values.get(self._key, 0.0) + amount
 
 
 class Gauge:
