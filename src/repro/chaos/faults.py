@@ -21,7 +21,7 @@ Determinism properties:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.chaos.campaign import CampaignSpec, Injection
 from repro.errors import ChaosError
@@ -29,6 +29,7 @@ from repro.obs.events import EVENT_TYPES_BY_VALUE, EventType
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cloud.provider import CloudProvider
+    from repro.sim.events import Event
 
 
 class _Window:
@@ -67,6 +68,9 @@ class ChaosController:
         self._windows: List[_Window] = []
         self._active: List[_Window] = []
         self._blackouts: Dict[str, int] = {}
+        #: Pending window opens/closes and trigger watches (for deactivate).
+        self._scheduled: List["Event"] = []
+        self._watches: List[Callable[[], None]] = []
         self._installed = False
         self._retry_rng = None
         self.started_at = 0.0
@@ -96,20 +100,32 @@ class ChaosController:
             if injection.trigger is not None:
                 self._arm_trigger(window)
             else:
-                self.engine.call_at(
-                    self.started_at + injection.at,
-                    lambda w=window: self._open(w),
-                    label=f"chaos:open:{window.label}",
-                )
+                self._schedule(self.started_at + injection.at, "open", window)
+
+    def _schedule(self, at: float, step: str, window: _Window) -> None:
+        action = self._open if step == "open" else self._close
+        self._scheduled.append(
+            self.engine.call_at(
+                at, lambda: action(window), label=f"chaos:{step}:{window.label}"
+            )
+        )
 
     def deactivate(self) -> None:
         """End the campaign: close every open window, inject nothing more.
 
-        The runner calls this once the fleet result is built, so
-        post-run analysis (invariant reads over the state store,
-        scorecard assembly) executes fault-free even when a window's
-        duration outlasts the run itself.
+        Pending window opens/closes are cancelled and trigger watches
+        dropped, so no ``chaos.window_*`` event follows, however long
+        the engine keeps running.  The runner calls this once the fleet
+        result is built, so post-run analysis (invariant reads over the
+        state store, scorecard assembly) executes fault-free even when
+        a window's duration outlasts the run itself.
         """
+        for event in self._scheduled:
+            event.cancel()
+        for unsubscribe in self._watches:
+            unsubscribe()
+        self._scheduled.clear()
+        self._watches.clear()
         for window in self._windows:
             window.active = False
         self._active.clear()
@@ -127,13 +143,10 @@ class ChaosController:
             if state["seen"] != window.injection.trigger_count:
                 return
             unsubscribe()
-            self.engine.call_in(
-                window.injection.at,
-                lambda: self._open(window),
-                label=f"chaos:open:{window.label}",
-            )
+            self._schedule(self.engine.now + window.injection.at, "open", window)
 
         unsubscribe = self._telemetry.bus.subscribe(on_event, types=(event_type,))
+        self._watches.append(unsubscribe)
 
     # ------------------------------------------------------------------
     # Window lifecycle
@@ -159,11 +172,7 @@ class ChaosController:
             reclaimed = self._provider.ec2.force_interruptions(regions=(injection.region,))
             self._note_fault(injection.kind, f"reclaimed {reclaimed} instances", injection.region)
         if injection.duration > 0.0:
-            self.engine.call_in(
-                injection.duration,
-                lambda: self._close(window),
-                label=f"chaos:close:{window.label}",
-            )
+            self._schedule(self.engine.now + injection.duration, "close", window)
 
     def _close(self, window: _Window) -> None:
         if not window.active:

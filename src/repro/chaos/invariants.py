@@ -15,10 +15,11 @@ through a fresh :class:`OnlineInvariantMonitor` followed by
 so the post-run scorecard is bit-identical to the pre-refactor
 implementation whether or not anything watched the run live.
 
-:func:`build_scorecard` folds the verdicts together with deterministic
-fault/retry/dead-letter accounting into a plain JSON-serialisable dict
-— the replayable artifact ``spotverse chaos run`` prints and
-``spotverse chaos report`` re-reads.  Nothing in the scorecard depends
+:func:`build_scorecard` folds the verdicts together with the
+fault/retry/dead-letter tally the run's
+:class:`~repro.obs.live.FleetRollup` kept into a plain
+JSON-serialisable dict — the replayable artifact ``spotverse chaos
+run`` prints and ``spotverse chaos report`` re-reads.  Nothing in the scorecard depends
 on wall-clock, so the same seed and campaign produce byte-identical
 output.
 """
@@ -26,7 +27,7 @@ output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 from repro.obs import EventType, TelemetryEvent
 from repro.obs.export import StreamValidator
@@ -36,7 +37,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cloud.provider import CloudProvider
     from repro.core.fleet.state import FleetStateStore
     from repro.core.result import FleetResult
-    from repro.obs.events import EventBus
+    from repro.obs.live import LivePlane
     from repro.workloads.base import Workload
 
 
@@ -435,57 +436,34 @@ def default_checks() -> List[InvariantCheck]:
 class OnlineInvariantMonitor:
     """Runs every invariant check incrementally as events arrive.
 
-    Attach to a live bus (``attach``) or feed a saved stream through
-    :meth:`observe`; violations are recorded with the sim-time of the
-    offending event and handed to ``on_violation`` (the flight
-    recorder's snapshot hook) the moment they are proven.  After the
-    run, :meth:`finalize` produces the exact scorecard
+    A plain reducer: the :class:`~repro.obs.live.LivePlane` feeds it the
+    bus (its ``monitor``), or a caller feeds a saved stream through
+    :meth:`observe`.  Violations are recorded with the sim-time of the
+    offending event, and :meth:`observe` returns the new ones so the
+    plane can snapshot the flight recorder the moment they are proven.
+    After the run, :meth:`finalize` produces the exact scorecard
     :func:`check_invariants` would — same objects, same fold.
     """
 
-    def __init__(
-        self,
-        workloads: Sequence["Workload"] = (),
-        on_violation: Optional[Callable[[OnlineViolation], None]] = None,
-    ) -> None:
+    def __init__(self, workloads: Sequence["Workload"] = ()) -> None:
         self.workloads = list(workloads)
         self.checks = default_checks()
         self.violations: List[OnlineViolation] = []
-        self.on_violation = on_violation
-        self._unsubscribe: Optional[Callable[[], None]] = None
 
-    def observe(self, event: TelemetryEvent) -> None:
-        """Fold one event through every check.
+    def observe(self, event: TelemetryEvent) -> List[OnlineViolation]:
+        """Fold one event through every check; returns new violations.
 
         The bus delivers in ``seq`` order even when a subscriber emits
         during fan-out, so a live monitor folds exactly the sequence a
         post-run ``bus.events()`` fold does.
         """
-        for check in self.checks:
-            for problem in check.observe(event):
-                violation = OnlineViolation(
-                    time=event.time, name=check.name, detail=problem, seq=event.seq
-                )
-                self.violations.append(violation)
-                if self.on_violation is not None:
-                    self.on_violation(violation)
-
-    def attach(self, bus: "EventBus") -> None:
-        """Replay the bus's history, then follow it live.
-
-        Replay-then-subscribe guarantees the monitor sees exactly the
-        events a post-run ``bus.events()`` fold would, no matter how
-        late in the run it was attached.
-        """
-        for event in bus.events():
-            self.observe(event)
-        self._unsubscribe = bus.subscribe(self.observe)
-
-    def detach(self) -> None:
-        """Stop following the bus (idempotent)."""
-        if self._unsubscribe is not None:
-            self._unsubscribe()
-            self._unsubscribe = None
+        new = [
+            OnlineViolation(time=event.time, name=check.name, detail=problem, seq=event.seq)
+            for check in self.checks
+            for problem in check.observe(event)
+        ]
+        self.violations.extend(new)
+        return new
 
     def finalize(
         self,
@@ -533,40 +511,21 @@ def build_scorecard(
     provider: "CloudProvider",
     store: "FleetStateStore",
     result: "FleetResult",
-    workloads: Sequence["Workload"],
+    plane: "LivePlane",
     campaign: "CampaignSpec",
     policy: str,
     seed: int,
     extra_invariants: Sequence[InvariantResult] = (),
-    monitor: Optional[OnlineInvariantMonitor] = None,
 ) -> Dict[str, Any]:
     """Assemble the deterministic chaos scorecard for one run.
 
-    When a live *monitor* followed the run, its ``finalize`` supplies
-    the verdicts directly (no re-fold of the stream); otherwise the
-    batch :func:`check_invariants` fold runs here.  Both paths produce
-    identical scorecards by construction.
+    Reads the :class:`~repro.obs.live.LivePlane` that followed the run:
+    its ``monitor`` supplies the verdicts and its rollup's chaos tally
+    the ``faults`` block, so nothing here rescans the stream.
     """
-    if monitor is not None:
-        invariants = list(monitor.finalize(provider, store, result))
-    else:
-        invariants = list(check_invariants(provider, store, result, workloads))
+    invariants = list(plane.monitor.finalize(provider, store, result))
     invariants.extend(extra_invariants)
-    events = provider.telemetry.bus.events()
-    faults_by_kind: Dict[str, int] = {}
-    retries = dead_letters = fallbacks = reconciled = 0
-    for event in events:
-        if event.type is EventType.CHAOS_FAULT_INJECTED:
-            kind = str(event.attrs.get("kind", "unknown"))
-            faults_by_kind[kind] = faults_by_kind.get(kind, 0) + 1
-        elif event.type is EventType.RESILIENCE_RETRY:
-            retries += 1
-        elif event.type is EventType.RESILIENCE_DEAD_LETTER:
-            dead_letters += 1
-        elif event.type is EventType.CHECKPOINT_FALLBACK:
-            fallbacks += 1
-        elif event.type is EventType.MIGRATION_STARTED and event.attrs.get("reconciled"):
-            reconciled += 1
+    tally = plane.rollup.chaos_tally()
     per_workload = {}
     stored = {item["workload_id"]: item for item in store.workload_items()}
     for record in result.records:
@@ -587,12 +546,12 @@ def build_scorecard(
         "invariants": [inv.to_dict() for inv in invariants],
         "all_passed": all(inv.passed for inv in invariants),
         "faults": {
-            "by_kind": dict(sorted(faults_by_kind.items())),
-            "total": sum(faults_by_kind.values()),
-            "retries": retries,
-            "dead_letters": dead_letters,
-            "checkpoint_fallbacks": fallbacks,
-            "reconciled_interruptions": reconciled,
+            "by_kind": tally["faults_by_kind"],
+            "total": sum(tally["faults_by_kind"].values()),
+            "retries": tally["retries"],
+            "dead_letters": tally["dead_letters"],
+            "checkpoint_fallbacks": tally["checkpoint_fallbacks"],
+            "reconciled_interruptions": tally["reconciled_interruptions"],
         },
         "totals": {
             "total_cost": result.total_cost,

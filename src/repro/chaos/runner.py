@@ -32,6 +32,7 @@ from repro.core.monitor import Monitor
 from repro.core.optimizer import SpotVerseOptimizer
 from repro.core.result import FleetResult
 from repro.errors import ChaosError
+from repro.obs.live import LivePlane
 from repro.sim.clock import HOUR
 from repro.strategies import (
     CheapestMigrationPolicy,
@@ -167,36 +168,17 @@ def _execute(
 ):
     """One full run; returns live objects for scorecard assembly.
 
-    With *stream_dir*, a :class:`~repro.obs.live.LivePlane` streams the
-    run's telemetry into segmented JSONL there (bus trimming stays off:
-    the scorecard's post-run folds need the full stream).  With
-    *blackbox_dir*, a :class:`~repro.obs.flight.FlightRecorder` arms on
-    invariant breaches, dead-letters, and engine exceptions, and always
-    leaves a ``BLACKBOX_final.json`` run-end snapshot.  Either way an
-    :class:`OnlineInvariantMonitor` follows the bus, so the returned
-    monitor's violations carry the sim-times at which they occurred.
+    A :class:`~repro.obs.live.LivePlane`, the run's one bus subscriber,
+    feeds an :class:`OnlineInvariantMonitor` (violations carry the
+    sim-times they occurred at) and, with *blackbox_dir*, a
+    :class:`~repro.obs.flight.FlightRecorder`; with *stream_dir* it
+    also streams the telemetry into segmented JSONL there.  The plane
+    is closed even when the run raises, so the stream is sealed and
+    ``BLACKBOX_final.json`` written either way.
     """
     config = _make_config(policy_name)
     provider = CloudProvider(seed=seed)
     provider.warmup_markets(warmup_steps)
-    recorder = None
-    plane = None
-    if blackbox_dir is not None:
-        from repro.obs.flight import FlightRecorder
-
-        recorder = FlightRecorder(provider.telemetry, directory=blackbox_dir)
-        recorder.watch_dead_letters()
-        recorder.guard_engine(provider.engine)
-    if stream_dir is not None:
-        from repro.obs.live import LivePlane
-
-        plane = LivePlane(provider.telemetry, directory=stream_dir, recorder=recorder)
-    monitor = (
-        Monitor(provider, [config.instance_type], collect_interval=config.collect_interval)
-        if policy_name in _MONITOR_POLICIES
-        else None
-    )
-    policy = _make_policy(policy_name, config, monitor)
     if tenants is not None:
         from repro.core.tenancy import MultiTenantController
 
@@ -207,52 +189,60 @@ def _execute(
         controller_cls = FleetController
         specs, submissions = [], []
         fleet = list(workloads) if workloads is not None else default_fleet()
-    controller = controller_cls(provider, policy, config, monitor=monitor)
-    invariant_monitor = OnlineInvariantMonitor(
-        fleet,
-        on_violation=recorder.on_invariant_violation if recorder is not None else None,
-    )
-    invariant_monitor.attach(provider.telemetry.bus)
-    if recorder is not None:
-        recorder.add_context(
-            "fleet_states", controller.state_store.state_counts
-        )
+    recorder = None
+    if blackbox_dir is not None:
+        from repro.obs.flight import FlightRecorder
 
-    # The controller-kill offsets are executed here (process-level
-    # faults); everything else is the chaos controller's business.
-    chaos = ChaosController(provider, campaign.without_kills())
-    chaos.install()
-    if tenants is not None:
-        for spec in specs:
-            controller.register_tenant(spec)
-        for tenant_id, workload in submissions:
-            controller.submit(tenant_id, workload)
-    else:
-        controller.submit(fleet)
-    engine = provider.engine
-    for offset in campaign.kills if apply_kills else ():
-        target = chaos.started_at + offset
-        if target > engine.now:
-            engine.run_until(target)
-        store = controller.state_store
-        controller.teardown()
-        del controller
-        controller = controller_cls(
-            provider, policy, config, monitor=monitor, state_store=store
+        recorder = FlightRecorder(provider.telemetry, directory=blackbox_dir)
+        recorder.guard_engine(provider.engine)
+    plane = LivePlane(
+        provider.telemetry,
+        directory=stream_dir,
+        recorder=recorder,
+        monitor=OnlineInvariantMonitor(fleet),
+    )
+    try:
+        monitor = (
+            Monitor(provider, [config.instance_type], collect_interval=config.collect_interval)
+            if policy_name in _MONITOR_POLICIES
+            else None
         )
-        controller.restore(fleet)
-    if tenants is not None:
-        result = controller.wait(max_hours=max_hours)
-    else:
-        result = controller.wait(fleet, max_hours=max_hours)
-    chaos.deactivate()
-    invariant_monitor.detach()
-    if plane is not None:
+        policy = _make_policy(policy_name, config, monitor)
+        controller = controller_cls(provider, policy, config, monitor=monitor)
+        if recorder is not None:
+            recorder.add_context("fleet_states", controller.state_store.state_counts)
+
+        # The controller-kill offsets are executed here (process-level
+        # faults); everything else is the chaos controller's business.
+        chaos = ChaosController(provider, campaign.without_kills())
+        chaos.install()
+        if tenants is not None:
+            for spec in specs:
+                controller.register_tenant(spec)
+            for tenant_id, workload in submissions:
+                controller.submit(tenant_id, workload)
+        else:
+            controller.submit(fleet)
+        engine = provider.engine
+        for offset in campaign.kills if apply_kills else ():
+            target = chaos.started_at + offset
+            if target > engine.now:
+                engine.run_until(target)
+            store = controller.state_store
+            controller.teardown()
+            del controller
+            controller = controller_cls(
+                provider, policy, config, monitor=monitor, state_store=store
+            )
+            controller.restore(fleet)
+        if tenants is not None:
+            result = controller.wait(max_hours=max_hours)
+        else:
+            result = controller.wait(fleet, max_hours=max_hours)
+        chaos.deactivate()
+    finally:
         plane.close()
-    if recorder is not None:
-        recorder.snapshot_final()
-        recorder.close()
-    return provider, controller.state_store, result, fleet, invariant_monitor
+    return provider, controller.state_store, result, fleet, plane
 
 
 def run_campaign(
@@ -288,8 +278,9 @@ def run_campaign(
             tails it).  The resume-equivalence baseline run, when any,
             never exports.
         blackbox_dir: Arm a flight recorder writing ``BLACKBOX_*.json``
-            artifacts here on invariant breach, dead-letter, or engine
-            exception (plus an unconditional run-end snapshot).
+            artifacts here on invariant breach, SLO breach, dead-letter,
+            or engine exception (plus an unconditional run-end snapshot,
+            written even when the run raises).
         tenants: Run the campaign through the multi-tenant control
             plane instead: :func:`tenant_fleet` builds this many
             tenants (distinct weights, quota 2, two workloads each),
@@ -301,7 +292,7 @@ def run_campaign(
         A :class:`ChaosRunOutcome` with the deterministic scorecard.
     """
     campaign = campaign if campaign is not None else default_campaign()
-    provider, store, result, fleet, monitor = _execute(
+    provider, store, result, _, plane = _execute(
         policy,
         campaign,
         seed,
@@ -328,15 +319,7 @@ def run_campaign(
         baseline_provider.shutdown()
         extra.append(_compare_results(result, baseline))
     scorecard = build_scorecard(
-        provider=provider,
-        store=store,
-        result=result,
-        workloads=fleet,
-        campaign=campaign,
-        policy=policy,
-        seed=seed,
-        extra_invariants=extra,
-        monitor=monitor,
+        provider, store, result, plane, campaign, policy, seed, extra_invariants=extra
     )
     provider.shutdown()
     return ChaosRunOutcome(scorecard=scorecard, result=result)

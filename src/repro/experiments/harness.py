@@ -140,12 +140,12 @@ class ArmSpec:
             runner-level faults and are ignored here).  ``None`` — the
             default — means a fault-free arm, bit-identical to
             pre-chaos builds.
-        live_dir: When set, the arm attaches a
-            :class:`~repro.obs.live.LivePlane` streaming its telemetry
+        live_dir: When set, the arm's
+            :class:`~repro.obs.live.LivePlane` streams its telemetry
             into segmented JSONL under ``<live_dir>/<arm name>``.
             Plain strings pickle, so live export works in pool workers
             too (each worker writes its own arm's directory).
-        flight_dir: When set, the arm arms a
+        flight_dir: When set, the arm's live plane feeds a
             :class:`~repro.obs.flight.FlightRecorder` writing
             ``BLACKBOX_*.json`` under ``<flight_dir>/<arm name>``.
         trim_bus: With a live plane attached, clear the event bus after
@@ -193,9 +193,10 @@ class ArmResult:
     spec: ArmSpec
     fleet: FleetResult
     provider: Optional[CloudProvider]
-    #: The arm's live observability plane, when ``spec.live_dir`` asked
-    #: for one and the arm ran in-process (``None`` for pool-run arms —
-    #: the plane's exported segments are still on disk either way).
+    #: The arm's live observability plane, when ``spec.live_dir`` or
+    #: ``spec.flight_dir`` asked for one and the arm ran in-process
+    #: (``None`` for pool-run arms — the plane's exported segments are
+    #: still on disk either way).
     live_plane: Optional[object] = None
 
     @property
@@ -224,50 +225,49 @@ def run_arm(spec: ArmSpec) -> ArmResult:
     )
     if spec.warmup_steps:
         provider.warmup_markets(spec.warmup_steps)
-    recorder = None
-    if spec.flight_dir is not None:
-        from repro.obs.flight import FlightRecorder
-
-        recorder = FlightRecorder(
-            provider.telemetry, directory=os.path.join(spec.flight_dir, spec.name)
-        )
-        recorder.watch_dead_letters()
-        recorder.guard_engine(provider.engine)
     plane = None
-    if spec.live_dir is not None:
+    if spec.live_dir is not None or spec.flight_dir is not None:
+        from repro.obs.flight import FlightRecorder
         from repro.obs.live import LivePlane
 
+        recorder = None
+        if spec.flight_dir is not None:
+            recorder = FlightRecorder(
+                provider.telemetry, directory=os.path.join(spec.flight_dir, spec.name)
+            )
+            recorder.guard_engine(provider.engine)
         plane = LivePlane(
             provider.telemetry,
-            directory=os.path.join(spec.live_dir, spec.name),
+            directory=(
+                os.path.join(spec.live_dir, spec.name) if spec.live_dir is not None else None
+            ),
             trim_bus=spec.trim_bus,
             recorder=recorder,
         )
-    monitor = Monitor(
-        provider,
-        instance_types=[spec.config.instance_type],
-        collect_interval=spec.config.collect_interval,
-    )
-    policy = spec.policy_factory(provider, spec.config, monitor)
-    controller = FleetController(provider, policy, spec.config, monitor=monitor)
-    if spec.campaign is not None:
-        from repro.chaos.faults import ChaosController
+    try:
+        monitor = Monitor(
+            provider,
+            instance_types=[spec.config.instance_type],
+            collect_interval=spec.config.collect_interval,
+        )
+        policy = spec.policy_factory(provider, spec.config, monitor)
+        controller = FleetController(provider, policy, spec.config, monitor=monitor)
+        if spec.campaign is not None:
+            from repro.chaos.faults import ChaosController
 
-        ChaosController(provider, spec.campaign.without_kills()).install()
-    if spec.dag_factory is not None:
-        fleet = controller.run_dags(spec.dag_factory(), max_hours=spec.max_hours)
-    else:
-        workloads = [spec.workload_factory(index) for index in range(spec.n_workloads)]
-        fleet = controller.run(workloads, max_hours=spec.max_hours)
-    # Unbind the control plane before shutdown: a late engine callback
-    # (sweep tick, straggler fulfillment) must hit the router's inert
-    # path, not a half-dismantled service.
-    controller.teardown()
-    if plane is not None:
-        plane.close()
-    if recorder is not None:
-        recorder.snapshot_final()
-        recorder.close()
+            ChaosController(provider, spec.campaign.without_kills()).install()
+        if spec.dag_factory is not None:
+            fleet = controller.run_dags(spec.dag_factory(), max_hours=spec.max_hours)
+        else:
+            workloads = [spec.workload_factory(index) for index in range(spec.n_workloads)]
+            fleet = controller.run(workloads, max_hours=spec.max_hours)
+        # Unbind the control plane before shutdown: a late engine callback
+        # (sweep tick, straggler fulfillment) must hit the router's inert
+        # path, not a half-dismantled service.
+        controller.teardown()
+    finally:  # seal the stream and blackbox even when the run raises
+        if plane is not None:
+            plane.close()
     provider.shutdown()
     return ArmResult(spec=spec, fleet=fleet, provider=provider, live_plane=plane)
 

@@ -381,8 +381,15 @@ def render_gantt(
     return "\n".join([header] + rows)
 
 
+def _busiest_first(counts: Dict[str, int]) -> List[Tuple[str, int]]:
+    return sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+
+
 class RunReport:
-    """Per-run summary assembled from an event stream + metric samples."""
+    """Per-run summary assembled from an event stream + metric samples.
+
+    Every stream count and table reads the one :attr:`fleet_view` fold.
+    """
 
     def __init__(self, events: List[TelemetryEvent], samples: List[Sample]) -> None:
         self.events = events
@@ -403,16 +410,13 @@ class RunReport:
         return cls(events, samples)
 
     # -- views ----------------------------------------------------------
-    def _count(self, type: EventType) -> int:
-        return sum(1 for event in self.events if event.type is type)
-
     def fallback_reasons(self) -> List[Tuple[str, int]]:
         """``(reason, count)`` over fallback decisions, busiest first."""
         counts: Dict[str, int] = defaultdict(int)
         for decision in self.decisions:
             if decision.is_fallback:
                 counts[decision.fallback_reason] += 1
-        return sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+        return _busiest_first(counts)
 
     def margin_distribution(self) -> Tuple[int, int, float, float, float]:
         """``(passed, failed, min, mean, max)`` over every region verdict."""
@@ -439,36 +443,18 @@ class RunReport:
 
     def anomaly_counts(self) -> List[Tuple[str, int]]:
         """``(kind, count)`` of market anomalies seen during the run."""
-        counts: Dict[str, int] = defaultdict(int)
-        for event in self.events:
-            if event.type is EventType.MARKET_ANOMALY:
-                counts[str(event.attrs.get("kind", "?"))] += 1
-        return sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+        return _busiest_first(self.fleet_view.rollup.anomaly_kinds)
 
-    def anomaly_interruption_correlation(
-        self, window: float = ANOMALY_CORRELATION_WINDOW
-    ) -> Tuple[int, int]:
+    def anomaly_interruption_correlation(self) -> Tuple[int, int]:
         """``(correlated, total)`` interruption warnings.
 
         An interruption is *correlated* when the same region raised a
-        ``market.anomaly`` within *window* seconds before it — the
+        ``market.anomaly`` within :data:`ANOMALY_CORRELATION_WINDOW`
+        seconds before it (or at the same sim time) — the
         turbulence/reclaim linkage the observatory exists to surface.
         """
-        anomalies: Dict[str, List[float]] = defaultdict(list)
-        for event in self.events:
-            if event.type is EventType.MARKET_ANOMALY:
-                anomalies[event.region].append(event.time)
-        correlated = total = 0
-        for event in self.events:
-            if event.type is not EventType.INTERRUPTION_WARNING:
-                continue
-            total += 1
-            if any(
-                0.0 <= event.time - anomaly_time <= window
-                for anomaly_time in anomalies.get(event.region, ())
-            ):
-                correlated += 1
-        return correlated, total
+        rollup = self.fleet_view.rollup
+        return rollup.linked_interruptions, rollup.interruptions
 
     def cost_rows(self) -> List[Tuple[str, str, float]]:
         """``(region, purchasing_option, usd)`` rows from the cost metric."""
@@ -485,11 +471,7 @@ class RunReport:
 
     def interruption_rows(self) -> List[Tuple[str, int]]:
         """``(region, count)`` interruption rows, busiest first."""
-        counts: Dict[str, int] = defaultdict(int)
-        for event in self.events:
-            if event.type is EventType.INTERRUPTION_WARNING:
-                counts[event.region or "?"] += 1
-        return sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+        return _busiest_first(self.fleet_view.rollup.interruptions_by_region)
 
     def chaos_stats(self) -> Optional[Dict[str, object]]:
         """Fault-injection + resilience accounting, or None without chaos.
@@ -498,38 +480,15 @@ class RunReport:
         zero-fault run reports render byte-identically to pre-chaos
         builds.
         """
-        fault_kinds: Dict[str, int] = defaultdict(int)
-        windows = retries = dead_letters = fallbacks = reconciled = 0
-        for event in self.events:
-            if event.type is EventType.CHAOS_WINDOW_OPENED:
-                windows += 1
-            elif event.type is EventType.CHAOS_FAULT_INJECTED:
-                fault_kinds[str(event.attrs.get("kind", "?"))] += 1
-            elif event.type is EventType.RESILIENCE_RETRY:
-                retries += 1
-            elif event.type is EventType.RESILIENCE_DEAD_LETTER:
-                dead_letters += 1
-            elif event.type is EventType.CHECKPOINT_FALLBACK:
-                fallbacks += 1
-            elif event.type is EventType.MIGRATION_STARTED and event.attrs.get(
-                "reconciled"
-            ):
-                reconciled += 1
-        if not (windows or fault_kinds or retries or dead_letters or fallbacks):
-            return None
-        return {
-            "windows": windows,
-            "faults_by_kind": dict(sorted(fault_kinds.items())),
-            "retries": retries,
-            "dead_letters": dead_letters,
-            "checkpoint_fallbacks": fallbacks,
-            "reconciled_interruptions": reconciled,
-        }
+        tally = self.fleet_view.rollup.chaos_tally()
+        gate = ("windows", "faults_by_kind", "retries", "dead_letters", "checkpoint_fallbacks")
+        return tally if any(tally[key] for key in gate) else None
 
     @cached_property
     def fleet_view(self) -> "FleetView":
         """The stream folded through the :class:`~repro.obs.live.FleetView`
-        the live plane and ``obs watch`` share."""
+        the live plane and ``obs watch`` share; every stream table of
+        the report reads from it."""
         from repro.obs.live import FleetView
 
         view = FleetView()
@@ -546,12 +505,12 @@ class RunReport:
         render byte-identically.
         """
         rollup = self.fleet_view.rollup
-        registered = self._count(EventType.TENANT_REGISTERED)
+        registered = rollup.count(EventType.TENANT_REGISTERED)
         if not (rollup.has_tenants or registered):
             return None
         return {
             "tenants": registered,
-            "throttled": self._count(EventType.TENANT_THROTTLED),
+            "throttled": rollup.count(EventType.TENANT_THROTTLED),
             "by_tenant": rollup.by_tenant(),
             "by_strategy": rollup.by_strategy(),
             "by_status": rollup.by_status(),
@@ -586,45 +545,46 @@ class RunReport:
         return [(scope, retries.get(scope, 0), dead.get(scope, 0)) for scope in scopes]
 
     def migration_stats(self) -> Tuple[int, int, float]:
-        """``(started, completed, mean latency seconds)``."""
-        started = self._count(EventType.MIGRATION_STARTED)
-        latencies = [
-            float(event.attrs.get("latency", 0.0))
-            for event in self.events
-            if event.type is EventType.MIGRATION_COMPLETED
-        ]
-        mean = sum(latencies) / len(latencies) if latencies else 0.0
-        return started, len(latencies), mean
+        """``(started, completed, mean latency seconds)``.
+
+        A completion without a ``latency`` attr counts as 0 s here
+        (the SLO latency family skips it instead).
+        """
+        rollup = self.fleet_view.rollup
+        completed = rollup.count(EventType.MIGRATION_COMPLETED)
+        mean = rollup.migration_latency_sum / completed if completed else 0.0
+        return rollup.count(EventType.MIGRATION_STARTED), completed, mean
 
     # -- rendering ------------------------------------------------------
     def render(self, gantt_width: int = 64) -> str:
         """The full multi-section run report."""
         lines: List[str] = []
+        count = self.fleet_view.rollup.count
         first = self.events[0].time if self.events else 0.0
         last = self.events[-1].time if self.events else 0.0
-        submitted = self._count(EventType.WORKLOAD_SUBMITTED)
-        finished = self._count(EventType.WORKLOAD_DONE)
+        submitted = count(EventType.WORKLOAD_SUBMITTED)
+        finished = count(EventType.WORKLOAD_DONE)
         lines.append(
             f"events              : {len(self.events)} "
             f"(t={first:.0f}s .. t={last:.0f}s)"
         )
         lines.append(f"workloads           : {finished}/{submitted} complete")
         lines.append(
-            f"spot requests       : {self._count(EventType.SPOT_REQUESTED)} filed, "
-            f"{self._count(EventType.SPOT_FULFILLED)} fulfilled, "
-            f"{self._count(EventType.SPOT_REQUEST_CANCELLED)} cancelled"
+            f"spot requests       : {count(EventType.SPOT_REQUESTED)} filed, "
+            f"{count(EventType.SPOT_FULFILLED)} fulfilled, "
+            f"{count(EventType.SPOT_REQUEST_CANCELLED)} cancelled"
         )
         started, completed, mean_latency = self.migration_stats()
         lines.append(
-            f"interruptions       : {self._count(EventType.INTERRUPTION_WARNING)} "
+            f"interruptions       : {count(EventType.INTERRUPTION_WARNING)} "
             f"(migrations {completed}/{started} complete, "
             f"mean latency {mean_latency / 60.0:.1f} min)"
         )
         lines.append(
-            f"on-demand fallbacks : {self._count(EventType.FALLBACK_ON_DEMAND)}"
+            f"on-demand fallbacks : {count(EventType.FALLBACK_ON_DEMAND)}"
         )
-        checkpoints = self._count(EventType.CHECKPOINT_SAVED)
-        restores = self._count(EventType.CHECKPOINT_RESTORED)
+        checkpoints = count(EventType.CHECKPOINT_SAVED)
+        restores = count(EventType.CHECKPOINT_RESTORED)
         if checkpoints or restores:
             lines.append(
                 f"checkpoints         : {checkpoints} saved, {restores} restored"

@@ -11,10 +11,13 @@ unhandled engine exception — :meth:`trigger` freezes the ring into a
 self-contained ``BLACKBOX_*.json`` artifact carrying everything needed
 to diagnose the failure without re-running the sim.
 
-The recorder is read-only with respect to the run: it subscribes to
-the bus, never emits, and serialises events lazily (only at trigger
-time), so an armed-but-untriggered recorder costs one deque append per
-event.
+The recorder is a plain reducer: the :class:`~repro.obs.live.LivePlane`
+feeds it every bus event through :meth:`FlightRecorder.observe` (a
+resilience dead-letter triggers a snapshot there), it never subscribes
+or emits, and it serialises events lazily (only at trigger time), so
+an armed-but-untriggered recorder costs one deque append per event.
+Only the snapshots actually written to disk (and the run-end one) stay
+in memory whole; later triggers keep a one-line summary.
 """
 
 from __future__ import annotations
@@ -34,7 +37,8 @@ BLACKBOX_FORMAT = "spotverse-blackbox/1"
 DEFAULT_CAPACITY = 512
 
 #: Default cap on artifacts written per recorder (a flapping invariant
-#: must not fill the disk; triggers past the cap are still counted).
+#: must not fill the disk or the heap; triggers past the cap are still
+#: counted, as summaries).
 DEFAULT_MAX_ARTIFACTS = 8
 
 #: Trace hops included in a snapshot when a tracer is attached.
@@ -54,8 +58,9 @@ class FlightRecorder:
         capacity: Events retained in the ring.
         directory: Where ``BLACKBOX_*.json`` artifacts land; ``None``
             keeps snapshots in-memory only (:attr:`triggers`).
-        max_artifacts: Artifact-file cap; later triggers are recorded
-            in :attr:`triggers` but not written.
+        max_artifacts: Full-snapshot cap; later triggers are recorded
+            in :attr:`triggers` as ``reason``/``detail``/``time``/``attrs``
+            summaries and not written.
     """
 
     def __init__(
@@ -72,15 +77,26 @@ class FlightRecorder:
         if directory is not None:
             os.makedirs(directory, exist_ok=True)
         self.ring: Deque[TelemetryEvent] = deque(maxlen=self.capacity)
-        #: Every trigger's payload, in order (bounded by trigger count,
-        #: which the artifact cap keeps honest for pathological runs).
+        #: One entry per trigger, in order: the full payload for the
+        #: first ``max_artifacts`` and the run-end snapshot, a summary
+        #: for the rest.
         self.triggers: List[Dict[str, Any]] = []
         self.artifacts: List[str] = []
         self._context: Dict[str, Callable[[], Any]] = {}
         self._seq = 0
-        self._unsubscribers: List[Callable[[], None]] = [
-            telemetry.bus.subscribe(self.ring.append)
-        ]
+
+    def observe(self, event: TelemetryEvent) -> None:
+        """Ring one event; a resilience dead-letter triggers a snapshot."""
+        self.ring.append(event)
+        if event.type is EventType.RESILIENCE_DEAD_LETTER:
+            self.trigger(
+                "dead-letter",
+                detail=(
+                    f"{event.attrs.get('scope', '?')}: "
+                    f"{event.attrs.get('detail', event.workload_id or '?')}"
+                ),
+                seq=event.seq,
+            )
 
     # ------------------------------------------------------------------
     # Context providers and trigger sources
@@ -95,22 +111,6 @@ class FlightRecorder:
         thing that crashes the run.
         """
         self._context[name] = provider
-
-    def watch_dead_letters(self) -> None:
-        """Trigger a snapshot whenever a resilience dead-letter lands."""
-        self._unsubscribers.append(
-            self.telemetry.bus.subscribe(
-                lambda event: self.trigger(
-                    "dead-letter",
-                    detail=(
-                        f"{event.attrs.get('scope', '?')}: "
-                        f"{event.attrs.get('detail', event.workload_id or '?')}"
-                    ),
-                    seq=event.seq,
-                ),
-                types=[EventType.RESILIENCE_DEAD_LETTER],
-            )
-        )
 
     def on_invariant_violation(self, violation) -> None:
         """Trigger hook for the online invariant monitor."""
@@ -182,9 +182,14 @@ class FlightRecorder:
     def trigger(self, reason: str, detail: str = "", **attrs: Any) -> Dict[str, Any]:
         """Freeze the ring into a snapshot payload (and maybe a file)."""
         payload = self._payload(reason, detail, attrs)
-        self.triggers.append(payload)
-        if self.directory is not None and len(self.artifacts) < self.max_artifacts:
-            self._write(f"BLACKBOX_{self._seq:03d}_{_slug(reason)}.json", payload)
+        if self._seq < self.max_artifacts:
+            self.triggers.append(payload)
+            if self.directory is not None:
+                self._write(f"BLACKBOX_{self._seq:03d}_{_slug(reason)}.json", payload)
+        else:
+            self.triggers.append(
+                {key: payload[key] for key in ("reason", "detail", "time", "attrs")}
+            )
         self._seq += 1
         return payload
 
@@ -200,12 +205,6 @@ class FlightRecorder:
         if self.directory is None:
             return None
         return self._write("BLACKBOX_final.json", payload)
-
-    def close(self) -> None:
-        """Detach every bus subscription (idempotent)."""
-        for unsubscribe in self._unsubscribers:
-            unsubscribe()
-        self._unsubscribers = []
 
 
 __all__ = [

@@ -10,14 +10,15 @@ simulation is still running*:
   plus a ``manifest.json`` rewritten atomically on every rotation, so
   a tailer (``spotverse obs watch``) always sees a consistent list of
   sealed segments and one growing tail.
-* :class:`LiveExporter` — a bus subscriber that streams each event
-  through :func:`~repro.obs.export.stream_lines` as it is emitted and
-  appends the metrics snapshot + time-series points on close, making
-  the concatenated segments byte-identical to a post-hoc
+* :class:`LiveExporter` — a reducer that streams each event through
+  :func:`~repro.obs.export.stream_lines` and appends the metrics
+  snapshot + time-series points on close, making the concatenated
+  segments byte-identical to a post-hoc
   :func:`~repro.obs.export.write_jsonl` of the same bundle.
 * :class:`FleetRollup` — the SpotInstanceManager-style live fleet
   report (workloads by status, live instances by market and purchasing
-  option) folded incrementally from the event stream.
+  option) plus every run total the reports print, folded
+  incrementally from the event stream.
 * :class:`WindowAggregator` — tumbling sim-time windows of event/
   interruption/reacquire/fault rates feeding the dashboard's rate
   table, with a bounded window history.
@@ -26,10 +27,10 @@ simulation is still running*:
   :class:`~repro.obs.slo.SLOBudget` error budget.  ``obs watch``
   (:class:`~repro.obs.watch.WatchState`) and the run report fold a
   saved stream through it; the live plane folds the bus through it.
-* :class:`LivePlane` — a :class:`FleetView` on one bus subscription,
-  plus the exporter, SLO breach notification (edge-triggered per
-  target) and, optionally, O(window) telemetry memory: with
-  ``trim_bus=True`` the plane clears the bus after every export flush,
+* :class:`LivePlane` — the one bus subscriber of an observed run: a
+  :class:`FleetView` that also feeds the flight recorder, the exporter
+  and the invariant monitor, and optionally bounds telemetry memory:
+  with ``trim_bus=True`` it clears the bus after every export flush,
   so a perpetual run's memory is bounded by the segment/window caps
   instead of the run length.
 
@@ -44,11 +45,11 @@ from __future__ import annotations
 import json
 import os
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.events import EventBus, EventType, TelemetryEvent
-from repro.obs.export import stream_lines
+from repro.obs.export import ANOMALY_CORRELATION_WINDOW, stream_lines
 from repro.obs.slo import LatencyWatcher, SLOBudget, SLOResult, SLOSpec, default_slo_spec
 from repro.sim.clock import HOUR
 
@@ -181,7 +182,7 @@ class SegmentWriter:
 class LiveExporter:
     """Streams a telemetry bundle's events into segmented JSONL files.
 
-    Each bus event is serialised through the same
+    Each event handed to :meth:`observe` is serialised through the same
     :func:`~repro.obs.export.stream_lines` path the batch exporter
     uses; :meth:`close` appends the final metrics snapshot and
     time-series points.  Concatenating the segments of a closed stream
@@ -203,18 +204,16 @@ class LiveExporter:
             directory, max_segment_bytes=max_segment_bytes, flush_lines=flush_lines
         )
         self._closed = False
-        self._unsubscribe = telemetry.bus.subscribe(self.observe)
 
     def observe(self, event: TelemetryEvent) -> None:
         """Serialise one event onto the stream."""
         self.writer.write_line(stream_lines((event,))[0])
 
     def close(self) -> None:
-        """Append metrics + series tails, seal the stream, unsubscribe."""
+        """Append metrics + series tails and seal the stream."""
         if self._closed:
             return
         self._closed = True
-        self._unsubscribe()
         store = getattr(self.telemetry, "timeseries", None)
         points = store.points() if store is not None else ()
         for line in stream_lines((), self.telemetry.metrics.collect(), points):
@@ -225,6 +224,15 @@ class LiveExporter:
 # ----------------------------------------------------------------------
 # Live fleet rollup
 # ----------------------------------------------------------------------
+def _bump(counts: Dict[str, int], key: str) -> None:
+    counts[key] = counts.get(key, 0) + 1
+
+
+def _counted(etype: EventType) -> property:
+    """Read-only count of *etype* events from the owner's ``counts``."""
+    return property(lambda self: self.counts.get(etype, 0))
+
+
 #: Workload status implied by each lifecycle event type.
 _STATUS_TRANSITIONS = {
     EventType.WORKLOAD_SUBMITTED: "pending",
@@ -243,15 +251,30 @@ class FleetRollup:
     The shape follows the SpotInstanceManager report the related repos
     emit — ``by_status`` / ``by_market`` / ``by_option`` rollups — but
     folded from the event stream alone, so it works identically over a
-    live bus subscription or a saved stream replay.
+    live bus subscription or a saved stream replay.  It also keeps the
+    run totals the run report and the chaos scorecard print, each
+    bounded by a workload, region or kind count, never the event count.
     """
+
+    interruptions = _counted(EventType.INTERRUPTION_WARNING)
+    reacquires = _counted(EventType.MIGRATION_COMPLETED)
+    fallbacks = _counted(EventType.FALLBACK_ON_DEMAND)
+    checkpoints = _counted(EventType.CHECKPOINT_SAVED)
 
     def __init__(self) -> None:
         self.workload_status: Dict[str, str] = {}
-        self.interruptions = 0
-        self.reacquires = 0
-        self.fallbacks = 0
-        self.checkpoints = 0
+        self.counts: Dict[EventType, int] = {}
+        self.interruptions_by_region: Dict[str, int] = {}
+        self.faults_by_kind: Dict[str, int] = {}
+        self.anomaly_kinds: Dict[str, int] = {}
+        #: Warnings with a same-region anomaly in the report's window.
+        self.linked_interruptions = 0
+        #: Migrations started by missed-interruption reconciliation.
+        self.reconciled = 0
+        #: ``migration.completed`` latencies summed (missing counts 0).
+        self.migration_latency_sum = 0.0
+        self._last_anomaly: Dict[str, float] = {}
+        self._unlinked: Dict[str, Tuple[float, int]] = {}
         self._live_instances: Dict[str, Tuple[str, str]] = {}
         self._workload_instance: Dict[str, str] = {}
         self._tenant_of: Dict[str, str] = {}
@@ -260,23 +283,13 @@ class FleetRollup:
 
     def observe(self, event: TelemetryEvent) -> None:
         """Fold one event into the rollup."""
-        status = _STATUS_TRANSITIONS.get(event.type)
+        etype = event.type
+        counts = self.counts
+        counts[etype] = counts.get(etype, 0) + 1
+        status = _STATUS_TRANSITIONS.get(etype)
         if status is not None and event.workload_id:
             self.workload_status[event.workload_id] = status
-        if event.type is EventType.TENANT_ADMITTED:
-            tenant_id = str(event.attrs.get("tenant_id", ""))
-            if event.workload_id and tenant_id:
-                self._tenant_of[event.workload_id] = tenant_id
-                policy = str(event.attrs.get("policy", ""))
-                if policy:
-                    self._strategy_of[event.workload_id] = policy
-        elif event.type is EventType.TENANT_THROTTLED:
-            tenant_id = str(event.attrs.get("tenant_id", ""))
-            if tenant_id:
-                self.throttled_by_tenant[tenant_id] = (
-                    self.throttled_by_tenant.get(tenant_id, 0) + 1
-                )
-        if event.type is EventType.INSTANCE_ATTACHED:
+        if etype is EventType.INSTANCE_ATTACHED:
             if event.instance_id:
                 self._live_instances[event.instance_id] = (
                     event.region or "?",
@@ -284,20 +297,69 @@ class FleetRollup:
                 )
                 if event.workload_id:
                     self._workload_instance[event.workload_id] = event.instance_id
-        elif event.type in (EventType.INSTANCE_RECLAIMED, EventType.CAPACITY_DISCARDED):
+        elif etype in (EventType.INSTANCE_RECLAIMED, EventType.CAPACITY_DISCARDED):
             self._live_instances.pop(event.instance_id, None)
-        elif event.type is EventType.WORKLOAD_DONE:
+        elif etype is EventType.WORKLOAD_DONE:
             instance_id = self._workload_instance.pop(event.workload_id, None)
             if instance_id is not None:
                 self._live_instances.pop(instance_id, None)
-        elif event.type is EventType.INTERRUPTION_WARNING:
-            self.interruptions += 1
-        elif event.type is EventType.MIGRATION_COMPLETED:
-            self.reacquires += 1
-        elif event.type is EventType.FALLBACK_ON_DEMAND:
-            self.fallbacks += 1
-        elif event.type is EventType.CHECKPOINT_SAVED:
-            self.checkpoints += 1
+        elif etype is EventType.INTERRUPTION_WARNING:
+            _bump(self.interruptions_by_region, event.region or "?")
+            self._link_interruption(event.region, event.time)
+        elif etype is EventType.MARKET_ANOMALY:
+            _bump(self.anomaly_kinds, str(event.attrs.get("kind", "?")))
+            self._last_anomaly[event.region] = event.time
+            pending = self._unlinked.pop(event.region, None)
+            if pending is not None and pending[0] == event.time:
+                self.linked_interruptions += pending[1]
+        elif etype is EventType.CHAOS_FAULT_INJECTED:
+            _bump(self.faults_by_kind, str(event.attrs.get("kind", "?")))
+        elif etype is EventType.MIGRATION_STARTED:
+            if event.attrs.get("reconciled"):
+                self.reconciled += 1
+        elif etype is EventType.MIGRATION_COMPLETED:
+            self.migration_latency_sum += float(event.attrs.get("latency", 0.0))
+        elif etype is EventType.TENANT_ADMITTED:
+            tenant_id = str(event.attrs.get("tenant_id", ""))
+            if event.workload_id and tenant_id:
+                self._tenant_of[event.workload_id] = tenant_id
+                policy = str(event.attrs.get("policy", ""))
+                if policy:
+                    self._strategy_of[event.workload_id] = policy
+        elif etype is EventType.TENANT_THROTTLED:
+            tenant_id = str(event.attrs.get("tenant_id", ""))
+            if tenant_id:
+                _bump(self.throttled_by_tenant, tenant_id)
+
+    def _link_interruption(self, region: str, time: float) -> None:
+        """Link a warning to the region's latest anomaly, or park it.
+
+        Sim time never decreases, so only the latest anomaly can be in
+        the window; a parked warning still links to a same-region
+        anomaly at the same sim time but a later seq.
+        """
+        last = self._last_anomaly.get(region)
+        if last is not None and 0.0 <= time - last <= ANOMALY_CORRELATION_WINDOW:
+            self.linked_interruptions += 1
+            return
+        pending = self._unlinked.get(region)
+        count = pending[1] if pending is not None and pending[0] == time else 0
+        self._unlinked[region] = (time, count + 1)
+
+    def count(self, etype: EventType) -> int:
+        """Events of *etype* seen so far."""
+        return self.counts.get(etype, 0)
+
+    def chaos_tally(self) -> Dict[str, Any]:
+        """Fault-injection and client-resilience totals."""
+        return {
+            "windows": self.count(EventType.CHAOS_WINDOW_OPENED),
+            "faults_by_kind": dict(sorted(self.faults_by_kind.items())),
+            "retries": self.count(EventType.RESILIENCE_RETRY),
+            "dead_letters": self.count(EventType.RESILIENCE_DEAD_LETTER),
+            "checkpoint_fallbacks": self.count(EventType.CHECKPOINT_FALLBACK),
+            "reconciled_interruptions": self.reconciled,
+        }
 
     # -- views ----------------------------------------------------------
     def by_status(self) -> Dict[str, int]:
@@ -375,13 +437,15 @@ class WindowStats:
     start: float
     end: float
     events: int = 0
-    submitted: int = 0
-    done: int = 0
-    interruptions: int = 0
-    reacquires: int = 0
-    faults: int = 0
-    dead_letters: int = 0
-    anomalies: int = 0
+    counts: Dict[EventType, int] = field(default_factory=dict)
+
+    submitted = _counted(EventType.WORKLOAD_SUBMITTED)
+    done = _counted(EventType.WORKLOAD_DONE)
+    interruptions = _counted(EventType.INTERRUPTION_WARNING)
+    reacquires = _counted(EventType.MIGRATION_COMPLETED)
+    faults = _counted(EventType.CHAOS_FAULT_INJECTED)
+    dead_letters = _counted(EventType.RESILIENCE_DEAD_LETTER)
+    anomalies = _counted(EventType.MARKET_ANOMALY)
 
     @property
     def events_per_hour(self) -> float:
@@ -413,20 +477,8 @@ class WindowAggregator:
             self.windows.append(window)
             self.current = window
         window.events += 1
-        if event.type is EventType.WORKLOAD_SUBMITTED:
-            window.submitted += 1
-        elif event.type is EventType.WORKLOAD_DONE:
-            window.done += 1
-        elif event.type is EventType.INTERRUPTION_WARNING:
-            window.interruptions += 1
-        elif event.type is EventType.MIGRATION_COMPLETED:
-            window.reacquires += 1
-        elif event.type is EventType.CHAOS_FAULT_INJECTED:
-            window.faults += 1
-        elif event.type is EventType.RESILIENCE_DEAD_LETTER:
-            window.dead_letters += 1
-        elif event.type is EventType.MARKET_ANOMALY:
-            window.anomalies += 1
+        counts = window.counts
+        counts[event.type] = counts.get(event.type, 0) + 1
 
     def recent(self, count: int = 6) -> List[WindowStats]:
         """The last *count* windows, oldest first."""
@@ -489,7 +541,14 @@ class SLOBreach:
 
 
 class LivePlane(FleetView):
-    """A :class:`FleetView` folded live from one bus subscription.
+    """The one bus subscriber of an observed run.
+
+    Each event goes, in this order (which fixes ``BLACKBOX_*``
+    numbering and ring contents), to the recorder, the exporter, this
+    :class:`FleetView` fold, the invariant monitor and the optional bus
+    trim.  SLO breaches and invariant violations snapshot the recorder.
+    Call :meth:`close` from a ``finally``: a run that raises still gets
+    a sealed stream and a run-end snapshot.
 
     Args:
         telemetry: The provider's :class:`~repro.obs.Telemetry` bundle.
@@ -503,11 +562,12 @@ class LivePlane(FleetView):
         trim_bus: When true, clear the bus whenever it holds
             ``trim_every`` events (after the exporter has serialised
             them), bounding telemetry memory by the caps instead of the
-            run length.  Leave off when anything post-hoc (scorecards,
-            reports, ``write_jsonl``) still needs the full stream.
+            run length.  Leave off when anything post-hoc (reports,
+            ``write_jsonl``) still needs the full stream.
         trim_every: Bus length that triggers a trim.
-        recorder: Optional :class:`~repro.obs.flight.FlightRecorder`
-            notified on SLO breaches.
+        recorder: Optional :class:`~repro.obs.flight.FlightRecorder`.
+        monitor: Optional
+            :class:`~repro.chaos.invariants.OnlineInvariantMonitor`.
     """
 
     def __init__(
@@ -522,6 +582,7 @@ class LivePlane(FleetView):
         trim_bus: bool = False,
         trim_every: int = DEFAULT_TRIM_EVERY,
         recorder=None,
+        monitor=None,
     ) -> None:
         super().__init__(window_seconds, max_windows=max_windows, slo_spec=slo_spec)
         self.telemetry = telemetry
@@ -536,6 +597,7 @@ class LivePlane(FleetView):
             else None
         )
         self.recorder = recorder
+        self.monitor = monitor
         self.trim_bus = trim_bus
         self.trim_every = max(1, int(trim_every))
         self.peak_bus_events = 0
@@ -545,7 +607,12 @@ class LivePlane(FleetView):
         self._unsubscribe = telemetry.bus.subscribe(self.observe)
 
     def observe(self, event: TelemetryEvent) -> None:
-        """Fold one bus event into every live view."""
+        """Hand one bus event to every consumer, in delivery order."""
+        recorder = self.recorder
+        if recorder is not None:
+            recorder.observe(event)
+        if self.exporter is not None:
+            self.exporter.observe(event)
         for result in self.fold(event):
             breach = SLOBreach(
                 time=event.time,
@@ -554,8 +621,12 @@ class LivePlane(FleetView):
                 objective=result.target.objective,
             )
             self.breaches.append(breach)
-            if self.recorder is not None:
-                self.recorder.on_slo_breach(breach)
+            if recorder is not None:
+                recorder.on_slo_breach(breach)
+        if self.monitor is not None:
+            for violation in self.monitor.observe(event):
+                if recorder is not None:
+                    recorder.on_invariant_violation(violation)
         if self.trim_bus:
             bus: EventBus = self.telemetry.bus
             length = len(bus)
@@ -568,13 +639,15 @@ class LivePlane(FleetView):
                 self.trims += 1
 
     def close(self) -> None:
-        """Unsubscribe and seal the export stream (idempotent)."""
+        """Unsubscribe, seal the stream, snapshot the run end (idempotent)."""
         if self._closed:
             return
         self._closed = True
         self._unsubscribe()
         if self.exporter is not None:
             self.exporter.close()
+        if self.recorder is not None:
+            self.recorder.snapshot_final()
 
 
 __all__ = [

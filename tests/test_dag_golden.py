@@ -339,22 +339,20 @@ class TestDagDependenciesInvariant:
     def test_real_run_upholds_topological_release(self):
         provider, controller = build_controller("spotverse")
         monitor = OnlineInvariantMonitor()
-        monitor.attach(provider.telemetry.bus)
+        provider.telemetry.bus.subscribe(monitor.observe)
         controller.run_dags([compile_graph(fan_out_graph(4), "run1")], max_hours=48.0)
-        monitor.detach()
         provider.shutdown()
         assert not any(v.name == "dag-deps-ordered" for v in monitor.violations)
 
     def test_out_of_order_release_is_flagged(self):
         telemetry = Telemetry()
         monitor = OnlineInvariantMonitor()
-        monitor.attach(telemetry.bus)
+        telemetry.bus.subscribe(monitor.observe)
         telemetry.bus.emit(
             EventType.DAG_STEP_RELEASED,
             workload_id="run1:merge",
             deps=["run1:sample0"],
         )
-        monitor.detach()
         flagged = [v for v in monitor.violations if v.name == "dag-deps-ordered"]
         assert len(flagged) == 1
         assert "run1:sample0" in flagged[0].detail
@@ -362,12 +360,11 @@ class TestDagDependenciesInvariant:
     def test_release_after_completion_passes(self):
         telemetry = Telemetry()
         monitor = OnlineInvariantMonitor()
-        monitor.attach(telemetry.bus)
+        telemetry.bus.subscribe(monitor.observe)
         telemetry.bus.emit(EventType.WORKLOAD_DONE, workload_id="run1:sample0")
         telemetry.bus.emit(
             EventType.DAG_STEP_RELEASED,
             workload_id="run1:merge",
             deps=["run1:sample0"],
         )
-        monitor.detach()
         assert not any(v.name == "dag-deps-ordered" for v in monitor.violations)

@@ -64,8 +64,6 @@ def fleet_run(tmp_path):
     fleet = [synthetic_workload(f"wl-{i}", duration_hours=2.0) for i in range(4)]
     result = controller.run(fleet, max_hours=24.0)
     plane.close()
-    recorder.snapshot_final()
-    recorder.close()
     yield provider, plane, recorder, result, tmp_path
     provider.shutdown()
 
@@ -167,6 +165,7 @@ class TestSegmentedRoundTrip:
         exporter = LiveExporter(
             telemetry, str(tmp_path), max_segment_bytes=200, flush_lines=1
         )
+        telemetry.bus.subscribe(exporter.observe)
         for i in range(24):
             telemetry.bus.emit(EventType.WORKLOAD_SUBMITTED, workload_id=f"w{i}")
         exporter.close()
@@ -387,6 +386,7 @@ class TestFlightRecorder:
     def test_ring_is_bounded(self):
         telemetry, _ = self._telemetry()
         recorder = FlightRecorder(telemetry, capacity=8)
+        telemetry.bus.subscribe(recorder.observe)
         for i in range(40):
             telemetry.bus.emit(EventType.WORKLOAD_SUBMITTED, workload_id=f"w{i}")
         assert len(recorder.ring) == 8
@@ -440,7 +440,7 @@ class TestFlightRecorder:
     def test_dead_letter_watch_triggers(self):
         telemetry, _ = self._telemetry()
         recorder = FlightRecorder(telemetry)
-        recorder.watch_dead_letters()
+        telemetry.bus.subscribe(recorder.observe)
         telemetry.bus.emit(
             EventType.RESILIENCE_DEAD_LETTER,
             scope="fleet-state:save-execution",
@@ -466,16 +466,6 @@ class TestFlightRecorder:
         assert [t["reason"] for t in recorder.triggers] == ["engine-exception"]
         assert recorder.triggers[0]["detail"] == "RuntimeError: kaput"
         assert recorder.triggers[0]["attrs"]["label"] == "explode"
-
-    def test_close_detaches_subscriptions(self):
-        telemetry, _ = self._telemetry()
-        recorder = FlightRecorder(telemetry)
-        recorder.watch_dead_letters()
-        recorder.close()
-        recorder.close()
-        telemetry.bus.emit(EventType.RESILIENCE_DEAD_LETTER, scope="x", detail="y")
-        assert len(recorder.ring) == 0
-        assert recorder.triggers == []
 
     def test_fleet_run_leaves_final_blackbox(self, fleet_run):
         _, _, recorder, _, tmp_path = fleet_run

@@ -48,7 +48,7 @@ def small_fleet():
 class TestOnlineMatchesPostRun:
     @pytest.mark.parametrize("policy", POLICY_NAMES)
     def test_live_verdicts_equal_post_run_fold(self, policy):
-        provider, store, result, fleet, monitor = _execute(
+        provider, store, result, fleet, plane = _execute(
             policy,
             default_campaign(),
             11,
@@ -57,25 +57,10 @@ class TestOnlineMatchesPostRun:
             small_fleet(),
             apply_kills=True,
         )
-        live = monitor.finalize(provider, store, result)
+        live = plane.monitor.finalize(provider, store, result)
         post = check_invariants(provider, store, result, fleet)
         assert live == post
         assert all(r.passed for r in live), [r for r in live if not r.passed]
-        provider.shutdown()
-
-    def test_monitor_attached_late_still_agrees(self):
-        # Attach replays history first, so a monitor attached after the
-        # run ends still matches a monitor that watched from the start.
-        provider, store, result, fleet, monitor = _execute(
-            "spotverse", default_campaign(), 11, 72.0, 24, small_fleet(),
-            apply_kills=True,
-        )
-        late = OnlineInvariantMonitor(fleet)
-        late.attach(provider.telemetry.bus)
-        late.detach()
-        assert late.finalize(provider, store, result) == monitor.finalize(
-            provider, store, result
-        )
         provider.shutdown()
 
 
@@ -88,7 +73,7 @@ class TestOnlineViolations:
         times = [0.0]
         telemetry.bus.attach_clock(lambda: times[0])
         monitor = OnlineInvariantMonitor()
-        monitor.attach(telemetry.bus)
+        telemetry.bus.subscribe(monitor.observe)
         telemetry.bus.emit(EventType.WORKLOAD_DONE, workload_id="w1")
         assert monitor.violations == []
         times[0] = 3600.0
@@ -103,12 +88,11 @@ class TestOnlineViolations:
         assert violation.time == 3600.0
         assert violation.seq == second.seq
         assert "2 workload.done events" in violation.detail
-        monitor.detach()
 
     def test_checkpoint_regression_flagged_online(self):
         telemetry = Telemetry()
         monitor = OnlineInvariantMonitor()
-        monitor.attach(telemetry.bus)
+        telemetry.bus.subscribe(monitor.observe)
         telemetry.bus.emit(EventType.CHECKPOINT_SAVED, workload_id="w1", segments=3)
         telemetry.bus.emit(EventType.CHECKPOINT_SAVED, workload_id="w1", segments=1)
         assert [v.name for v in monitor.violations] == ["checkpoint-monotonic"]
@@ -117,13 +101,9 @@ class TestOnlineViolations:
     def test_violation_callback_feeds_the_flight_recorder(self, tmp_path):
         telemetry = Telemetry()
         recorder = FlightRecorder(telemetry, directory=str(tmp_path))
-        monitor = OnlineInvariantMonitor(
-            on_violation=recorder.on_invariant_violation
-        )
-        monitor.attach(telemetry.bus)
+        LivePlane(telemetry, recorder=recorder, monitor=OnlineInvariantMonitor())
         telemetry.bus.emit(EventType.WORKLOAD_DONE, workload_id="w1")
         telemetry.bus.emit(EventType.WORKLOAD_DONE, workload_id="w1")
-        monitor.detach()
         # single-completion and stream-valid both snapshot.
         assert [t["reason"] for t in recorder.triggers] == [
             "invariant-breach",
@@ -149,12 +129,17 @@ class TestOnlineViolations:
 
         bus.subscribe(start_on_submit)
         stream_dir = tmp_path / "stream"
-        plane = LivePlane(telemetry, directory=str(stream_dir), flush_lines=1)
-        watch = WatchState()
-        bus.subscribe(watch.observe)
         recorder = FlightRecorder(telemetry)
         monitor = OnlineInvariantMonitor()
-        monitor.attach(bus)
+        plane = LivePlane(
+            telemetry,
+            directory=str(stream_dir),
+            flush_lines=1,
+            recorder=recorder,
+            monitor=monitor,
+        )
+        watch = WatchState()
+        bus.subscribe(watch.observe)
         for i in range(3):
             bus.emit(EventType.WORKLOAD_SUBMITTED, workload_id=f"w{i}")
         plane.close()
