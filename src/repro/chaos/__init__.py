@@ -42,12 +42,15 @@ from repro.chaos.runner import (
     DEFAULT_MAX_HOURS,
     DEFAULT_SEED,
     DEFAULT_WARMUP_STEPS,
-    POLICY_NAMES,
     ChaosRunOutcome,
     default_fleet,
     run_campaign,
     tenant_fleet,
 )
+from repro.strategies import STRATEGIES
+
+#: Policies a chaos run can target: every strategy roster name.
+POLICY_NAMES = tuple(STRATEGIES)
 
 __all__ = [
     "FAULT_KINDS",

@@ -28,40 +28,16 @@ from repro.chaos.invariants import (
 from repro.cloud.provider import CloudProvider
 from repro.core.config import SpotVerseConfig
 from repro.core.controller import FleetController
-from repro.core.monitor import Monitor
-from repro.core.optimizer import SpotVerseOptimizer
 from repro.core.result import FleetResult
-from repro.errors import ChaosError
 from repro.obs.live import LivePlane
 from repro.sim.clock import HOUR
-from repro.strategies import (
-    CheapestMigrationPolicy,
-    DeadlineAwarePolicy,
-    NaiveMultiRegionPolicy,
-    OnDemandPolicy,
-    SingleRegionPolicy,
-    SkyPilotPolicy,
-)
+from repro.strategies import build_strategy
 from repro.workloads.base import Workload, synthetic_workload
 from repro.workloads.ngs_preprocessing import ngs_preprocessing_workload
 
 DEFAULT_SEED = 11
 DEFAULT_WARMUP_STEPS = 24
 DEFAULT_MAX_HOURS = 72.0
-
-#: Policies a chaos run can target (the golden-scenario roster).
-POLICY_NAMES: Tuple[str, ...] = (
-    "spotverse",
-    "spotverse-efs",
-    "single-region",
-    "naive-multi-region",
-    "on-demand",
-    "skypilot",
-    "cheapest-migration",
-    "deadline",
-)
-
-_MONITOR_POLICIES = ("spotverse", "spotverse-efs", "cheapest-migration", "deadline")
 
 
 def default_fleet() -> List[Workload]:
@@ -111,32 +87,6 @@ def tenant_fleet(n_tenants: int = 3):
     return specs, submissions
 
 
-def _make_config(name: str) -> SpotVerseConfig:
-    if name == "spotverse-efs":
-        return SpotVerseConfig(instance_type="m5.xlarge", checkpoint_backend="efs")
-    return SpotVerseConfig(instance_type="m5.xlarge")
-
-
-def _make_policy(name: str, config: SpotVerseConfig, monitor: Optional[Monitor]):
-    if name in ("spotverse", "spotverse-efs"):
-        return SpotVerseOptimizer(monitor, config)
-    if name == "cheapest-migration":
-        return CheapestMigrationPolicy(monitor, config)
-    if name == "deadline":
-        return DeadlineAwarePolicy(monitor, config)
-    if name == "single-region":
-        return SingleRegionPolicy(region="ca-central-1")
-    if name == "naive-multi-region":
-        return NaiveMultiRegionPolicy()
-    if name == "on-demand":
-        return OnDemandPolicy(instance_type=config.instance_type)
-    if name == "skypilot":
-        return SkyPilotPolicy(instance_type=config.instance_type)
-    raise ChaosError(
-        f"unknown policy {name!r}; choose one of {', '.join(POLICY_NAMES)}"
-    )
-
-
 @dataclass
 class ChaosRunOutcome:
     """What one chaos run produced.
@@ -176,7 +126,6 @@ def _execute(
     is closed even when the run raises, so the stream is sealed and
     ``BLACKBOX_final.json`` written either way.
     """
-    config = _make_config(policy_name)
     provider = CloudProvider(seed=seed)
     provider.warmup_markets(warmup_steps)
     if tenants is not None:
@@ -202,12 +151,7 @@ def _execute(
         monitor=OnlineInvariantMonitor(fleet),
     )
     try:
-        monitor = (
-            Monitor(provider, [config.instance_type], collect_interval=config.collect_interval)
-            if policy_name in _MONITOR_POLICIES
-            else None
-        )
-        policy = _make_policy(policy_name, config, monitor)
+        config, monitor, policy = build_strategy(policy_name, provider, SpotVerseConfig())
         controller = controller_cls(provider, policy, config, monitor=monitor)
         if recorder is not None:
             recorder.add_context("fleet_states", controller.state_store.state_counts)
@@ -260,7 +204,7 @@ def run_campaign(
     """Run *campaign* against *policy* and score the outcome.
 
     Args:
-        policy: One of :data:`POLICY_NAMES`.
+        policy: A :data:`repro.strategies.STRATEGIES` name.
         campaign: Fault campaign; :func:`default_campaign` when omitted.
         seed: Master engine seed (drives markets and chaos streams).
         max_hours: Fleet deadline in virtual hours.
@@ -358,7 +302,6 @@ __all__ = [
     "DEFAULT_SEED",
     "DEFAULT_WARMUP_STEPS",
     "HOUR",
-    "POLICY_NAMES",
     "default_fleet",
     "run_campaign",
     "tenant_fleet",

@@ -21,7 +21,6 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.chaos.runner import POLICY_NAMES as CHAOS_POLICY_NAMES
 from repro.cloud.provider import CloudProvider
 from repro.core.config import SpotVerseConfig
 from repro.core.controller import FleetController
@@ -29,12 +28,7 @@ from repro.core.spotverse import SpotVerse
 from repro.errors import ReproError
 from repro.experiments.report_all import ALL_EXPERIMENTS, run_all
 from repro.experiments.reporting import render_table
-from repro.strategies import (
-    NaiveMultiRegionPolicy,
-    OnDemandPolicy,
-    SingleRegionPolicy,
-    SkyPilotPolicy,
-)
+from repro.strategies import STRATEGIES, build_strategy
 from repro.workloads import (
     genome_reconstruction_workload,
     ngs_preprocessing_workload,
@@ -49,14 +43,19 @@ WORKLOAD_FACTORIES = {
     "synthetic": synthetic_workload,
 }
 
-BASELINE_POLICIES = {
-    "single-region": lambda args: SingleRegionPolicy(
-        region=args.start_region, instance_type=args.instance_type
-    ),
-    "on-demand": lambda args: OnDemandPolicy(instance_type=args.instance_type),
-    "skypilot": lambda args: SkyPilotPolicy(instance_type=args.instance_type),
-    "naive-multi-region": lambda args: NaiveMultiRegionPolicy(),
-}
+
+def _add_fleet_flags(parser: argparse.ArgumentParser, workloads: int) -> None:
+    """The fleet flags ``run`` and ``obs`` share (read by :func:`_run_fleet`)."""
+    parser.add_argument("--strategy", default="spotverse", choices=sorted(STRATEGIES))
+    parser.add_argument("--workload", default="genome", choices=sorted(WORKLOAD_FACTORIES))
+    parser.add_argument("--workloads", type=int, default=workloads, help="fleet size")
+    parser.add_argument("--duration-hours", type=float, default=10.5)
+    parser.add_argument("--instance-type", default="m5.xlarge")
+    parser.add_argument("--threshold", type=float, default=6.0)
+    parser.add_argument("--start-region", default=None)
+    parser.add_argument("--no-initial-distribution", action="store_true")
+    parser.add_argument("--max-hours", type=float, default=160.0)
+    parser.add_argument("--seed", type=int, default=42)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -81,17 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     run = sub.add_parser("run", help="run a workload fleet under a strategy")
-    run.add_argument("--strategy", default="spotverse",
-                     choices=["spotverse"] + sorted(BASELINE_POLICIES))
-    run.add_argument("--workload", default="genome", choices=sorted(WORKLOAD_FACTORIES))
-    run.add_argument("--workloads", type=int, default=10, help="fleet size")
-    run.add_argument("--duration-hours", type=float, default=10.5)
-    run.add_argument("--instance-type", default="m5.xlarge")
-    run.add_argument("--threshold", type=float, default=6.0)
-    run.add_argument("--start-region", default=None)
-    run.add_argument("--no-initial-distribution", action="store_true")
-    run.add_argument("--max-hours", type=float, default=160.0)
-    run.add_argument("--seed", type=int, default=42)
+    _add_fleet_flags(run, workloads=10)
     run.add_argument("--export-csv", default=None, metavar="PATH",
                      help="write the per-workload timeline as CSV")
     run.add_argument("--export-json", default=None, metavar="PATH",
@@ -103,17 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "obs",
         help="run a fleet with telemetry on: JSONL event stream + per-run report",
     )
-    obs.add_argument("--strategy", default="spotverse",
-                     choices=["spotverse"] + sorted(BASELINE_POLICIES))
-    obs.add_argument("--workload", default="genome", choices=sorted(WORKLOAD_FACTORIES))
-    obs.add_argument("--workloads", type=int, default=12, help="fleet size")
-    obs.add_argument("--duration-hours", type=float, default=10.5)
-    obs.add_argument("--instance-type", default="m5.xlarge")
-    obs.add_argument("--threshold", type=float, default=6.0)
-    obs.add_argument("--start-region", default=None)
-    obs.add_argument("--no-initial-distribution", action="store_true")
-    obs.add_argument("--max-hours", type=float, default=160.0)
-    obs.add_argument("--seed", type=int, default=42)
+    _add_fleet_flags(obs, workloads=12)
     obs.add_argument("--events", default=None, metavar="PATH",
                      help="write the JSONL event stream (events + metrics snapshot)")
     obs.add_argument("--from-events", default=None, metavar="PATH",
@@ -241,10 +220,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "run",
         help="run one campaign against one policy; exits 1 on invariant violations",
     )
-    chaos_run.add_argument(
-        "--policy", default="spotverse",
-        choices=sorted(CHAOS_POLICY_NAMES),
-    )
+    chaos_run.add_argument("--policy", default="spotverse", choices=sorted(STRATEGIES))
     chaos_run.add_argument(
         "--campaign", default=None, metavar="PATH",
         help="campaign spec JSON (default: the built-in default campaign)",
@@ -301,9 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="number of tenants (distinct fair-share weights, quota 2, "
              "two workloads each)",
     )
-    tenants.add_argument(
-        "--policy", default="spotverse", choices=sorted(CHAOS_POLICY_NAMES),
-    )
+    tenants.add_argument("--policy", default="spotverse", choices=sorted(STRATEGIES))
     tenants.add_argument("--seed", type=int, default=11)
     tenants.add_argument("--max-hours", type=float, default=72.0)
     tenants.add_argument(
@@ -389,8 +363,8 @@ def _run_fleet(args: argparse.Namespace, provider: CloudProvider):
     if args.strategy == "spotverse":
         return SpotVerse(provider, config).run(fleet, max_hours=args.max_hours)
     provider.warmup_markets(48)
-    policy = BASELINE_POLICIES[args.strategy](args)
-    controller = FleetController(provider, policy, config)
+    config, monitor, policy = build_strategy(args.strategy, provider, config)
+    controller = FleetController(provider, policy, config, monitor=monitor)
     result = controller.run(fleet, max_hours=args.max_hours)
     controller.teardown()
     return result
@@ -876,25 +850,12 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_tenants(args: argparse.Namespace) -> int:
-    from repro.chaos.runner import (
-        _MONITOR_POLICIES,
-        DEFAULT_WARMUP_STEPS,
-        _make_config,
-        _make_policy,
-        tenant_fleet,
-    )
-    from repro.core.monitor import Monitor
+    from repro.chaos import DEFAULT_WARMUP_STEPS, tenant_fleet
     from repro.core.tenancy import MultiTenantController
 
-    config = _make_config(args.policy)
     provider = CloudProvider(seed=args.seed)
     provider.warmup_markets(DEFAULT_WARMUP_STEPS)
-    monitor = (
-        Monitor(provider, [config.instance_type], collect_interval=config.collect_interval)
-        if args.policy in _MONITOR_POLICIES
-        else None
-    )
-    policy = _make_policy(args.policy, config, monitor)
+    config, monitor, policy = build_strategy(args.policy, provider, SpotVerseConfig())
     controller = MultiTenantController(
         provider, policy, config, monitor=monitor, n_shards=args.n_shards
     )

@@ -32,6 +32,9 @@ from repro.obs import MarketObservatory, Telemetry
 from repro.sim.clock import HOUR
 from repro.sim.engine import SimulationEngine
 
+#: Seconds between market steps.
+MARKET_STEP_INTERVAL = HOUR
+
 
 class CloudProvider:
     """A fully wired simulated cloud.
@@ -43,7 +46,6 @@ class CloudProvider:
         instances: Instance-type catalog (defaults to m5/c5/r5/p3).
         profiles: Market calibration book (defaults to the paper-tuned
             regimes; experiments may pass a date-shifted override book).
-        market_step_interval: Seconds between market steps.
         seed: Master seed when *engine* is omitted.
         telemetry: Observability bundle (event bus + metrics registry)
             the control plane emits into; a fresh one is created when
@@ -74,7 +76,6 @@ class CloudProvider:
         regions: Optional[RegionCatalog] = None,
         instances: Optional[InstanceTypeCatalog] = None,
         profiles: Optional[MarketProfileBook] = None,
-        market_step_interval: float = HOUR,
         seed: int = 0,
         telemetry: Optional[Telemetry] = None,
         observatory: bool = False,
@@ -113,7 +114,7 @@ class CloudProvider:
                 rng=self.engine.streams.get(
                     f"market:{profile.region}:{profile.instance_type}"
                 ),
-                step_interval=market_step_interval,
+                step_interval=MARKET_STEP_INTERVAL,
                 hazard_peak_hour=GEOGRAPHY_PEAK_HOURS.get(geography, 0.0),
             )
             self._markets[(profile.region, profile.instance_type)] = market
@@ -132,7 +133,7 @@ class CloudProvider:
         # and the observatory sweep — coalesced via the batch variant so
         # attaching more per-tick market work never adds heap traffic.
         self._market_task = self.engine.every_batch(
-            market_step_interval,
+            MARKET_STEP_INTERVAL,
             [self._step_markets, self._observe_markets],
             label="markets:step",
         )

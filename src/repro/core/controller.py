@@ -83,10 +83,6 @@ class FleetController:
             a fresh store; pass the store of a torn-down controller to
             rebuild its control plane (then call :meth:`restore` and
             :meth:`wait`).
-        n_shards: Shard count for the default store (ignored when
-            *state_store* is supplied).  1 — the default — is
-            byte-identical to the unsharded store; the multi-tenant
-            control plane raises it to keep scans O(shard).
     """
 
     def __init__(
@@ -97,7 +93,6 @@ class FleetController:
         monitor: Optional["Monitor"] = None,
         image_id: Optional[str] = None,
         state_store: Optional[FleetStateStore] = None,
-        n_shards: int = 1,
     ) -> None:
         self._provider = provider
         self._policy = policy
@@ -108,8 +103,8 @@ class FleetController:
             monitor=monitor,
             rng=provider.engine.streams.get(f"controller:{policy.name}"),
         )
-        self.state_store = state_store if state_store is not None else FleetStateStore(
-            provider.dynamodb, n_shards=n_shards
+        self.state_store = (
+            state_store if state_store is not None else FleetStateStore(provider.dynamodb)
         )
         self._backend = self._make_backend(config, provider, self.state_store)
         provider.s3.create_bucket(config.results_bucket, config.results_region)

@@ -15,8 +15,6 @@ from typing import List, Optional, Sequence
 from repro.cloud.provider import CloudProvider
 from repro.core.config import SpotVerseConfig
 from repro.core.controller import FleetController
-from repro.core.monitor import Monitor
-from repro.core.optimizer import SpotVerseOptimizer
 from repro.core.policy import Placement, PolicyContext
 from repro.core.result import FleetResult
 from repro.core.scoring import RegionMetrics
@@ -41,14 +39,14 @@ class SpotVerse:
         config: Optional[SpotVerseConfig] = None,
         warmup_steps: int = 48,
     ) -> None:
+        # Deferred: repro.strategies imports repro.core, which imports this module.
+        from repro.strategies import build_strategy
+
         self.provider = provider
-        self.config = config or SpotVerseConfig()
         if warmup_steps:
             provider.warmup_markets(warmup_steps)
-        self.monitor = Monitor(
-            provider,
-            instance_types=[self.config.instance_type],
-            collect_interval=self.config.collect_interval,
+        self.config, self.monitor, self.optimizer = build_strategy(
+            "spotverse", provider, config or SpotVerseConfig()
         )
         # Section 4: build the customized Galaxy AMI once and propagate
         # it to every region, so relaunches boot straight into Galaxy.
@@ -60,7 +58,6 @@ class SpotVerse:
             description="Galaxy + admin API key + sra-toolkit + Planemo",
         )
         provider.ami.propagate_everywhere(self.galaxy_image.image_id, instant=True)
-        self.optimizer = SpotVerseOptimizer(self.monitor, self.config)
         self.controller = FleetController(
             provider,
             self.optimizer,

@@ -17,8 +17,24 @@ decisions:
 * :class:`DeadlineAwarePolicy` — Algorithm 1 plus per-workload
   on-demand escalation when a deadline is at risk (the "optimal mix"
   extension, after the paper's cited Can't-Be-Late).
+
+:data:`STRATEGIES` is the one roster of named strategies: the chaos
+runner, the CLI and the :class:`~repro.core.spotverse.SpotVerse` façade
+all build their policy through :func:`build_strategy`, so adding a
+strategy is one row there.
 """
 
+from __future__ import annotations
+
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Dict, Optional, Tuple
+
+from repro.cloud.provider import CloudProvider
+from repro.core.config import SpotVerseConfig
+from repro.core.monitor import Monitor
+from repro.core.optimizer import SpotVerseOptimizer
+from repro.core.policy import PlacementPolicy
+from repro.errors import StrategyError
 from repro.strategies.deadline import DeadlineAwarePolicy
 from repro.strategies.naive_multi_region import NaiveMultiRegionPolicy
 from repro.strategies.on_demand import OnDemandPolicy
@@ -26,11 +42,83 @@ from repro.strategies.single_region import SingleRegionPolicy
 from repro.strategies.skypilot import SkyPilotPolicy
 from repro.strategies.variants import CheapestMigrationPolicy
 
+
+@dataclass(frozen=True)
+class Strategy:
+    """One roster row.
+
+    Attributes:
+        build: ``(config, monitor) -> policy``; *monitor* is ``None``
+            unless *reads_monitor*.
+        reads_monitor: Whether the policy scores regions from the
+            Monitor's snapshots (the Algorithm-1 family).
+        overrides: :class:`SpotVerseConfig` fields the strategy pins
+            on top of the caller's config.
+    """
+
+    build: Callable[[SpotVerseConfig, Optional[Monitor]], PlacementPolicy]
+    reads_monitor: bool = False
+    overrides: Dict[str, Any] = field(default_factory=dict)
+
+
+#: Name -> strategy, in golden-fixture order.
+STRATEGIES: Dict[str, Strategy] = {
+    "spotverse": Strategy(
+        lambda config, monitor: SpotVerseOptimizer(monitor, config), reads_monitor=True
+    ),
+    "spotverse-efs": Strategy(
+        lambda config, monitor: SpotVerseOptimizer(monitor, config),
+        reads_monitor=True,
+        overrides={"checkpoint_backend": "efs"},
+    ),
+    "single-region": Strategy(
+        lambda config, _: SingleRegionPolicy(
+            region=config.start_region, instance_type=config.instance_type
+        )
+    ),
+    "naive-multi-region": Strategy(lambda config, _: NaiveMultiRegionPolicy()),
+    "on-demand": Strategy(lambda config, _: OnDemandPolicy(instance_type=config.instance_type)),
+    "skypilot": Strategy(lambda config, _: SkyPilotPolicy(instance_type=config.instance_type)),
+    "cheapest-migration": Strategy(
+        lambda config, monitor: CheapestMigrationPolicy(monitor, config), reads_monitor=True
+    ),
+    "deadline": Strategy(
+        lambda config, monitor: DeadlineAwarePolicy(monitor, config), reads_monitor=True
+    ),
+}
+
+
+def build_strategy(
+    name: str, provider: CloudProvider, config: SpotVerseConfig
+) -> Tuple[SpotVerseConfig, Optional[Monitor], PlacementPolicy]:
+    """Wire the named strategy onto *provider*.
+
+    Returns:
+        ``(config, monitor, policy)`` for a controller: *config* with
+        the strategy's overrides applied, a deployed :class:`Monitor`
+        (``None`` for strategies that do not read one) and the policy.
+    """
+    strategy = STRATEGIES.get(name)
+    if strategy is None:
+        raise StrategyError(f"unknown strategy {name!r}; choose one of {', '.join(STRATEGIES)}")
+    if strategy.overrides:
+        config = replace(config, **strategy.overrides)
+    monitor = (
+        Monitor(provider, [config.instance_type], collect_interval=config.collect_interval)
+        if strategy.reads_monitor
+        else None
+    )
+    return config, monitor, strategy.build(config, monitor)
+
+
 __all__ = [
+    "STRATEGIES",
     "CheapestMigrationPolicy",
     "DeadlineAwarePolicy",
     "NaiveMultiRegionPolicy",
     "OnDemandPolicy",
     "SingleRegionPolicy",
     "SkyPilotPolicy",
+    "Strategy",
+    "build_strategy",
 ]

@@ -1,10 +1,12 @@
 """Tests for the spotverse CLI."""
 
+import argparse
 import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _build_parser, main
+from repro.strategies import STRATEGIES
 
 
 class TestRecommend:
@@ -135,6 +137,44 @@ class TestRun:
             ]
         )
         assert code == 1
+
+
+def _option_choices(commands, dest):
+    """``choices`` of option *dest* under the subcommand path *commands*."""
+    parser = _build_parser()
+    for command in commands:
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = sub.choices[command]
+    return next(a for a in parser._actions if a.dest == dest).choices
+
+
+class TestStrategyRoster:
+    @pytest.mark.parametrize(
+        "commands, dest",
+        [
+            (["run"], "strategy"),
+            (["obs"], "strategy"),
+            (["chaos", "run"], "policy"),
+            (["tenants"], "policy"),
+        ],
+    )
+    def test_choices_are_the_roster(self, commands, dest):
+        assert _option_choices(commands, dest) == sorted(STRATEGIES)
+
+    @pytest.mark.parametrize("strategy", ["deadline", "cheapest-migration", "spotverse-efs"])
+    def test_run_reaches_monitor_strategies(self, capsys, strategy):
+        code = main(
+            [
+                "run",
+                "--strategy", strategy,
+                "--workload", "synthetic",
+                "--workloads", "3",
+                "--duration-hours", "2",
+                "--seed", "5",
+            ]
+        )
+        assert code == 0
+        assert "3/3 complete" in capsys.readouterr().out
 
 
 class TestObsSubcommands:

@@ -7,6 +7,10 @@ bit of any ``FleetResult`` — cost, interruption times, migration
 regions, completion times — for SpotVerse or any baseline policy, on
 either checkpoint backend.
 
+Every scenario replays through two wirings: the hand-written reference
+in ``tests/golden_scenarios.py`` and the strategy roster
+(:func:`repro.strategies.build_strategy`) the CLI and chaos runner use.
+
 The restart tests assert the tentpole's durability property on top:
 tearing the controller down mid-run and rebuilding it from the
 ``FleetStateStore`` alone must also reproduce the fixture bit for bit.
@@ -16,13 +20,37 @@ import json
 
 import pytest
 
+from repro.cloud.provider import CloudProvider
+from repro.core.config import SpotVerseConfig
+from repro.core.controller import FleetController
+from repro.errors import StrategyError
+from repro.strategies import STRATEGIES, build_strategy
 from tests.golden_scenarios import (
     FIXTURE_PATH,
+    MAX_HOURS,
     SCENARIOS,
+    SEED,
+    WARMUP_STEPS,
+    _workloads,
     result_to_dict,
     run_scenario,
     run_scenario_restarted,
 )
+
+
+def run_roster_scenario(name):
+    """:func:`run_scenario`, with the policy wired by the strategy roster."""
+    provider = CloudProvider(seed=SEED)
+    provider.warmup_markets(WARMUP_STEPS)
+    config, monitor, policy = build_strategy(name, provider, SpotVerseConfig())
+    controller = FleetController(provider, policy, config, monitor=monitor)
+    result = controller.run(_workloads(), max_hours=MAX_HOURS)
+    provider.shutdown()
+    return result
+
+
+# The reference wiring keeps the bare scenario name as its test id.
+WIRINGS = {"reference": run_scenario, "roster": run_roster_scenario}
 
 
 @pytest.fixture(scope="module")
@@ -34,9 +62,25 @@ def fixture():
     return json.loads(FIXTURE_PATH.read_text())
 
 
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_bit_identical_to_monolith(name, fixture):
-    assert result_to_dict(run_scenario(name)) == fixture[name]
+@pytest.mark.parametrize(
+    "wiring, name",
+    [
+        pytest.param(wiring, name, id=name if wiring == "reference" else f"{name}-{wiring}")
+        for wiring in WIRINGS
+        for name in sorted(SCENARIOS)
+    ],
+)
+def test_bit_identical_to_monolith(wiring, name, fixture):
+    assert result_to_dict(WIRINGS[wiring](name)) == fixture[name]
+
+
+def test_roster_is_the_golden_roster():
+    assert tuple(STRATEGIES) == tuple(SCENARIOS)
+
+
+def test_unknown_strategy_names_the_roster():
+    with pytest.raises(StrategyError, match="choose one of spotverse, spotverse-efs"):
+        build_strategy("bogus", CloudProvider(seed=SEED), SpotVerseConfig())
 
 
 @pytest.mark.parametrize("name", ["single-region", "spotverse-efs"])
