@@ -28,10 +28,9 @@ from repro.core.config import SpotVerseConfig
 from repro.experiments.harness import (
     ArmSpec,
     indexed_workload_factory,
-    policy_factory,
     run_arms,
 )
-from repro.strategies.single_region import SingleRegionPolicy
+from repro.strategies import STRATEGIES
 from repro.workloads.genome_reconstruction import genome_reconstruction_workload
 
 ARMS = 4
@@ -50,11 +49,11 @@ TIMED_RUNS = 5
 
 
 def _specs():
-    config = SpotVerseConfig(instance_type="m5.xlarge")
+    config = SpotVerseConfig(instance_type="m5.xlarge", start_region="ca-central-1")
     return [
         ArmSpec(
             name=f"seed-{seed}",
-            policy_factory=policy_factory(SingleRegionPolicy, region="ca-central-1"),
+            strategy=STRATEGIES["single-region"],
             config=config,
             workload_factory=indexed_workload_factory(
                 genome_reconstruction_workload, "w-{:02d}", duration_hours=6.0

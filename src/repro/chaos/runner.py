@@ -30,7 +30,6 @@ from repro.core.config import SpotVerseConfig
 from repro.core.controller import FleetController
 from repro.core.result import FleetResult
 from repro.obs.live import LivePlane
-from repro.sim.clock import HOUR
 from repro.strategies import build_strategy
 from repro.workloads.base import Workload, synthetic_workload
 from repro.workloads.ngs_preprocessing import ngs_preprocessing_workload
@@ -295,13 +294,11 @@ def _compare_results(killed: FleetResult, baseline: FleetResult) -> InvariantRes
     )
 
 
-# Deadline horizon re-export used by callers sizing run_until targets.
 __all__ = [
     "ChaosRunOutcome",
     "DEFAULT_MAX_HOURS",
     "DEFAULT_SEED",
     "DEFAULT_WARMUP_STEPS",
-    "HOUR",
     "default_fleet",
     "run_campaign",
     "tenant_fleet",

@@ -105,10 +105,6 @@ class Monitor:
         except LambdaError as exc:
             note_dead_letter(self._provider.telemetry, "monitor:collector", str(exc))
 
-    def _put_snapshot_row(self, item: Dict[str, Any]) -> None:
-        """Write one snapshot row, riding out DynamoDB throttling."""
-        self._put_snapshot_rows([item])
-
     def _put_snapshot_rows(self, rows: List[Dict[str, Any]]) -> None:
         """Write one cycle's snapshot rows as a single batched request.
 

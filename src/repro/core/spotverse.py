@@ -28,23 +28,18 @@ class SpotVerse:
         provider: The cloud to manage.
         config: Control-plane configuration (threshold, region budget,
             instance type, ...).
-        warmup_steps: Market pre-roll before the control plane starts,
-            so prices/scores are off their calibrated means the way a
-            live market would be.
+
+    The markets pre-roll 48 steps before the control plane starts, so
+    prices and scores are off their calibrated means the way a live
+    market would be.
     """
 
-    def __init__(
-        self,
-        provider: CloudProvider,
-        config: Optional[SpotVerseConfig] = None,
-        warmup_steps: int = 48,
-    ) -> None:
+    def __init__(self, provider: CloudProvider, config: Optional[SpotVerseConfig] = None) -> None:
         # Deferred: repro.strategies imports repro.core, which imports this module.
         from repro.strategies import build_strategy
 
         self.provider = provider
-        if warmup_steps:
-            provider.warmup_markets(warmup_steps)
+        provider.warmup_markets(48)
         self.config, self.monitor, self.optimizer = build_strategy(
             "spotverse", provider, config or SpotVerseConfig()
         )

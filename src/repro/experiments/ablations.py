@@ -16,12 +16,27 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.core.config import SpotVerseConfig
-from repro.experiments.harness import ArmResult, ArmSpec, run_arm, run_arms, spotverse_policy
+from repro.core.prediction import PredictiveOptimizer
+from repro.experiments.harness import (
+    ArmResult,
+    ArmSpec,
+    indexed_workload_factory,
+    run_arm,
+    run_arms,
+)
 from repro.experiments.reporting import fmt_hours, fmt_money, render_table
-from repro.strategies.single_region import SingleRegionPolicy
-from repro.strategies.variants import CheapestMigrationPolicy
+from repro.strategies import STRATEGIES, Strategy
+from repro.strategies.deadline import DEFAULT_DEADLINE_FACTOR
 from repro.workloads.genome_reconstruction import genome_reconstruction_workload
 from repro.workloads.ngs_preprocessing import ngs_preprocessing_workload
+
+
+def _predictive(config, monitor):
+    return PredictiveOptimizer(monitor, config)
+
+
+#: Section 7's predictive optimizer: an ablation arm, not a roster strategy.
+PREDICTIVE = Strategy(_predictive, reads_monitor=True)
 
 
 @dataclass
@@ -60,14 +75,11 @@ def run_migration_ablation(n_workloads: int = 40, seed: int = 7) -> MigrationAbl
         initial_distribution=False,
         start_region="ca-central-1",
     )
-
-    def factory(i: int):
-        return genome_reconstruction_workload(f"w-{i:02d}")
-
+    factory = indexed_workload_factory(genome_reconstruction_workload, "w-{:02d}")
     specs = [
         ArmSpec(
             name="random-migration",
-            policy_factory=spotverse_policy,
+            strategy=STRATEGIES["spotverse"],
             config=config,
             workload_factory=factory,
             n_workloads=n_workloads,
@@ -75,7 +87,7 @@ def run_migration_ablation(n_workloads: int = 40, seed: int = 7) -> MigrationAbl
         ),
         ArmSpec(
             name="cheapest-migration",
-            policy_factory=lambda p, c, m: CheapestMigrationPolicy(m, c),
+            strategy=STRATEGIES["cheapest-migration"],
             config=config,
             workload_factory=factory,
             n_workloads=n_workloads,
@@ -108,17 +120,12 @@ class FallbackAblationResult:
 
 def run_fallback_ablation(n_workloads: int = 10, seed: int = 7) -> FallbackAblationResult:
     """Run SpotVerse with a threshold no region can meet."""
-    config = SpotVerseConfig(instance_type="m5.xlarge", score_threshold=9.0)
-
-    def factory(i: int):
-        return genome_reconstruction_workload(f"w-{i:02d}")
-
     arm = run_arm(
         ArmSpec(
             name="fallback",
-            policy_factory=spotverse_policy,
-            config=config,
-            workload_factory=factory,
+            strategy=STRATEGIES["spotverse"],
+            config=SpotVerseConfig(instance_type="m5.xlarge", score_threshold=9.0),
+            workload_factory=indexed_workload_factory(genome_reconstruction_workload, "w-{:02d}"),
             n_workloads=n_workloads,
             seed=seed,
         )
@@ -161,19 +168,18 @@ def run_checkpoint_backend_ablation(
     n_workloads: int = 20, seed: int = 7
 ) -> CheckpointBackendResult:
     """Run the checkpoint fleet under both artifact backends."""
-    def factory(i: int):
-        return ngs_preprocessing_workload(f"w-{i:02d}")
-
     arms: Dict[str, ArmResult] = {}
     for backend in ("s3", "efs"):
         arms[backend] = run_arm(
             ArmSpec(
                 name=backend,
-                policy_factory=lambda p, c, m: SingleRegionPolicy(region="ca-central-1"),
+                strategy=STRATEGIES["single-region"],
                 config=SpotVerseConfig(
-                    instance_type="m5.xlarge", checkpoint_backend=backend
+                    instance_type="m5.xlarge",
+                    start_region="ca-central-1",
+                    checkpoint_backend=backend,
                 ),
-                workload_factory=factory,
+                workload_factory=indexed_workload_factory(ngs_preprocessing_workload, "w-{:02d}"),
                 n_workloads=n_workloads,
                 seed=seed,
             )
@@ -211,26 +217,21 @@ def run_predictive_policy_ablation(
     n_workloads: int = 40, seed: int = 7
 ) -> PredictivePolicyResult:
     """Compare standard and predictive optimizers on the Fig. 7 setup."""
-    from repro.core.prediction import PredictiveOptimizer
-
     config = SpotVerseConfig(
         instance_type="m5.xlarge",
         initial_distribution=False,
         start_region="ca-central-1",
     )
-
-    def factory(i: int):
-        return genome_reconstruction_workload(f"w-{i:02d}")
-
+    factory = indexed_workload_factory(genome_reconstruction_workload, "w-{:02d}")
     arms: Dict[str, ArmResult] = {}
-    for name, policy_factory in [
-        ("spotverse", spotverse_policy),
-        ("spotverse-predictive", lambda p, c, m: PredictiveOptimizer(m, c)),
+    for name, strategy in [
+        ("spotverse", STRATEGIES["spotverse"]),
+        ("spotverse-predictive", PREDICTIVE),
     ]:
         arms[name] = run_arm(
             ArmSpec(
                 name=name,
-                policy_factory=policy_factory,
+                strategy=strategy,
                 config=config,
                 workload_factory=factory,
                 n_workloads=n_workloads,
@@ -284,34 +285,25 @@ def run_deadline_policy_ablation(
     n_workloads: int = 40,
     seed: int = 7,
     duration_hours: float = 10.5,
-    deadline_factor: float = 1.6,
 ) -> DeadlinePolicyResult:
     """Compare plain Algorithm 1 with deadline escalation (Fig. 7 setup)."""
-    from repro.strategies.deadline import DeadlineAwarePolicy
-
     config = SpotVerseConfig(
         instance_type="m5.xlarge",
         initial_distribution=False,
         start_region="ca-central-1",
     )
-
-    def factory(i: int):
-        return genome_reconstruction_workload(
-            f"w-{i:02d}", duration_hours=duration_hours
-        )
-
+    factory = indexed_workload_factory(
+        genome_reconstruction_workload, "w-{:02d}", duration_hours=duration_hours
+    )
     arms: Dict[str, ArmResult] = {}
-    for name, policy_factory in [
-        ("spotverse", spotverse_policy),
-        (
-            "spotverse-deadline",
-            lambda p, c, m: DeadlineAwarePolicy(m, c, deadline_factor=deadline_factor),
-        ),
+    for name, strategy in [
+        ("spotverse", STRATEGIES["spotverse"]),
+        ("spotverse-deadline", STRATEGIES["deadline"]),
     ]:
         arms[name] = run_arm(
             ArmSpec(
                 name=name,
-                policy_factory=policy_factory,
+                strategy=strategy,
                 config=config,
                 workload_factory=factory,
                 n_workloads=n_workloads,
@@ -319,7 +311,7 @@ def run_deadline_policy_ablation(
             )
         )
     return DeadlinePolicyResult(
-        arms=arms, deadline_hours=deadline_factor * duration_hours
+        arms=arms, deadline_hours=DEFAULT_DEADLINE_FACTOR * duration_hours
     )
 
 
@@ -357,17 +349,14 @@ def run_checkpoint_granularity(
     """Sweep checkpoint granularity under a flaky single region."""
     arms: Dict[int, ArmResult] = {}
     for segments in segment_counts:
-        def factory(i: int, segments=segments):
-            return ngs_preprocessing_workload(
-                f"w-{i:02d}", n_segments=segments
-            )
-
         arms[segments] = run_arm(
             ArmSpec(
                 name=f"segments-{segments}",
-                policy_factory=lambda p, c, m: SingleRegionPolicy(region="ca-central-1"),
-                config=SpotVerseConfig(instance_type="m5.xlarge"),
-                workload_factory=factory,
+                strategy=STRATEGIES["single-region"],
+                config=SpotVerseConfig(instance_type="m5.xlarge", start_region="ca-central-1"),
+                workload_factory=indexed_workload_factory(
+                    ngs_preprocessing_workload, "w-{:02d}", n_segments=segments
+                ),
                 n_workloads=n_workloads,
                 seed=seed,
             )

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from typing import Dict, Sequence
 
 from repro.core.config import SpotVerseConfig
-from repro.experiments.harness import ArmResult, ArmSpec, run_arm, spotverse_policy
+from repro.experiments.harness import ArmResult, ArmSpec, indexed_workload_factory, run_arm
 from repro.experiments.reporting import fmt_hours, render_table
-from repro.strategies.single_region import SingleRegionPolicy
+from repro.strategies import STRATEGIES
 from repro.workloads.base import synthetic_workload
 
 #: The region whose pool is metered in this study.
@@ -92,15 +92,15 @@ def run_footprint_study(
     """Run concentrated-vs-spread arms across fleet sizes."""
     concentrated: Dict[int, ArmResult] = {}
     distributed: Dict[int, ArmResult] = {}
+    factory = indexed_workload_factory(
+        synthetic_workload, "w-{:03d}", duration_hours=duration_hours
+    )
     for size in fleet_sizes:
-        def factory(i: int):
-            return synthetic_workload(f"w-{i:03d}", duration_hours=duration_hours)
-
         concentrated[size] = run_arm(
             ArmSpec(
                 name=f"concentrated-{size}",
-                policy_factory=lambda p, c, m: SingleRegionPolicy(region=STUDY_REGION),
-                config=SpotVerseConfig(instance_type="m5.xlarge"),
+                strategy=STRATEGIES["single-region"],
+                config=SpotVerseConfig(instance_type="m5.xlarge", start_region=STUDY_REGION),
                 workload_factory=factory,
                 n_workloads=size,
                 seed=seed,
@@ -111,7 +111,7 @@ def run_footprint_study(
         distributed[size] = run_arm(
             ArmSpec(
                 name=f"distributed-{size}",
-                policy_factory=spotverse_policy,
+                strategy=STRATEGIES["spotverse"],
                 config=SpotVerseConfig(instance_type="m5.xlarge"),
                 workload_factory=factory,
                 n_workloads=size,

@@ -2,17 +2,19 @@
 
 Every experiment arm gets its own :class:`~repro.cloud.provider.CloudProvider`
 (so cost ledgers, markets, and event streams never leak between
-strategies), a Monitor (SpotVerse's data plane runs regardless of the
-policy, as it would in the paper's shared-account setup), and the
-shared :class:`~repro.core.controller.FleetController`.
+strategies), a Monitor, and the shared
+:class:`~repro.core.controller.FleetController`.  An arm's strategy is
+a :class:`~repro.strategies.Strategy` row — usually
+``STRATEGIES[name]``, with per-arm parameters (the single-region
+``start_region``, the on-demand ``instance_type``) in the arm's config.
 
 Arms are share-nothing by construction, which makes sweeps
 embarrassingly parallel: :func:`run_arms` (and :func:`mean_over_seeds`)
 accept a ``jobs`` knob that fans independent arms out over a process
-pool.  Specs must be picklable to cross the process boundary — build
-them from module-level factories or the :func:`policy_factory` /
-:func:`indexed_workload_factory` helpers below.  Specs that cannot
-travel (non-picklable closures, or a live ``telemetry`` bundle whose
+pool.  Specs must be picklable to cross the process boundary — roster
+rows are, and workload factories should come from
+:func:`indexed_workload_factory`.  Specs that cannot travel
+(non-picklable closures, or a live ``telemetry`` bundle whose
 subscribers must observe the run in *this* process) gracefully fall
 back to serial execution; results are keyed and ordered identically
 either way.
@@ -25,32 +27,23 @@ import pickle
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.cloud.profiles import default_market_profiles
 from repro.cloud.provider import CloudProvider
 from repro.core.config import SpotVerseConfig
 from repro.core.controller import FleetController
 from repro.core.monitor import Monitor
-from repro.core.optimizer import SpotVerseOptimizer
-from repro.core.policy import PlacementPolicy
 from repro.core.result import FleetResult
 from repro.obs import Telemetry
+from repro.strategies import Strategy
 from repro.workloads.base import Workload
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.chaos.campaign import CampaignSpec
-    from repro.core.dag import DagWorkload
-
-#: Builds the policy for an arm.  Receives the provider, the arm's
-#: config, and a live Monitor.
-PolicyFactory = Callable[[CloudProvider, SpotVerseConfig, Monitor], PlacementPolicy]
 
 #: Builds workload *i* of the fleet.
 WorkloadFactory = Callable[[int], Workload]
 
-#: Builds an arm's compiled DAGs (DAG-aware placement arms).
-DagFactory = Callable[[], Sequence["DagWorkload"]]
+#: Market pre-roll before every arm's run.
+WARMUP_STEPS = 48
 
 #: Fallback worker count when ``jobs`` is not given anywhere.
 _default_jobs = 1
@@ -69,26 +62,6 @@ def set_default_jobs(jobs: int) -> None:
 def default_jobs() -> int:
     """The process-wide default worker count."""
     return _default_jobs
-
-
-def spotverse_policy(
-    provider: CloudProvider, config: SpotVerseConfig, monitor: Monitor
-) -> PlacementPolicy:
-    """The default SpotVerse policy factory (Algorithm 1)."""
-    return SpotVerseOptimizer(monitor, config)
-
-
-def _build_policy(provider, config, monitor, *, policy_cls, **kwargs):
-    return policy_cls(**kwargs)
-
-
-def policy_factory(policy_cls, **kwargs) -> PolicyFactory:
-    """A picklable policy factory: ``policy_cls(**kwargs)`` per arm.
-
-    Replaces ``lambda p, c, m: SomePolicy(...)`` closures, which cannot
-    cross the process-pool boundary.
-    """
-    return partial(_build_policy, policy_cls=policy_cls, **kwargs)
 
 
 def _build_indexed_workload(index, *, builder, id_format, **kwargs):
@@ -115,8 +88,9 @@ class ArmSpec:
 
     Attributes:
         name: Arm label used in reports.
-        policy_factory: Builds the arm's placement policy.
-        config: Control-plane configuration for the arm.
+        strategy: The arm's roster row (e.g. ``STRATEGIES["spotverse"]``).
+        config: Control-plane configuration for the arm; the strategy's
+            overrides are applied on top.
         workload_factory: Builds workload *i*.
         n_workloads: Fleet size (the paper uses 40, or 42 in Fig. 3).
         seed: Provider master seed (same seed across arms = same market
@@ -124,7 +98,6 @@ class ArmSpec:
         max_hours: Simulation deadline.
         profile_overrides: Optional market-regime overrides (e.g. the
             threshold study's collection date).
-        warmup_steps: Market pre-roll before the run.
         telemetry: Observability hook: a bundle the arm's provider
             emits into (e.g. one wired to a JSONL subscriber, or a
             shared registry when a driver wants cross-arm aggregation).
@@ -135,11 +108,6 @@ class ArmSpec:
             observatory (per-market time series + anomaly events).
             Off by default — sweeps don't pay the sampling cost unless
             a driver wants the market view.
-        campaign: Optional chaos campaign installed on the arm's
-            provider after warmup (``controller-kill`` injections are
-            runner-level faults and are ignored here).  ``None`` — the
-            default — means a fault-free arm, bit-identical to
-            pre-chaos builds.
         live_dir: When set, the arm's
             :class:`~repro.obs.live.LivePlane` streams its telemetry
             into segmented JSONL under ``<live_dir>/<arm name>``.
@@ -153,31 +121,21 @@ class ArmSpec:
             segment/window caps instead of the run length.  Off by
             default — post-run consumers (reports, ``write_jsonl``)
             need the full stream.
-        dag_factory: When set, the arm schedules *DAGs* instead of a
-            flat fleet: the factory's compiled
-            :class:`~repro.core.dag.DagWorkload` list runs through
-            ``controller.run_dags`` (steps released topologically,
-            fanned out across instances) and ``workload_factory`` /
-            ``n_workloads`` are ignored.  Use a module-level factory to
-            stay picklable for pool execution.
     """
 
     name: str
-    policy_factory: PolicyFactory
+    strategy: Strategy
     config: SpotVerseConfig
     workload_factory: WorkloadFactory
     n_workloads: int = 40
     seed: int = 7
     max_hours: float = 160.0
     profile_overrides: Optional[Mapping[Tuple[str, str], Mapping[str, float]]] = None
-    warmup_steps: int = 48
     telemetry: Optional[Telemetry] = None
     observatory: bool = False
-    campaign: Optional["CampaignSpec"] = None
     live_dir: Optional[str] = None
     flight_dir: Optional[str] = None
     trim_bus: bool = False
-    dag_factory: Optional[DagFactory] = None
 
 
 @dataclass
@@ -223,8 +181,7 @@ def run_arm(spec: ArmSpec) -> ArmResult:
         telemetry=spec.telemetry,
         observatory=spec.observatory,
     )
-    if spec.warmup_steps:
-        provider.warmup_markets(spec.warmup_steps)
+    provider.warmup_markets(WARMUP_STEPS)
     plane = None
     if spec.live_dir is not None or spec.flight_dir is not None:
         from repro.obs.flight import FlightRecorder
@@ -245,22 +202,16 @@ def run_arm(spec: ArmSpec) -> ArmResult:
             recorder=recorder,
         )
     try:
+        strategy = spec.strategy
+        config = strategy.configure(spec.config)
+        # Every arm runs the shared-account Monitor, as in the paper; EXPERIMENTS.md depends on it.
         monitor = Monitor(
-            provider,
-            instance_types=[spec.config.instance_type],
-            collect_interval=spec.config.collect_interval,
+            provider, [config.instance_type], collect_interval=config.collect_interval
         )
-        policy = spec.policy_factory(provider, spec.config, monitor)
-        controller = FleetController(provider, policy, spec.config, monitor=monitor)
-        if spec.campaign is not None:
-            from repro.chaos.faults import ChaosController
-
-            ChaosController(provider, spec.campaign.without_kills()).install()
-        if spec.dag_factory is not None:
-            fleet = controller.run_dags(spec.dag_factory(), max_hours=spec.max_hours)
-        else:
-            workloads = [spec.workload_factory(index) for index in range(spec.n_workloads)]
-            fleet = controller.run(workloads, max_hours=spec.max_hours)
+        policy = strategy.build(config, monitor if strategy.reads_monitor else None)
+        controller = FleetController(provider, policy, config, monitor=monitor)
+        workloads = [spec.workload_factory(index) for index in range(spec.n_workloads)]
+        fleet = controller.run(workloads, max_hours=spec.max_hours)
         # Unbind the control plane before shutdown: a late engine callback
         # (sweep tick, straggler fulfillment) must hit the router's inert
         # path, not a half-dismantled service.

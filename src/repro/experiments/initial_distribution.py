@@ -21,9 +21,9 @@ from repro.experiments.harness import (
     ArmSpec,
     indexed_workload_factory,
     run_arms,
-    spotverse_policy,
 )
 from repro.experiments.reporting import fmt_hours, fmt_money, fmt_pct, pct_change, render_table
+from repro.strategies import STRATEGIES
 from repro.workloads.genome_reconstruction import genome_reconstruction_workload
 from repro.workloads.ngs_preprocessing import ngs_preprocessing_workload
 
@@ -107,7 +107,7 @@ def run_initial_distribution_experiment(
         specs.append(
             ArmSpec(
                 name=f"{kind}-concentrated",
-                policy_factory=spotverse_policy,
+                strategy=STRATEGIES["spotverse"],
                 config=concentrated_config,
                 workload_factory=factory,
                 n_workloads=n_workloads,
@@ -117,7 +117,7 @@ def run_initial_distribution_experiment(
         specs.append(
             ArmSpec(
                 name=f"{kind}-distributed",
-                policy_factory=spotverse_policy,
+                strategy=STRATEGIES["spotverse"],
                 config=distributed_config,
                 workload_factory=factory,
                 n_workloads=n_workloads,

@@ -19,12 +19,10 @@ from repro.experiments.harness import (
     ArmResult,
     ArmSpec,
     indexed_workload_factory,
-    policy_factory,
     run_arms,
-    spotverse_policy,
 )
 from repro.experiments.reporting import fmt_hours, fmt_money, render_table
-from repro.strategies.single_region import SingleRegionPolicy
+from repro.strategies import STRATEGIES
 from repro.workloads.qiime import standard_general_workload
 
 #: Table 1 of the paper: instance type -> cheapest (baseline) region.
@@ -132,8 +130,8 @@ def run_instance_study(
         specs.append(
             ArmSpec(
                 name=f"{itype}-single",
-                policy_factory=policy_factory(SingleRegionPolicy, region=baseline_region),
-                config=SpotVerseConfig(instance_type=itype),
+                strategy=STRATEGIES["single-region"],
+                config=SpotVerseConfig(instance_type=itype, start_region=baseline_region),
                 workload_factory=factory,
                 n_workloads=n_workloads,
                 seed=seed,
@@ -142,7 +140,7 @@ def run_instance_study(
         specs.append(
             ArmSpec(
                 name=f"{itype}-spotverse",
-                policy_factory=spotverse_policy,
+                strategy=STRATEGIES["spotverse"],
                 config=SpotVerseConfig(
                     instance_type=itype,
                     initial_distribution=False,

@@ -17,12 +17,10 @@ from repro.experiments.harness import (
     ArmResult,
     ArmSpec,
     indexed_workload_factory,
-    policy_factory,
     run_arms,
 )
 from repro.experiments.reporting import fmt_hours, fmt_money, fmt_pct, pct_change, render_table
-from repro.strategies.naive_multi_region import MOTIVATION_REGIONS, NaiveMultiRegionPolicy
-from repro.strategies.single_region import SingleRegionPolicy
+from repro.strategies import STRATEGIES
 from repro.workloads.genome_reconstruction import genome_reconstruction_workload
 from repro.workloads.ngs_preprocessing import ngs_preprocessing_workload
 
@@ -101,6 +99,7 @@ def run_motivation_experiment(
     to run fig3 with the live observability plane on.
     """
     config = SpotVerseConfig(instance_type="m5.xlarge")
+    single_config = SpotVerseConfig(instance_type="m5.xlarge", start_region="ca-central-1")
     factories = {
         "standard": indexed_workload_factory(
             genome_reconstruction_workload, "std-{:02d}", duration_hours=duration_hours
@@ -114,8 +113,8 @@ def run_motivation_experiment(
         specs.append(
             ArmSpec(
                 name=f"{kind}-single",
-                policy_factory=policy_factory(SingleRegionPolicy, region="ca-central-1"),
-                config=config,
+                strategy=STRATEGIES["single-region"],
+                config=single_config,
                 workload_factory=factory,
                 n_workloads=n_workloads,
                 seed=seed,
@@ -127,9 +126,7 @@ def run_motivation_experiment(
         specs.append(
             ArmSpec(
                 name=f"{kind}-multi",
-                policy_factory=policy_factory(
-                    NaiveMultiRegionPolicy, regions=MOTIVATION_REGIONS
-                ),
+                strategy=STRATEGIES["naive-multi-region"],
                 config=config,
                 workload_factory=factory,
                 n_workloads=n_workloads,

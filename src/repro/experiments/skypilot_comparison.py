@@ -16,12 +16,10 @@ from repro.experiments.harness import (
     ArmResult,
     ArmSpec,
     indexed_workload_factory,
-    policy_factory,
     run_arms,
-    spotverse_policy,
 )
 from repro.experiments.reporting import fmt_hours, fmt_money, render_table
-from repro.strategies.skypilot import SkyPilotPolicy
+from repro.strategies import STRATEGIES
 from repro.workloads.qiime import standard_general_workload
 
 #: Table 4 of the paper.
@@ -96,7 +94,7 @@ def run_skypilot_comparison(
     specs = [
         ArmSpec(
             name="spotverse",
-            policy_factory=spotverse_policy,
+            strategy=STRATEGIES["spotverse"],
             config=SpotVerseConfig(instance_type="m5.xlarge"),
             workload_factory=factory,
             n_workloads=n_workloads,
@@ -104,7 +102,7 @@ def run_skypilot_comparison(
         ),
         ArmSpec(
             name="skypilot",
-            policy_factory=policy_factory(SkyPilotPolicy, instance_type="m5.xlarge"),
+            strategy=STRATEGIES["skypilot"],
             config=SpotVerseConfig(instance_type="m5.xlarge"),
             workload_factory=factory,
             n_workloads=n_workloads,

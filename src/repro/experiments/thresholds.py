@@ -19,9 +19,9 @@ from repro.core.config import SpotVerseConfig
 from repro.core.monitor import Monitor
 from repro.core.optimizer import SpotVerseOptimizer
 from repro.core.policy import PolicyContext
-from repro.experiments.harness import ArmResult, ArmSpec, run_arm, spotverse_policy
+from repro.experiments.harness import ArmResult, ArmSpec, indexed_workload_factory, run_arm
 from repro.experiments.reporting import render_table
-from repro.strategies.on_demand import OnDemandPolicy
+from repro.strategies import STRATEGIES
 from repro.workloads.qiime import standard_general_workload
 
 #: Table 2 of the paper.
@@ -119,13 +119,13 @@ def run_threshold_study(
     normalized: Dict[Tuple[int, int], float] = {}
 
     for duration in DURATIONS_HOURS:
-        def factory(i: int, duration=duration):
-            return standard_general_workload(f"w-{i:02d}", duration_hours=duration)
-
+        factory = indexed_workload_factory(
+            standard_general_workload, "w-{:02d}", duration_hours=duration
+        )
         od_arm = run_arm(
             ArmSpec(
                 name=f"od-d{duration}",
-                policy_factory=lambda p, c, m: OnDemandPolicy(instance_type="m5.xlarge"),
+                strategy=STRATEGIES["on-demand"],
                 config=SpotVerseConfig(instance_type="m5.xlarge"),
                 workload_factory=factory,
                 n_workloads=n_workloads,
@@ -140,7 +140,7 @@ def run_threshold_study(
             arm = run_arm(
                 ArmSpec(
                     name=f"t{threshold}-d{duration}",
-                    policy_factory=spotverse_policy,
+                    strategy=STRATEGIES["spotverse"],
                     config=SpotVerseConfig(
                         instance_type="m5.xlarge", score_threshold=float(threshold)
                     ),

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.core.config import SpotVerseConfig
-from repro.experiments.harness import ArmResult, ArmSpec, run_arm
+from repro.experiments.harness import ArmResult, ArmSpec, indexed_workload_factory, run_arm
 from repro.experiments.reporting import render_table
 from repro.experiments.timeline import interruption_concentration, interruptions_by_hour
-from repro.strategies.single_region import SingleRegionPolicy
+from repro.strategies import STRATEGIES
 from repro.workloads.base import WorkloadKind, synthetic_workload
 
 
@@ -76,20 +76,18 @@ def run_time_pattern_study(
     their exposure around through restarts), giving a clean sample of
     the market's reclaim timing.
     """
-    def factory(i: int):
-        return synthetic_workload(
-            f"probe-{i:02d}",
-            duration_hours=observation_hours * 0.9,
-            n_segments=40,
-            kind=WorkloadKind.CHECKPOINT,
-        )
-
     arm = run_arm(
         ArmSpec(
             name="observation",
-            policy_factory=lambda p, c, m: SingleRegionPolicy(region=region),
-            config=SpotVerseConfig(instance_type="m5.xlarge"),
-            workload_factory=factory,
+            strategy=STRATEGIES["single-region"],
+            config=SpotVerseConfig(instance_type="m5.xlarge", start_region=region),
+            workload_factory=indexed_workload_factory(
+                synthetic_workload,
+                "probe-{:02d}",
+                duration_hours=observation_hours * 0.9,
+                n_segments=40,
+                kind=WorkloadKind.CHECKPOINT,
+            ),
             n_workloads=n_workloads,
             seed=seed,
             max_hours=observation_hours * 3,

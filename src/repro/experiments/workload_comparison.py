@@ -17,13 +17,10 @@ from repro.experiments.harness import (
     ArmResult,
     ArmSpec,
     indexed_workload_factory,
-    policy_factory,
     run_arms,
-    spotverse_policy,
 )
 from repro.experiments.reporting import fmt_hours, fmt_money, render_table
-from repro.strategies.on_demand import OnDemandPolicy
-from repro.strategies.single_region import SingleRegionPolicy
+from repro.strategies import STRATEGIES
 from repro.workloads.genome_reconstruction import genome_reconstruction_workload
 from repro.workloads.ngs_preprocessing import ngs_preprocessing_workload
 
@@ -107,6 +104,7 @@ def run_workload_comparison(
         initial_distribution=False,
         start_region=START_REGION,
     )
+    single_config = SpotVerseConfig(instance_type="m5.xlarge", start_region=START_REGION)
     baseline_config = SpotVerseConfig(instance_type="m5.xlarge")
     standard = indexed_workload_factory(
         genome_reconstruction_workload, "std-{:02d}", duration_hours=duration_hours
@@ -118,15 +116,15 @@ def run_workload_comparison(
     specs = [
         ArmSpec(
             name="standard-single",
-            policy_factory=policy_factory(SingleRegionPolicy, region=START_REGION),
-            config=baseline_config,
+            strategy=STRATEGIES["single-region"],
+            config=single_config,
             workload_factory=standard,
             n_workloads=n_workloads,
             seed=seed,
         ),
         ArmSpec(
             name="standard-spotverse",
-            policy_factory=spotverse_policy,
+            strategy=STRATEGIES["spotverse"],
             config=spotverse_config,
             workload_factory=standard,
             n_workloads=n_workloads,
@@ -134,7 +132,7 @@ def run_workload_comparison(
         ),
         ArmSpec(
             name="standard-on-demand",
-            policy_factory=policy_factory(OnDemandPolicy, instance_type="m5.xlarge"),
+            strategy=STRATEGIES["on-demand"],
             config=baseline_config,
             workload_factory=standard,
             n_workloads=n_workloads,
@@ -142,15 +140,15 @@ def run_workload_comparison(
         ),
         ArmSpec(
             name="checkpoint-single",
-            policy_factory=policy_factory(SingleRegionPolicy, region=START_REGION),
-            config=baseline_config,
+            strategy=STRATEGIES["single-region"],
+            config=single_config,
             workload_factory=checkpoint,
             n_workloads=n_workloads,
             seed=seed,
         ),
         ArmSpec(
             name="checkpoint-spotverse",
-            policy_factory=spotverse_policy,
+            strategy=STRATEGIES["spotverse"],
             config=spotverse_config,
             workload_factory=checkpoint,
             n_workloads=n_workloads,

@@ -20,8 +20,9 @@ decisions:
 
 :data:`STRATEGIES` is the one roster of named strategies: the chaos
 runner, the CLI and the :class:`~repro.core.spotverse.SpotVerse` façade
-all build their policy through :func:`build_strategy`, so adding a
-strategy is one row there.
+build their policy through :func:`build_strategy`, and every experiment
+arm (:class:`~repro.experiments.harness.ArmSpec`) carries a row, so
+adding a strategy is one row there.
 """
 
 from __future__ import annotations
@@ -49,7 +50,8 @@ class Strategy:
 
     Attributes:
         build: ``(config, monitor) -> policy``; *monitor* is ``None``
-            unless *reads_monitor*.
+            unless *reads_monitor*.  A module-level function, so the
+            row pickles into process-pool workers.
         reads_monitor: Whether the policy scores regions from the
             Monitor's snapshots (the Algorithm-1 family).
         overrides: :class:`SpotVerseConfig` fields the strategy pins
@@ -60,31 +62,51 @@ class Strategy:
     reads_monitor: bool = False
     overrides: Dict[str, Any] = field(default_factory=dict)
 
+    def configure(self, config: SpotVerseConfig) -> SpotVerseConfig:
+        """*config* with the strategy's overrides applied."""
+        return replace(config, **self.overrides) if self.overrides else config
+
+
+def _spotverse(config, monitor):
+    return SpotVerseOptimizer(monitor, config)
+
+
+def _single_region(config, _):
+    return SingleRegionPolicy(region=config.start_region, instance_type=config.instance_type)
+
+
+def _naive_multi_region(config, _):
+    return NaiveMultiRegionPolicy()
+
+
+def _on_demand(config, _):
+    return OnDemandPolicy(instance_type=config.instance_type)
+
+
+def _skypilot(config, _):
+    return SkyPilotPolicy(instance_type=config.instance_type)
+
+
+def _cheapest_migration(config, monitor):
+    return CheapestMigrationPolicy(monitor, config)
+
+
+def _deadline(config, monitor):
+    return DeadlineAwarePolicy(monitor, config)
+
 
 #: Name -> strategy, in golden-fixture order.
 STRATEGIES: Dict[str, Strategy] = {
-    "spotverse": Strategy(
-        lambda config, monitor: SpotVerseOptimizer(monitor, config), reads_monitor=True
-    ),
+    "spotverse": Strategy(_spotverse, reads_monitor=True),
     "spotverse-efs": Strategy(
-        lambda config, monitor: SpotVerseOptimizer(monitor, config),
-        reads_monitor=True,
-        overrides={"checkpoint_backend": "efs"},
+        _spotverse, reads_monitor=True, overrides={"checkpoint_backend": "efs"}
     ),
-    "single-region": Strategy(
-        lambda config, _: SingleRegionPolicy(
-            region=config.start_region, instance_type=config.instance_type
-        )
-    ),
-    "naive-multi-region": Strategy(lambda config, _: NaiveMultiRegionPolicy()),
-    "on-demand": Strategy(lambda config, _: OnDemandPolicy(instance_type=config.instance_type)),
-    "skypilot": Strategy(lambda config, _: SkyPilotPolicy(instance_type=config.instance_type)),
-    "cheapest-migration": Strategy(
-        lambda config, monitor: CheapestMigrationPolicy(monitor, config), reads_monitor=True
-    ),
-    "deadline": Strategy(
-        lambda config, monitor: DeadlineAwarePolicy(monitor, config), reads_monitor=True
-    ),
+    "single-region": Strategy(_single_region),
+    "naive-multi-region": Strategy(_naive_multi_region),
+    "on-demand": Strategy(_on_demand),
+    "skypilot": Strategy(_skypilot),
+    "cheapest-migration": Strategy(_cheapest_migration, reads_monitor=True),
+    "deadline": Strategy(_deadline, reads_monitor=True),
 }
 
 
@@ -101,8 +123,7 @@ def build_strategy(
     strategy = STRATEGIES.get(name)
     if strategy is None:
         raise StrategyError(f"unknown strategy {name!r}; choose one of {', '.join(STRATEGIES)}")
-    if strategy.overrides:
-        config = replace(config, **strategy.overrides)
+    config = strategy.configure(config)
     monitor = (
         Monitor(provider, [config.instance_type], collect_interval=config.collect_interval)
         if strategy.reads_monitor

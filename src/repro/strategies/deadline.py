@@ -19,6 +19,9 @@ from repro.core.optimizer import SpotVerseOptimizer
 from repro.core.policy import Placement, PolicyContext, PurchasingOption
 from repro.workloads.base import Workload
 
+#: Default deadline, as a multiple of a workload's total duration.
+DEFAULT_DEADLINE_FACTOR = 1.6
+
 
 class DeadlineAwarePolicy(SpotVerseOptimizer):
     """Algorithm 1 plus per-workload on-demand escalation.
@@ -40,7 +43,7 @@ class DeadlineAwarePolicy(SpotVerseOptimizer):
         self,
         monitor: Monitor,
         config: SpotVerseConfig,
-        deadline_factor: float = 1.6,
+        deadline_factor: float = DEFAULT_DEADLINE_FACTOR,
         safety_margin: float = 0.25,
     ) -> None:
         super().__init__(monitor, config)

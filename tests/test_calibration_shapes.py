@@ -11,18 +11,18 @@ import pytest
 
 from repro.cloud.profiles import THRESHOLD_EPOCH_OVERRIDES
 from repro.core.config import SpotVerseConfig
-from repro.experiments.harness import ArmSpec, run_arm, run_arms, spotverse_policy
-from repro.strategies import OnDemandPolicy, SingleRegionPolicy, SkyPilotPolicy
+from repro.experiments.harness import ArmSpec, run_arm, run_arms
+from repro.strategies import STRATEGIES
 from repro.workloads import genome_reconstruction_workload, synthetic_workload
 
 N = 12
 SEED = 7
 
 
-def spec(name, policy_factory, config=None, factory=None, overrides=None):
+def spec(name, strategy, config=None, factory=None, overrides=None):
     return ArmSpec(
         name=name,
-        policy_factory=policy_factory,
+        strategy=STRATEGIES[strategy],
         config=config or SpotVerseConfig(instance_type="m5.xlarge"),
         workload_factory=factory
         or (lambda i: genome_reconstruction_workload(f"w{i:02d}", duration_hours=8.0)),
@@ -42,9 +42,13 @@ def core_arms():
     )
     return run_arms(
         [
-            spec("single", lambda p, c, m: SingleRegionPolicy(region="ca-central-1")),
-            spec("spotverse", spotverse_policy, config=spotverse_config),
-            spec("on-demand", lambda p, c, m: OnDemandPolicy(instance_type="m5.xlarge")),
+            spec(
+                "single",
+                "single-region",
+                config=SpotVerseConfig(instance_type="m5.xlarge", start_region="ca-central-1"),
+            ),
+            spec("spotverse", "spotverse", config=spotverse_config),
+            spec("on-demand", "on-demand"),
         ]
     )
 
@@ -80,7 +84,7 @@ class TestSkyPilotShape:
         arm = run_arm(
             spec(
                 "skypilot",
-                lambda p, c, m: SkyPilotPolicy(instance_type="m5.xlarge"),
+                "skypilot",
                 factory=lambda i: synthetic_workload(f"w{i}", duration_hours=8.0),
             )
         )
@@ -97,7 +101,7 @@ class TestThresholdShape:
             [
                 spec(
                     f"t{threshold}",
-                    spotverse_policy,
+                    "spotverse",
                     config=SpotVerseConfig(
                         instance_type="m5.xlarge", score_threshold=float(threshold)
                     ),

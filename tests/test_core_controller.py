@@ -216,7 +216,7 @@ class TestFleetController:
         assert checkpoint_result.total_cost < standard_result.total_cost
         assert checkpoint_result.makespan <= standard_result.makespan
 
-    def test_spotverse_policy_migrates_away(self):
+    def test_spotverse_optimizer_migrates_away(self):
         provider = CloudProvider(seed=4)
         provider.warmup_markets(24)
         config = SpotVerseConfig(

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.config import SpotVerseConfig
-from repro.experiments.harness import ArmSpec, mean_over_seeds, run_arm, run_arms, spotverse_policy
+from repro.experiments.harness import ArmSpec, mean_over_seeds, run_arm, run_arms
 from repro.experiments.reporting import (
     fmt_hours,
     fmt_money,
@@ -11,14 +11,14 @@ from repro.experiments.reporting import (
     pct_change,
     render_table,
 )
-from repro.strategies import OnDemandPolicy, SingleRegionPolicy
+from repro.strategies import STRATEGIES
 from repro.workloads import synthetic_workload
 
 
 def od_spec(name="od", n=3, seed=1):
     return ArmSpec(
         name=name,
-        policy_factory=lambda p, c, m: OnDemandPolicy(instance_type="m5.xlarge"),
+        strategy=STRATEGIES["on-demand"],
         config=SpotVerseConfig(instance_type="m5.xlarge"),
         workload_factory=lambda i: synthetic_workload(f"w{i}", duration_hours=2.0),
         n_workloads=n,
@@ -79,10 +79,10 @@ class TestHarness:
         assert hours > 2.0
         assert cost > 0
 
-    def test_spotverse_policy_factory(self):
+    def test_spotverse_roster_arm(self):
         spec = ArmSpec(
             name="sv",
-            policy_factory=spotverse_policy,
+            strategy=STRATEGIES["spotverse"],
             config=SpotVerseConfig(instance_type="m5.xlarge"),
             workload_factory=lambda i: synthetic_workload(f"w{i}", duration_hours=2.0),
             n_workloads=2,

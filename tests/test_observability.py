@@ -31,7 +31,7 @@ from repro.obs import (
 from repro.obs.profiler import HotPathProfile
 from repro.sim.engine import SimulationEngine
 from repro.sim.trace import EngineTracer
-from repro.strategies import OnDemandPolicy, SingleRegionPolicy
+from repro.strategies import STRATEGIES, OnDemandPolicy, SingleRegionPolicy
 from repro.workloads import genome_reconstruction_workload
 from repro.workloads.base import synthetic_workload
 
@@ -427,14 +427,11 @@ class TestHarnessTelemetryHook:
         telemetry = Telemetry()
         spec = ArmSpec(
             name="probe",
-            policy_factory=lambda provider, config, monitor: OnDemandPolicy(
-                instance_type=config.instance_type
-            ),
+            strategy=STRATEGIES["on-demand"],
             config=SpotVerseConfig(instance_type="m5.xlarge"),
             workload_factory=lambda i: synthetic_workload(f"h-{i}", duration_hours=1.0),
             n_workloads=2,
             max_hours=6.0,
-            warmup_steps=12,
             telemetry=telemetry,
         )
         result = run_arm(spec)

@@ -2,31 +2,32 @@
 
 import os
 import pickle
+from dataclasses import replace
 
 import pytest
 
 from repro.core.config import SpotVerseConfig
 from repro.experiments import harness
+from repro.experiments.ablations import run_migration_ablation
 from repro.experiments.harness import (
     ArmSpec,
     default_jobs,
     indexed_workload_factory,
     mean_over_seeds,
-    policy_factory,
     run_arms,
     run_arms_parallel,
     set_default_jobs,
 )
 from repro.obs import Telemetry
-from repro.strategies.single_region import SingleRegionPolicy
+from repro.strategies import STRATEGIES
 from repro.workloads.genome_reconstruction import genome_reconstruction_workload
 
 
 def _spec(name="arm", seed=3, telemetry=None, observatory=False):
     return ArmSpec(
         name=name,
-        policy_factory=policy_factory(SingleRegionPolicy, region="ca-central-1"),
-        config=SpotVerseConfig(instance_type="m5.xlarge"),
+        strategy=STRATEGIES["single-region"],
+        config=SpotVerseConfig(instance_type="m5.xlarge", start_region="ca-central-1"),
         workload_factory=indexed_workload_factory(
             genome_reconstruction_workload, "w-{:02d}", duration_hours=2.0
         ),
@@ -52,6 +53,26 @@ def test_factories_are_picklable():
     clone = pickle.loads(pickle.dumps(spec))
     assert clone.name == spec.name
     assert clone.workload_factory(3).workload_id == "w-03"
+
+
+def test_roster_arms_pickle_and_run_in_pool():
+    for name, strategy in STRATEGIES.items():
+        assert pickle.loads(pickle.dumps(strategy)) == strategy, name
+        spec = replace(_spec(name=name), strategy=strategy)
+        assert pickle.loads(pickle.dumps(spec)).strategy == strategy, name
+    # A driver sweep fans out under the CLI's --jobs default and matches
+    # the serial run; with two cores its arms really cross the pool.
+    serial = run_migration_ablation(n_workloads=6)
+    set_default_jobs(2)
+    try:
+        pooled = run_migration_ablation(n_workloads=6)
+    finally:
+        set_default_jobs(1)
+    assert list(pooled.arms) == list(serial.arms)
+    for name, arm in serial.arms.items():
+        assert pooled.arms[name].fleet == arm.fleet, name
+        if (os.cpu_count() or 1) >= 2:
+            assert pooled.arms[name].provider is None, name
 
 
 def test_parallel_results_equal_serial():
@@ -117,7 +138,6 @@ def test_mean_over_seeds_preserves_spec_fields():
         assert clone.telemetry is telemetry
         assert clone.observatory is True
         assert clone.max_hours == spec.max_hours
-        assert clone.warmup_steps == spec.warmup_steps
 
 
 def test_mean_over_seeds_parallel_matches_serial():

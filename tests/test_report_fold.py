@@ -30,7 +30,7 @@ from repro.cli import main
 from repro.cloud.provider import CloudProvider
 from repro.core.config import SpotVerseConfig
 from repro.core.controller import FleetController
-from repro.experiments.harness import ArmSpec, indexed_workload_factory, policy_factory, run_arm
+from repro.experiments.harness import ArmSpec, indexed_workload_factory, run_arm
 from repro.obs import (
     EventBus,
     EventType,
@@ -42,7 +42,7 @@ from repro.obs import (
 )
 from repro.obs.export import ANOMALY_CORRELATION_WINDOW
 from repro.sim.clock import HOUR
-from repro.strategies import SingleRegionPolicy
+from repro.strategies import STRATEGIES, SingleRegionPolicy
 from repro.workloads.base import synthetic_workload
 
 
@@ -403,8 +403,8 @@ class TestRunThatRaises:
         monkeypatch.setattr(FleetController, "wait", wait_then_crash)
         spec = ArmSpec(
             name="arm",
-            policy_factory=policy_factory(SingleRegionPolicy, region="ca-central-1"),
-            config=SpotVerseConfig(instance_type="m5.xlarge"),
+            strategy=STRATEGIES["single-region"],
+            config=SpotVerseConfig(instance_type="m5.xlarge", start_region="ca-central-1"),
             workload_factory=indexed_workload_factory(
                 synthetic_workload, "w-{:02d}", duration_hours=2.0
             ),
