@@ -1,41 +1,113 @@
-"""Print the outcome digest of every end-to-end workload as JSON.
+"""Print the outcome and DynamoDB-traffic digests of every end-to-end workload.
 
     PYTHONPATH=src python benchmarks/workload_digests.py > digests.json
 
 Runs each entry of ``benchmarks/e2e/workloads.py::WORKLOADS`` at 20 %
-size for seeds 4 and 5 and records its ``fleet_digest``: a SHA-256
-over every simulated cost, timestamp and placement.  Two interpreters
-(or two commits) that print the same JSON produced bit-identical
-simulations.  CI runs this on several Python versions and fails when
-their outputs differ.  Other sizes: call :func:`digests` directly.
+size for seeds 4 and 5 and records two SHA-256 digests per run:
+
+* ``fleet`` -- the workload's ``fleet_digest``, over every simulated
+  cost, timestamp and placement;
+* ``dynamodb`` -- every call the run made to a public
+  ``DynamoDBService`` method, in order: the op name, its arguments
+  bound through ``inspect.signature`` (defaults applied, so passing a
+  default explicitly is the same call), and the result or the
+  exception type.  Object addresses (``" at 0x…"``) are stripped and
+  sets are sorted, so the digest does not depend on the process.
+
+Two interpreters (or two commits) that print the same JSON produced
+bit-identical simulations through the same state-store traffic.  CI
+runs this on several Python versions and fails when their outputs
+differ.  Other sizes: call :func:`digests` directly.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
+import inspect
 import json
+import re
 import sys
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, Sequence
+from typing import Any, Dict, Iterator, Sequence
 
 sys.path.insert(0, str(Path(__file__).resolve().parent / "e2e"))
 
 import workloads  # noqa: E402
 
+from repro.cloud.services.dynamodb import DynamoDBService  # noqa: E402
+
 SCALE = 0.2
 SEEDS = (4, 5)
 
+_ADDRESS = re.compile(r" at 0x[0-9a-fA-F]+")
 
-def digests(scale: float = SCALE, seeds: Sequence[int] = SEEDS) -> Dict[str, Dict[str, str]]:
-    """``{workload: {seed: digest}}`` for every workload and seed."""
-    result: Dict[str, Dict[str, str]] = {}
+
+def _canon(value: Any) -> str:
+    """A process-independent rendering of one argument or result."""
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{_canon(k)}: {_canon(v)}" for k, v in value.items()) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(_canon(v) for v in value) + "]"
+    if isinstance(value, (set, frozenset)):
+        return "{" + ", ".join(sorted(_canon(v) for v in value)) + "}"
+    return _ADDRESS.sub("", repr(value))
+
+
+@contextmanager
+def dynamodb_calls() -> Iterator[Any]:
+    """Hash every public ``DynamoDBService`` call made in the block.
+
+    Yields the running SHA-256.
+    """
+    sha = hashlib.sha256()
+    originals = {
+        name: fn
+        for name, fn in vars(DynamoDBService).items()
+        if inspect.isfunction(fn) and not name.startswith("_")
+    }
+
+    def record(name, fn):
+        signature = inspect.signature(fn)
+
+        @functools.wraps(fn)
+        def wrapper(self, *args, **kwargs):
+            bound = signature.bind(self, *args, **kwargs)
+            bound.apply_defaults()
+            call = _canon({k: v for k, v in bound.arguments.items() if k != "self"})
+            try:
+                result = fn(self, *args, **kwargs)
+            except Exception as exc:
+                sha.update(f"{name}({call}) raise {type(exc).__name__}\n".encode())
+                raise
+            sha.update(f"{name}({call}) -> {_canon(result)}\n".encode())
+            return result
+
+        return wrapper
+
+    for name, fn in originals.items():
+        setattr(DynamoDBService, name, record(name, fn))
+    try:
+        yield sha
+    finally:
+        for name, fn in originals.items():
+            setattr(DynamoDBService, name, fn)
+
+
+def digests(
+    scale: float = SCALE, seeds: Sequence[int] = SEEDS
+) -> Dict[str, Dict[str, Dict[str, str]]]:
+    """``{workload: {seed: {"fleet": digest, "dynamodb": digest}}}``."""
+    result: Dict[str, Dict[str, Dict[str, str]]] = {}
     for name, run in workloads.WORKLOADS.items():
         result[name] = {}
         for seed in seeds:
             out = workloads.Outcome()
-            with tempfile.TemporaryDirectory() as workdir:
+            with tempfile.TemporaryDirectory() as workdir, dynamodb_calls() as calls:
                 run(out, seed, scale, workdir)
-            result[name][str(seed)] = out.digest
+            result[name][str(seed)] = {"fleet": out.digest, "dynamodb": calls.hexdigest()}
     return result
 
 

@@ -360,8 +360,6 @@ def _run_fleet(args: argparse.Namespace, provider: CloudProvider):
         initial_distribution=not args.no_initial_distribution,
         start_region=args.start_region,
     )
-    if args.strategy == "spotverse":
-        return SpotVerse(provider, config).run(fleet, max_hours=args.max_hours)
     provider.warmup_markets(48)
     config, monitor, policy = build_strategy(args.strategy, provider, config)
     controller = FleetController(provider, policy, config, monitor=monitor)

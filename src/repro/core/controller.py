@@ -293,14 +293,3 @@ class FleetController:
     def execution(self, workload_id: str) -> WorkloadExecution:
         """Return the execution for *workload_id*."""
         return self._lifecycle.execution(workload_id)
-
-    @property
-    def _by_instance(self) -> Dict[str, WorkloadExecution]:
-        """Live ``instance_id -> execution`` view over the state store."""
-        bindings = self.state_store.instance_bindings()
-        return {
-            instance_id: execution
-            for instance_id, workload_id in bindings.items()
-            for execution in [self._lifecycle.find(workload_id)]
-            if execution is not None
-        }

@@ -74,23 +74,15 @@ class _MetaMapping(MutableMapping):
 
     def __getitem__(self, key: str) -> Any:
         store = self._store
-        pending = store._pending[store.meta_table]
-        pending_key = (self._section, key)
-        if pending_key in pending:
-            staged = pending[pending_key]
-            if staged is None:
-                raise KeyError(key)
-            return staged["value"]
-        item = store._read(
-            lambda: store._dynamodb.get_item(store.meta_table, self._section, key),
-            scope=f"fleet-state:meta:{self._section}",
+        _, item = store._get(
+            [store.meta_table], self._section, f"fleet-state:meta:{self._section}", sort=key
         )
         if item is None:
             raise KeyError(key)
         return item["value"]
 
     def __setitem__(self, key: str, value: Any) -> None:
-        self._store._stage_put(
+        self._store._stage(
             self._store.meta_table,
             (self._section, key),
             {"section": self._section, "key": key, "value": value},
@@ -99,9 +91,10 @@ class _MetaMapping(MutableMapping):
 
     def __delitem__(self, key: str) -> None:
         self.__getitem__(key)  # raise KeyError when absent
-        self._store._stage_delete(
+        self._store._stage(
             self._store.meta_table,
             (self._section, key),
+            None,
             scope=f"fleet-state:meta:{self._section}",
         )
 
@@ -297,14 +290,6 @@ class FleetStateStore:
         # freshly built dict, and overlay reads copy on the way out.
         self._pending[table][key] = item
 
-    def _stage_put(
-        self, table: str, key: Tuple[Any, Any], item: Dict[str, Any], scope: str
-    ) -> None:
-        self._stage(table, key, item, scope)
-
-    def _stage_delete(self, table: str, key: Tuple[Any, Any], scope: str) -> None:
-        self._stage(table, key, None, scope)
-
     def _overlay_scan(self, table: str, rows: List[Dict[str, Any]], key_attr: str) -> List[Dict[str, Any]]:
         """Merge a table scan with the staged overlay.
 
@@ -332,6 +317,46 @@ class FleetStateStore:
             if staged is not None and key not in seen:
                 merged.append(dict(staged))
         return merged
+
+    # Every row read goes through these two.  ``_get`` tries the
+    # overlay, then DynamoDB, on the routed shard first and then on the
+    # others; a staged row or tombstone answers without a read.  The
+    # fallback probe only runs on a miss with more than one shard, so a
+    # 1-shard store issues exactly one read; with shards it covers rows
+    # whose routing state predates this process (a rebuilt controller
+    # with an unrestored map).
+
+    def _get(
+        self,
+        tables: List[str],
+        partition: Any,
+        scope: str,
+        routed: int = 0,
+        sort: Any = None,
+    ) -> Tuple[Optional[str], Optional[Dict[str, Any]]]:
+        """``(table, item)`` for one row; *item* is ``None`` on a miss or tombstone."""
+        key = (partition, sort)
+        for index in [routed] + [i for i in range(len(tables)) if i != routed]:
+            table = tables[index]
+            pending = self._pending[table]
+            if key in pending:
+                staged = pending[key]
+                return table, dict(staged) if staged is not None else None
+            item = self._read(
+                lambda table=table: self._dynamodb.get_item(table, partition, sort),
+                scope=scope,
+            )
+            if item is not None:
+                return table, item
+        return None, None
+
+    def _scan(self, tables: List[str], key_attr: str, scope: str) -> List[Dict[str, Any]]:
+        """Every row of *tables*, shard by shard, with the overlay merged."""
+        items: List[Dict[str, Any]] = []
+        for table in tables:
+            rows = self._read(lambda table=table: self._dynamodb.scan(table), scope=scope)
+            items.extend(self._overlay_scan(table, rows, key_attr))
+        return items
 
     def flush(self) -> None:
         """Land every staged write in DynamoDB, one batch per table.
@@ -364,47 +389,21 @@ class FleetStateStore:
     def save_execution(self, execution: "WorkloadExecution") -> None:
         """Persist one execution's full durable state (upsert)."""
         item = execution.state_item()
-        self._stage_put(
+        self._stage(
             self._workload_shards[self.shard_of(item["workload_id"])],
             (item["workload_id"], None),
             item,
             scope="fleet-state:save-execution",
         )
 
-    def _lookup_item(
-        self, tables: List[str], routed: int, partition: str, scope: str
-    ) -> Optional[Dict[str, Any]]:
-        """Read one row, trying the routed shard first, then the rest.
-
-        The fallback probe only runs on a miss with more than one
-        shard, so the 1-shard store issues exactly the reads it always
-        did; with shards it covers items whose routing state predates
-        this process (a rebuilt controller with an unrestored map).
-        """
-        order = [routed] + [i for i in range(len(tables)) if i != routed]
-        for index in order:
-            table = tables[index]
-            key = (partition, None)
-            pending = self._pending[table]
-            if key in pending:
-                staged = pending[key]
-                return dict(staged) if staged is not None else None
-            item = self._read(
-                lambda table=table: self._dynamodb.get_item(table, partition),
-                scope=scope,
-            )
-            if item is not None:
-                return item
-        return None
-
     def workload_item(self, workload_id: str) -> Optional[Dict[str, Any]]:
         """The stored state of one workload, or ``None``."""
-        return self._lookup_item(
+        return self._get(
             self._workload_shards,
-            self.shard_of(workload_id),
             workload_id,
-            scope="fleet-state:workload-item",
-        )
+            "fleet-state:workload-item",
+            routed=self.shard_of(workload_id),
+        )[1]
 
     def workload_items(self) -> List[Dict[str, Any]]:
         """Stored workloads, in registration order.
@@ -413,14 +412,7 @@ class FleetStateStore:
         concatenated in shard order — deterministic, but interleaved
         differently than a 1-shard store would show.
         """
-        items: List[Dict[str, Any]] = []
-        for table in self._workload_shards:
-            rows = self._read(
-                lambda table=table: self._dynamodb.scan(table),
-                scope="fleet-state:workload-items",
-            )
-            items.extend(self._overlay_scan(table, rows, "workload_id"))
-        return items
+        return self._scan(self._workload_shards, "workload_id", "fleet-state:workload-items")
 
     def has_workload(self, workload_id: str) -> bool:
         """Whether *workload_id* is registered."""
@@ -459,7 +451,7 @@ class FleetStateStore:
         shard = self.shard_of(workload_id)
         if self.n_shards > 1:
             self._entity_shard[instance.instance_id] = shard
-        self._stage_put(
+        self._stage(
             self._instance_shards[shard],
             (instance.instance_id, None),
             {"instance_id": instance.instance_id, "workload_id": workload_id},
@@ -468,30 +460,12 @@ class FleetStateStore:
 
     def _pop_row(self, tables: List[str], entity_id: str, scope: str) -> Optional[str]:
         """Remove one binding/tracking row; returns its workload id."""
-        routed = self._entity_shard.get(entity_id, 0)
-        order = [routed] + [i for i in range(len(tables)) if i != routed]
-        for index in order:
-            table = tables[index]
-            key = (entity_id, None)
-            pending = self._pending[table]
-            if key in pending:
-                staged = pending[key]
-                if staged is None:
-                    return None
-                self._stage_delete(table, key, scope=scope)
-                self._entity_shard.pop(entity_id, None)
-                return staged["workload_id"]
-            item = self._read(
-                lambda table=table: self._dynamodb.get_item(table, entity_id),
-                scope=scope,
-            )
-            if item is not None:
-                self._stage_delete(table, key, scope=scope)
-                self._entity_shard.pop(entity_id, None)
-                return item["workload_id"]
-            if len(tables) == 1:
-                return None
-        return None
+        table, item = self._get(tables, entity_id, scope, self._entity_shard.get(entity_id, 0))
+        if item is None:
+            return None
+        self._stage(table, (entity_id, None), None, scope=scope)
+        self._entity_shard.pop(entity_id, None)
+        return item["workload_id"]
 
     def pop_instance(self, instance_id: str) -> Optional[str]:
         """Remove and return the workload bound to *instance_id*."""
@@ -501,17 +475,8 @@ class FleetStateStore:
 
     def instance_bindings(self) -> Dict[str, str]:
         """Current ``instance_id -> workload_id`` map."""
-        bindings: Dict[str, str] = {}
-        for table in self._instance_shards:
-            rows = self._read(
-                lambda table=table: self._dynamodb.scan(table),
-                scope="fleet-state:instance-bindings",
-            )
-            rows = self._overlay_scan(table, rows, "instance_id")
-            bindings.update(
-                {item["instance_id"]: item["workload_id"] for item in rows}
-            )
-        return bindings
+        rows = self._scan(self._instance_shards, "instance_id", "fleet-state:instance-bindings")
+        return {item["instance_id"]: item["workload_id"] for item in rows}
 
     # ------------------------------------------------------------------
     # Spot request tracking
@@ -521,7 +486,7 @@ class FleetStateStore:
         shard = self.shard_of(workload_id)
         if self.n_shards > 1:
             self._entity_shard[request.request_id] = shard
-        self._stage_put(
+        self._stage(
             self._request_shards[shard],
             (request.request_id, None),
             {"request_id": request.request_id, "workload_id": workload_id},
@@ -536,15 +501,8 @@ class FleetStateStore:
 
     def tracked_requests(self) -> List[Tuple[str, str]]:
         """``(request_id, workload_id)`` pairs, in filing order."""
-        pairs: List[Tuple[str, str]] = []
-        for table in self._request_shards:
-            rows = self._read(
-                lambda table=table: self._dynamodb.scan(table),
-                scope="fleet-state:tracked-requests",
-            )
-            rows = self._overlay_scan(table, rows, "request_id")
-            pairs.extend((item["request_id"], item["workload_id"]) for item in rows)
-        return pairs
+        rows = self._scan(self._request_shards, "request_id", "fleet-state:tracked-requests")
+        return [(item["request_id"], item["workload_id"]) for item in rows]
 
     # ------------------------------------------------------------------
     # DAG progress (DAG-aware placement)
@@ -558,7 +516,7 @@ class FleetStateStore:
         restore).  Stage *definitions* are code and are re-supplied on
         resume, exactly like workload definitions.
         """
-        self._stage_put(
+        self._stage(
             self.dags_table,
             (item["dag_id"], None),
             item,
@@ -567,23 +525,11 @@ class FleetStateStore:
 
     def dag_item(self, dag_id: str) -> Optional[Dict[str, Any]]:
         """The stored progress of one DAG, or ``None``."""
-        pending = self._pending[self.dags_table]
-        key = (dag_id, None)
-        if key in pending:
-            staged = pending[key]
-            return dict(staged) if staged is not None else None
-        return self._read(
-            lambda: self._dynamodb.get_item(self.dags_table, dag_id),
-            scope="fleet-state:dag-item",
-        )
+        return self._get([self.dags_table], dag_id, "fleet-state:dag-item")[1]
 
     def dag_items(self) -> List[Dict[str, Any]]:
         """Every stored DAG, in submission order."""
-        rows = self._read(
-            lambda: self._dynamodb.scan(self.dags_table),
-            scope="fleet-state:dag-items",
-        )
-        return self._overlay_scan(self.dags_table, rows, "dag_id")
+        return self._scan([self.dags_table], "dag_id", "fleet-state:dag-items")
 
     def has_dag(self, dag_id: str) -> bool:
         """Whether *dag_id* is registered."""
@@ -600,7 +546,7 @@ class FleetStateStore:
         Specs are durable like workload state — a rebuilt controller
         reloads the roster from this table alone.
         """
-        self._stage_put(
+        self._stage(
             self.tenants_table,
             (item["tenant_id"], None),
             item,
@@ -609,23 +555,11 @@ class FleetStateStore:
 
     def tenant_item(self, tenant_id: str) -> Optional[Dict[str, Any]]:
         """The stored spec of one tenant, or ``None``."""
-        pending = self._pending[self.tenants_table]
-        key = (tenant_id, None)
-        if key in pending:
-            staged = pending[key]
-            return dict(staged) if staged is not None else None
-        return self._read(
-            lambda: self._dynamodb.get_item(self.tenants_table, tenant_id),
-            scope="fleet-state:tenant-item",
-        )
+        return self._get([self.tenants_table], tenant_id, "fleet-state:tenant-item")[1]
 
     def tenant_items(self) -> List[Dict[str, Any]]:
         """Every stored tenant spec, in registration order."""
-        rows = self._read(
-            lambda: self._dynamodb.scan(self.tenants_table),
-            scope="fleet-state:tenant-items",
-        )
-        return self._overlay_scan(self.tenants_table, rows, "tenant_id")
+        return self._scan([self.tenants_table], "tenant_id", "fleet-state:tenant-items")
 
     # ------------------------------------------------------------------
     # Meta state

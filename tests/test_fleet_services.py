@@ -11,6 +11,7 @@ from repro.core.fleet import (
     EFSCheckpointBackend,
     FleetStateStore,
 )
+from repro.core.fleet.state import DEFAULT_TENANT, shard_index
 from repro.errors import ExperimentError
 from repro.galaxy.checkpoint import InMemoryCheckpointStore
 from repro.obs import EventType
@@ -83,6 +84,70 @@ class TestFleetStateStore:
         instance = provider.ec2.run_on_demand("us-east-1", "m5.xlarge")
         a.bind_instance(instance, "w")
         assert b.instance_bindings() == {}
+
+
+class _StateRow:
+    """Stands in for a ``WorkloadExecution``: the store only reads ``state_item()``."""
+
+    def __init__(self, workload_id):
+        self.workload_id = workload_id
+
+    def state_item(self):
+        return {"workload_id": self.workload_id, "state": "running"}
+
+
+class TestShardedStoreMisses:
+    """Reads that miss the routed shard probe the others; tombstones stop them."""
+
+    def test_rebuilt_store_finds_rows_off_the_routed_shard(self, provider):
+        n = 4
+        # A tenant workload whose rows live neither on shard 0 (where an
+        # unknown instance/request is looked up first) nor where the
+        # default tenant would route it.
+        workload_id = next(
+            w
+            for w in (f"w{i}" for i in range(100))
+            if shard_index("t1", w, n) not in (0, shard_index(DEFAULT_TENANT, w, n))
+        )
+        # A default-tenant workload on shard 0, for the routed tombstone.
+        home_id = next(
+            w for w in (f"h{i}" for i in range(100)) if shard_index(DEFAULT_TENANT, w, n) == 0
+        )
+        store = FleetStateStore(provider.dynamodb, n_shards=n)
+        store.assign_tenant(workload_id, "t1")
+        store.save_execution(_StateRow(workload_id))
+        instance = provider.ec2.run_on_demand("us-east-1", "m5.xlarge")
+        home = provider.ec2.run_on_demand("us-east-1", "m5.xlarge")
+        request = provider.ec2.request_spot_instances("us-east-1", "m5.xlarge", tag="r")
+        store.bind_instance(instance, workload_id)
+        store.bind_instance(home, home_id)
+        store.track_request(request, workload_id)
+        store.flush()
+
+        # A second store over the same tables starts with empty routing
+        # maps: a rebuilt controller whose map was never restored.
+        rebuilt = FleetStateStore(provider.dynamodb, namespace=store.namespace, n_shards=n)
+        assert rebuilt.shard_of(workload_id) != store.shard_of(workload_id)
+        assert rebuilt.workload_item(workload_id) == _StateRow(workload_id).state_item()
+        assert rebuilt.pop_instance(instance.instance_id) == workload_id
+        assert rebuilt.pop_request(request.request_id) == workload_id
+        assert rebuilt.pop_instance(home.instance_id) == home_id
+
+        gets = []
+        original = provider.dynamodb.get_item
+
+        def counting(*args, **kwargs):
+            gets.append(args)
+            return original(*args, **kwargs)
+
+        provider.dynamodb.get_item = counting
+        try:
+            # The tombstone staged on shard 0, the routed shard, answers
+            # before any shard is read.
+            assert rebuilt.pop_instance(home.instance_id) is None
+        finally:
+            provider.dynamodb.get_item = original
+        assert gets == []
 
 
 class TestCapacityService:

@@ -412,7 +412,7 @@ class TestControllerInstanceMap:
         launches = provider.telemetry.bus.events(EventType.ON_DEMAND_LAUNCHED)
         assert len(launches) == 3
         for event in launches:
-            assert controller._by_instance[event.instance_id].workload.workload_id == (
+            assert controller.state_store.instance_bindings()[event.instance_id] == (
                 event.workload_id
             )
         fallbacks = provider.telemetry.bus.events(EventType.FALLBACK_ON_DEMAND)
