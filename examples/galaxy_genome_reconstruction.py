@@ -15,8 +15,9 @@ Run:
 """
 
 from repro.cloud.provider import CloudProvider
-from repro.core import SpotVerse, SpotVerseConfig
+from repro.core import FleetController, SpotVerseConfig
 from repro.galaxy import GalaxyInstance
+from repro.strategies import build_strategy
 from repro.workloads import (
     build_genome_reconstruction_workflow,
     genome_reconstruction_workload,
@@ -54,7 +55,9 @@ def run_standalone_galaxy() -> None:
 def run_managed_fleet() -> None:
     """Run the same workload as a SpotVerse-managed spot fleet."""
     provider = CloudProvider(seed=11)
-    spotverse = SpotVerse(
+    provider.warmup_markets(48)
+    config, monitor, optimizer = build_strategy(
+        "spotverse",
         provider,
         SpotVerseConfig(
             instance_type="m5.xlarge",
@@ -62,8 +65,9 @@ def run_managed_fleet() -> None:
             start_region="ca-central-1",  # the cheapest — and flakiest
         ),
     )
+    controller = FleetController(provider, optimizer, config, monitor=monitor)
     fleet = [genome_reconstruction_workload(f"galaxy-{i:02d}") for i in range(20)]
-    result = spotverse.run(fleet)
+    result = controller.run(fleet)
     print("=== SpotVerse-managed Genome Reconstruction fleet ===")
     print(result.summary())
     worst = max(result.records, key=lambda record: record.n_interruptions)

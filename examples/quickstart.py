@@ -11,9 +11,16 @@ Run:
 """
 
 from repro.cloud.provider import CloudProvider
-from repro.core import FleetController, SpotVerse, SpotVerseConfig
-from repro.strategies import OnDemandPolicy, SingleRegionPolicy
+from repro.core import FleetController, PolicyContext, SpotVerseConfig
+from repro.strategies import build_strategy
 from repro.workloads import genome_reconstruction_workload
+
+#: Roster name -> heading, SpotVerse first.
+RUNS = [
+    ("spotverse", "SpotVerse"),
+    ("single-region", "single-region (cheapest spot region)"),
+    ("on-demand", "on-demand (cheapest OD region)"),
+]
 
 
 def build_fleet(n: int = 12):
@@ -21,13 +28,10 @@ def build_fleet(n: int = 12):
     return [genome_reconstruction_workload(f"wl-{i:02d}") for i in range(n)]
 
 
-def main() -> None:
-    # --- SpotVerse -----------------------------------------------------
-    provider = CloudProvider(seed=42)
-    spotverse = SpotVerse(provider, SpotVerseConfig(instance_type="m5.xlarge"))
-
+def print_recommendation(optimizer, ctx: PolicyContext) -> None:
+    """SpotVerse's current top regions (Algorithm 1's candidate set)."""
     print("SpotVerse's current recommendation for m5.xlarge:")
-    for metrics in spotverse.recommended_regions():
+    for metrics in optimizer.top_regions(ctx):
         print(
             f"  {metrics.region:16s} spot=${metrics.spot_price:.4f}/h "
             f"placement={metrics.placement_score:.1f} "
@@ -36,24 +40,28 @@ def main() -> None:
         )
     print()
 
-    result = spotverse.run(build_fleet())
-    print("=== SpotVerse ===")
-    print(result.summary())
-    print()
 
-    # --- Baselines (fresh providers so ledgers stay separate) ---------
-    for name, policy in [
-        ("single-region (cheapest spot region)", SingleRegionPolicy(instance_type="m5.xlarge")),
-        ("on-demand (cheapest OD region)", OnDemandPolicy(instance_type="m5.xlarge")),
-    ]:
-        baseline_provider = CloudProvider(seed=42)
-        baseline_provider.warmup_markets(48)
-        controller = FleetController(
-            baseline_provider, policy, SpotVerseConfig(instance_type="m5.xlarge")
+def main() -> None:
+    for strategy, heading in RUNS:
+        # A fresh cloud per strategy, so cost ledgers stay separate.
+        provider = CloudProvider(seed=42)
+        provider.warmup_markets(48)
+        config, monitor, policy = build_strategy(
+            strategy, provider, SpotVerseConfig(instance_type="m5.xlarge")
         )
-        baseline = controller.run(build_fleet())
-        print(f"=== {name} ===")
-        print(baseline.summary())
+        controller = FleetController(provider, policy, config, monitor=monitor)
+        if strategy == "spotverse":
+            print_recommendation(
+                policy,
+                PolicyContext(
+                    provider=provider,
+                    monitor=monitor,
+                    rng=provider.engine.streams.get("spotverse:advice"),
+                ),
+            )
+        result = controller.run(build_fleet())
+        print(f"=== {heading} ===")
+        print(result.summary())
         print()
 
 

@@ -7,26 +7,25 @@ substrate so every experiment in the paper can be regenerated offline.
 
 Quickstart::
 
-    from repro import CloudProvider, SpotVerse, SpotVerseConfig
+    from repro import CloudProvider, SpotVerseConfig
+    from repro.core import FleetController
+    from repro.strategies import build_strategy
     from repro.workloads import standard_general_workload
 
     provider = CloudProvider(seed=42)
-    spotverse = SpotVerse(provider, SpotVerseConfig(instance_type="m5.xlarge"))
-    result = spotverse.run([standard_general_workload(f"w{i}") for i in range(8)])
+    provider.warmup_markets(48)
+    config, monitor, policy = build_strategy(
+        "spotverse", provider, SpotVerseConfig(instance_type="m5.xlarge")
+    )
+    controller = FleetController(provider, policy, config, monitor=monitor)
+    result = controller.run([standard_general_workload(f"w{i}") for i in range(8)])
     print(result.summary())
 """
 
 from repro.cloud.provider import CloudProvider
+from repro.core.config import SpotVerseConfig
 from repro.errors import ReproError
 
 __version__ = "1.0.0"
 
-__all__ = ["CloudProvider", "ReproError", "__version__"]
-
-try:  # Core package may not exist yet during incremental builds.
-    from repro.core.config import SpotVerseConfig  # noqa: F401
-    from repro.core.spotverse import SpotVerse  # noqa: F401
-
-    __all__ += ["SpotVerse", "SpotVerseConfig"]
-except ImportError:  # pragma: no cover
-    pass
+__all__ = ["CloudProvider", "ReproError", "SpotVerseConfig", "__version__"]

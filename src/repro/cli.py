@@ -24,7 +24,7 @@ from typing import List, Optional
 from repro.cloud.provider import CloudProvider
 from repro.core.config import SpotVerseConfig
 from repro.core.controller import FleetController
-from repro.core.spotverse import SpotVerse
+from repro.core.policy import PolicyContext
 from repro.errors import ReproError
 from repro.experiments.report_all import ALL_EXPERIMENTS, run_all
 from repro.experiments.reporting import render_table
@@ -314,14 +314,21 @@ def _cmd_recommend(args: argparse.Namespace) -> int:
         use_placement_score=not args.no_placement_score,
         use_stability_score=not args.no_stability_score,
     )
-    spotverse = SpotVerse(provider, config)
-    recommended = spotverse.recommended_regions()
+    provider.warmup_markets(48)
+    _, monitor, optimizer = build_strategy("spotverse", provider, config)
+    ctx = PolicyContext(
+        provider=provider,
+        monitor=monitor,
+        rng=provider.engine.streams.get("spotverse:advice"),
+    )
+    recommended = optimizer.top_regions(ctx)
     if not recommended:
-        placement = spotverse.recommendation()
+        # Algorithm 1's on-demand branch: the cheapest on-demand region.
+        region, _ = provider.price_book.cheapest_od_region(args.instance_type)
         print(
             f"No region meets threshold {args.threshold:g} for "
             f"{args.instance_type}; SpotVerse recommends ON-DEMAND in "
-            f"{placement.region}."
+            f"{region}."
         )
         return 0
     rows = [

@@ -5,7 +5,7 @@ AWS: a region/AZ catalog, an instance-type catalog, per-market spot
 price processes, interruption hazards, the Spot Placement Score and
 Interruption Frequency observables, and boto3-flavoured service
 substrates (EC2, S3, DynamoDB, Lambda, CloudWatch, EventBridge, Step
-Functions, CloudFormation).  The entry point is
+Functions, EFS).  The entry point is
 :class:`~repro.cloud.provider.CloudProvider`.
 """
 

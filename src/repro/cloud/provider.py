@@ -17,10 +17,8 @@ from repro.cloud.market import SpotMarket
 from repro.cloud.pricing import PriceBook
 from repro.cloud.profiles import MarketProfileBook, default_market_profiles
 from repro.cloud.regions import RegionCatalog, default_region_catalog
-from repro.cloud.services.cloudformation import CloudFormationService
 from repro.cloud.services.cloudwatch import CloudWatchService
 from repro.cloud.services.dynamodb import DynamoDBService
-from repro.cloud.services.ami import AMIService
 from repro.cloud.services.ec2 import EC2Service
 from repro.cloud.services.efs import EFSService
 from repro.cloud.services.eventbridge import EventBridgeService
@@ -147,9 +145,7 @@ class CloudProvider:
         self.lambda_ = LambdaService(self)
         self.cloudwatch = CloudWatchService(self)
         self.stepfunctions = StepFunctionsService(self)
-        self.cloudformation = CloudFormationService(self)
         self.efs = EFSService(self)
-        self.ami = AMIService(self)
 
     def attach_chaos(self, chaos) -> None:
         """Install a chaos controller; substrates consult it on every call.
@@ -216,14 +212,6 @@ class CloudProvider:
     def spot_price(self, region: str, instance_type: str) -> float:
         """Current spot price for (*region*, *instance_type*)."""
         return self.market(region, instance_type).spot_price
-
-    def cheapest_spot_region(self, instance_type: str) -> Tuple[str, float]:
-        """Return ``(region, price)`` of the cheapest current spot offer."""
-        markets = self.markets_for_type(instance_type)
-        if not markets:
-            raise CloudError(f"no region offers instance type {instance_type!r}")
-        best = min(markets, key=lambda market: market.spot_price)
-        return best.region, best.spot_price
 
     def cheapest_mean_spot_region(self, instance_type: str) -> Tuple[str, float]:
         """Return ``(region, mean price)`` ranked by *long-run* spot price.

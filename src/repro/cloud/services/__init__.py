@@ -2,13 +2,12 @@
 
 Each service is an in-process substrate wired into the simulation
 engine: EC2 (spot lifecycle and interruptions), S3, DynamoDB, Lambda,
-CloudWatch (metrics and scheduled rules), EventBridge, Step Functions,
-and CloudFormation.  They reproduce the *timing semantics* the paper's
+CloudWatch (metrics and scheduled rules), EventBridge and Step
+Functions.  They reproduce the *timing semantics* the paper's
 control plane depends on — two-minute interruption notices, periodic
 metric collection, 15-minute open-request sweeps, and retry policies.
 """
 
-from repro.cloud.services.cloudformation import CloudFormationService, StackTemplate
 from repro.cloud.services.cloudwatch import CloudWatchService
 from repro.cloud.services.dynamodb import DynamoDBService
 from repro.cloud.services.ec2 import (
@@ -25,7 +24,6 @@ from repro.cloud.services.s3 import S3Service
 from repro.cloud.services.stepfunctions import StepFunctionsService
 
 __all__ = [
-    "CloudFormationService",
     "CloudWatchService",
     "DynamoDBService",
     "EC2Service",
@@ -37,6 +35,5 @@ __all__ = [
     "S3Service",
     "SpotRequest",
     "SpotRequestState",
-    "StackTemplate",
     "StepFunctionsService",
 ]

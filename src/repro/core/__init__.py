@@ -3,9 +3,10 @@
 The three components of Section 3.2 — :class:`~repro.core.monitor.Monitor`,
 the Optimizer (:class:`~repro.core.optimizer.SpotVerseOptimizer`,
 implementing Algorithm 1), and the
-:class:`~repro.core.controller.FleetController` — plus the
-:class:`~repro.core.spotverse.SpotVerse` facade that wires them over a
-:class:`~repro.cloud.provider.CloudProvider`.
+:class:`~repro.core.controller.FleetController`.
+:func:`repro.strategies.build_strategy` wires the Monitor and the
+Optimizer over a :class:`~repro.cloud.provider.CloudProvider` for a
+controller.
 """
 
 from repro.core.config import SpotVerseConfig
@@ -35,7 +36,6 @@ from repro.core.optimizer import SpotVerseOptimizer
 from repro.core.policy import Placement, PlacementPolicy, PolicyContext, PurchasingOption
 from repro.core.result import FleetResult, WorkloadRecord
 from repro.core.scoring import RegionMetrics, combined_score
-from repro.core.spotverse import SpotVerse
 
 __all__ = [
     "CapacityService",
@@ -54,7 +54,6 @@ __all__ = [
     "PolicyContext",
     "PurchasingOption",
     "RegionMetrics",
-    "SpotVerse",
     "SpotVerseConfig",
     "SpotVerseOptimizer",
     "Stage",

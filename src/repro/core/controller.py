@@ -78,7 +78,6 @@ class FleetController:
             baseline).
         config: Control-plane configuration.
         monitor: Optional Monitor handed to the policy context.
-        image_id: Optional Galaxy AMI shaping boot times.
         state_store: Durable fleet state to compose over.  Defaults to
             a fresh store; pass the store of a torn-down controller to
             rebuild its control plane (then call :meth:`restore` and
@@ -91,7 +90,6 @@ class FleetController:
         policy: PlacementPolicy,
         config: SpotVerseConfig,
         monitor: Optional["Monitor"] = None,
-        image_id: Optional[str] = None,
         state_store: Optional[FleetStateStore] = None,
     ) -> None:
         self._provider = provider
@@ -116,7 +114,6 @@ class FleetController:
             ctx=self._ctx,
             backend=self._backend,
             strategy=policy.name,
-            image_id=image_id,
         )
         self._capacity = CapacityService(
             provider=provider,

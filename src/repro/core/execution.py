@@ -68,7 +68,6 @@ class WorkloadExecution:
         execute_payloads: bool,
         on_complete: Callable[["WorkloadExecution"], None],
         fleet_state: Optional["FleetStateStore"] = None,
-        image_id: Optional[str] = None,
     ) -> None:
         self.workload = workload
         self._provider = provider
@@ -80,7 +79,6 @@ class WorkloadExecution:
         self._execute_payloads = execute_payloads
         self._on_complete = on_complete
         self._fleet_state = fleet_state
-        self._image_id = image_id
         self.state = ExecutionState.WAITING
         self.instance: Optional[Instance] = None
         self.completed_segments = 0
@@ -147,7 +145,6 @@ class WorkloadExecution:
         execute_payloads: bool,
         on_complete: Callable[["WorkloadExecution"], None],
         fleet_state: "FleetStateStore",
-        image_id: Optional[str] = None,
     ) -> "WorkloadExecution":
         """Rebuild an execution from its stored :meth:`state_item`.
 
@@ -164,7 +161,6 @@ class WorkloadExecution:
             execute_payloads=execute_payloads,
             on_complete=on_complete,
             fleet_state=fleet_state,
-            image_id=image_id,
         )
         execution.state = ExecutionState(item["state"])
         execution.completed_segments = item["completed_segments"]
@@ -242,14 +238,9 @@ class WorkloadExecution:
         self.record.attempt_starts.append(self._engine.now)
         if instance.lifecycle is InstanceLifecycle.ON_DEMAND:
             self.record.on_demand_attempts += 1
-        boot = self._boot_delay
-        if self._image_id is not None:
-            # Launching where the Galaxy AMI has not been propagated
-            # provisions from scratch via user-data (Section 4).
-            boot += self._provider.ami.boot_penalty(self._image_id, instance.region)
-        self._boot_due = self._engine.now + boot
+        self._boot_due = self._engine.now + self._boot_delay
         self._boot_event = self._engine.call_in(
-            boot,
+            self._boot_delay,
             self._begin_running,
             label=f"exec:{self.workload.workload_id}:boot",
         )

@@ -41,7 +41,6 @@ class LifecycleService:
         ctx: Policy context (live records are published into it).
         backend: Checkpoint backend handed to executions.
         strategy: Policy name stamped onto results.
-        image_id: Optional AMI whose propagation state shapes boots.
     """
 
     def __init__(
@@ -52,7 +51,6 @@ class LifecycleService:
         ctx: "PolicyContext",
         backend: "CheckpointBackend",
         strategy: str,
-        image_id: Optional[str] = None,
     ) -> None:
         self._provider = provider
         self._config = config
@@ -60,7 +58,6 @@ class LifecycleService:
         self._ctx = ctx
         self._backend = backend
         self._strategy = strategy
-        self._image_id = image_id
         self._telemetry = provider.telemetry
         self._executions: Dict[str, WorkloadExecution] = {}
         self._completion_listeners: List[Callable[[WorkloadExecution], None]] = []
@@ -125,7 +122,6 @@ class LifecycleService:
                 execute_payloads=self._config.execute_payloads,
                 on_complete=self._on_workload_complete,
                 fleet_state=self._store,
-                image_id=self._image_id,
             )
             self._executions[workload.workload_id] = execution
             self._store.save_execution(execution)
@@ -207,7 +203,6 @@ class LifecycleService:
                 execute_payloads=self._config.execute_payloads,
                 on_complete=self._on_workload_complete,
                 fleet_state=self._store,
-                image_id=self._image_id,
             )
             self._executions[workload.workload_id] = execution
             self._ctx.records[workload.workload_id] = execution.record

@@ -314,7 +314,6 @@ class MultiTenantController:
         policy: Placement policy every admitted batch runs through.
         config: Control-plane configuration.
         monitor: Optional Monitor handed to the policy context.
-        image_id: Optional Galaxy AMI shaping boot times.
         state_store: Durable fleet state to compose over; defaults to a
             fresh store with *n_shards* shards.  Pass a torn-down
             controller's store, then :meth:`restore` and :meth:`wait`,
@@ -342,7 +341,6 @@ class MultiTenantController:
         policy: PlacementPolicy,
         config: SpotVerseConfig,
         monitor: Optional["Monitor"] = None,
-        image_id: Optional[str] = None,
         state_store: Optional[FleetStateStore] = None,
         n_shards: int = 1,
         admit_interval: float = 0.0,
@@ -356,8 +354,7 @@ class MultiTenantController:
             else FleetStateStore(provider.dynamodb, n_shards=n_shards)
         )
         self._fleet = FleetController(
-            provider, policy, config, monitor=monitor,
-            image_id=image_id, state_store=store,
+            provider, policy, config, monitor=monitor, state_store=store
         )
         self.registry = TenantRegistry(store)
         self.admission = AdmissionController(self.registry)

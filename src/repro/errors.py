@@ -88,10 +88,6 @@ class StateMachineError(ServiceError):
     """Raised when a Step Functions execution exhausts its retries."""
 
 
-class StackError(ServiceError):
-    """Raised for invalid CloudFormation stack operations."""
-
-
 class GalaxyError(ReproError):
     """Base class for errors raised by the Galaxy workflow substrate."""
 

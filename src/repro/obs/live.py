@@ -101,11 +101,6 @@ class SegmentWriter:
         self._closed = False
         self._write_manifest(complete=False)
 
-    @property
-    def segment_count(self) -> int:
-        """Sealed segments plus the active one (if it has content)."""
-        return len(self._segments) + (1 if self._active_lines else 0)
-
     def _active_name(self) -> str:
         return f"segment-{self._active_index:06d}.jsonl"
 

@@ -63,7 +63,6 @@ _HEAD_SUBSYSTEM = {
     "galaxy": "lifecycle",
     "checkpoint": "lifecycle",
     "efs": "lifecycle",
-    "ami": "lifecycle",
     "s3": "lifecycle",
     "monitor": "monitor",
 }

@@ -384,12 +384,6 @@ class DecisionLog:
             return list(self._records)
         return [record for record in self._records if record.kind == kind]
 
-    def for_workload(self, workload_id: str) -> List[DecisionRecord]:
-        """Decisions that placed *workload_id*, in order."""
-        return [
-            record for record in self._records if workload_id in record.workload_ids
-        ]
-
     def fallbacks(self) -> List[DecisionRecord]:
         """Decisions that resolved to on-demand."""
         return [record for record in self._records if record.is_fallback]

@@ -19,10 +19,10 @@ decisions:
   extension, after the paper's cited Can't-Be-Late).
 
 :data:`STRATEGIES` is the one roster of named strategies: the chaos
-runner, the CLI and the :class:`~repro.core.spotverse.SpotVerse` façade
-build their policy through :func:`build_strategy`, and every experiment
-arm (:class:`~repro.experiments.harness.ArmSpec`) carries a row, so
-adding a strategy is one row there.
+runner, the CLI and the examples build their policy through
+:func:`build_strategy`, and every experiment arm
+(:class:`~repro.experiments.harness.ArmSpec`) carries a row, so adding
+a strategy is one row there.
 """
 
 from __future__ import annotations

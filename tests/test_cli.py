@@ -28,6 +28,56 @@ class TestRecommend:
         assert "top regions" in out
 
 
+_HEADER = (
+    "region         | spot $/h | od $/h | placement | stability | combined | savings\n"
+    "---------------+----------+--------+-----------+-----------+----------+--------\n"
+)
+_M5_XLARGE_ROWS = (
+    "eu-west-1      |   0.0724 | 0.2131 |       4.5 |         3 |      7.5 |     66%\n"
+    "eu-north-1     |   0.0818 | 0.2035 |       4.3 |         3 |      7.3 |     60%\n"
+    "ap-northeast-3 |   0.0835 | 0.2381 |       4.7 |         3 |      7.7 |     65%\n"
+    "us-west-1      |   0.0885 | 0.2246 |       4.2 |         3 |      7.2 |     61%\n"
+)
+
+
+class TestRecommendStdout:
+    """Full ``recommend`` stdout, pinned byte for byte."""
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                [],
+                "SpotVerse top regions for m5.xlarge (threshold 6, cheapest first)\n"
+                + _HEADER
+                + _M5_XLARGE_ROWS,
+            ),
+            (
+                ["--threshold", "9"],
+                "No region meets threshold 9 for m5.xlarge; "
+                "SpotVerse recommends ON-DEMAND in us-east-1.\n",
+            ),
+            (
+                ["--no-placement-score", "--threshold", "3"],
+                "SpotVerse top regions for m5.xlarge (threshold 3, cheapest first)\n"
+                + _HEADER
+                + _M5_XLARGE_ROWS,
+            ),
+            (
+                ["--instance-type", "m5.2xlarge", "--seed", "7", "--max-regions", "2"],
+                "SpotVerse top regions for m5.2xlarge (threshold 6, cheapest first)\n"
+                + _HEADER
+                + "ap-northeast-3 |   0.0914 | 0.4762 |       4.3 |         3 |      7.3 |     81%\n"
+                "eu-north-1     |   0.1597 | 0.4070 |       4.1 |         3 |      7.1 |     61%\n",
+            ),
+        ],
+        ids=["default", "on-demand", "stability-only", "m5.2xlarge-top2"],
+    )
+    def test_full_stdout(self, argv, expected, capsys):
+        assert main(["recommend", *argv]) == 0
+        assert capsys.readouterr().out == expected
+
+
 class TestRun:
     def test_spotverse_run(self, capsys):
         code = main(

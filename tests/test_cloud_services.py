@@ -4,14 +4,6 @@ import pytest
 
 from repro.cloud.billing import CostCategory
 from repro.cloud.provider import CloudProvider
-from repro.cloud.services.cloudformation import (
-    BucketResource,
-    LambdaResource,
-    RuleResource,
-    ScheduleResource,
-    StackTemplate,
-    TableResource,
-)
 from repro.cloud.services.ec2 import InstanceLifecycle, InstanceState, SpotRequestState
 from repro.cloud.services.stepfunctions import ExecutionStatus, RetryPolicy
 from repro.errors import (
@@ -21,7 +13,6 @@ from repro.errors import (
     NoSuchBucketError,
     NoSuchKeyError,
     NoSuchTableError,
-    StackError,
 )
 from repro.sim.clock import HOUR, MINUTE
 
@@ -378,48 +369,6 @@ class TestEventBridgeAndCloudWatch:
         provider.cloudwatch.remove_rule("sweep")
         provider.engine.run_until(2 * HOUR)
         assert len(hits) == 4
-
-
-class TestCloudFormation:
-    def template(self):
-        return StackTemplate(
-            description="control plane",
-            functions=[LambdaResource(name="collector", handler=lambda e, c: "ok")],
-            rules=[
-                RuleResource(
-                    name="on-warning",
-                    source="aws.ec2",
-                    detail_type="EC2 Spot Instance Interruption Warning",
-                    target_function="collector",
-                )
-            ],
-            schedules=[
-                ScheduleResource(name="collect", interval=5 * MINUTE, target_function="collector")
-            ],
-            tables=[TableResource(name="metrics", partition_key="region", sort_key="itype")],
-            buckets=[BucketResource(name="artifacts", region="us-east-1")],
-        )
-
-    def test_deploy_creates_all_resources(self, provider):
-        provider.cloudformation.deploy_stack("spotverse", self.template())
-        assert "collector" in provider.lambda_.functions()
-        assert "metrics" in provider.dynamodb.tables()
-        assert "artifacts" in provider.s3.buckets()
-        assert "collect" in provider.cloudwatch.scheduled_rules()
-        provider.engine.run_until(16 * MINUTE)
-        assert provider.lambda_.get_function("collector").invocations >= 3
-
-    def test_duplicate_stack_rejected(self, provider):
-        provider.cloudformation.deploy_stack("s", StackTemplate())
-        with pytest.raises(StackError):
-            provider.cloudformation.deploy_stack("s", StackTemplate())
-
-    def test_delete_stack_removes_schedules(self, provider):
-        provider.cloudformation.deploy_stack("s", self.template())
-        provider.cloudformation.delete_stack("s")
-        assert "collect" not in provider.cloudwatch.scheduled_rules()
-        with pytest.raises(StackError):
-            provider.cloudformation.describe_stack("s")
 
 
 class _ThrottleOnce:

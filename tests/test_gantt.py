@@ -83,15 +83,16 @@ class TestLifelines:
 
     def test_real_fleet_renders(self):
         from repro.cloud.provider import CloudProvider
-        from repro.core import SpotVerse, SpotVerseConfig
+        from repro.core import SpotVerseConfig
         from repro.workloads import synthetic_workload
+        from tests.fleets import spotverse_controller
 
         provider = CloudProvider(seed=7)
-        spotverse = SpotVerse(
+        controller = spotverse_controller(
             provider,
             SpotVerseConfig(initial_distribution=False, start_region="ca-central-1"),
         )
-        result = spotverse.run(
+        result = controller.run(
             [synthetic_workload(f"w{i}", duration_hours=6.0) for i in range(6)],
             max_hours=48,
         )

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cloud.provider import CloudProvider
-from repro.core import FleetController, SpotVerse, SpotVerseConfig
+from repro.core import FleetController, SpotVerseConfig
 from repro.core.monitor import Monitor
 from repro.core.prediction import PredictiveOptimizer
 from repro.workloads import (
@@ -12,6 +12,7 @@ from repro.workloads import (
     standard_general_workload,
     synthetic_workload,
 )
+from tests.fleets import spotverse_controller
 
 
 class TestMixedFleet:
@@ -24,7 +25,7 @@ class TestMixedFleet:
             initial_distribution=False,
             start_region="ca-central-1",
         )
-        spotverse = SpotVerse(provider, config)
+        controller = spotverse_controller(provider, config)
         fleet = [
             genome_reconstruction_workload(f"std-{i}", duration_hours=8.0)
             for i in range(6)
@@ -32,7 +33,7 @@ class TestMixedFleet:
             ngs_preprocessing_workload(f"ckp-{i}", duration_hours=8.0)
             for i in range(6)
         ]
-        result = spotverse.run(fleet, max_hours=96)
+        result = controller.run(fleet, max_hours=96)
         assert result.all_complete
         std_elapsed = [
             record.elapsed for record in result.records if record.workload_id.startswith("std")
@@ -44,13 +45,13 @@ class TestMixedFleet:
 
     def test_all_three_paper_workloads(self):
         provider = CloudProvider(seed=32)
-        spotverse = SpotVerse(provider, SpotVerseConfig(instance_type="m5.xlarge"))
+        controller = spotverse_controller(provider, SpotVerseConfig(instance_type="m5.xlarge"))
         fleet = [
             standard_general_workload("qiime", duration_hours=5.0),
             genome_reconstruction_workload("genome", duration_hours=5.0),
             ngs_preprocessing_workload("ngs", duration_hours=5.0),
         ]
-        result = spotverse.run(fleet, max_hours=72)
+        result = controller.run(fleet, max_hours=72)
         assert result.all_complete
 
 
@@ -62,9 +63,9 @@ class TestPreferredRegions:
             preferred_regions=["eu-west-1", "eu-north-1", "eu-west-2"],
             score_threshold=6.0,
         )
-        spotverse = SpotVerse(provider, config)
+        controller = spotverse_controller(provider, config)
         fleet = [synthetic_workload(f"w{i}", duration_hours=6.0) for i in range(8)]
-        result = spotverse.run(fleet, max_hours=72)
+        result = controller.run(fleet, max_hours=72)
         assert result.all_complete
         used = set(result.regions_used())
         assert used <= {"eu-west-1", "eu-north-1", "eu-west-2"}
@@ -103,9 +104,9 @@ class TestFeatureCombination:
             use_placement_score=False,
             score_threshold=3.0,
         )
-        spotverse = SpotVerse(provider, config)
+        controller = spotverse_controller(provider, config)
         fleet = [synthetic_workload(f"w{i}", duration_hours=4.0) for i in range(6)]
-        result = spotverse.run(fleet, max_hours=48)
+        result = controller.run(fleet, max_hours=48)
         assert result.all_complete
         launch_regions = {record.regions[0] for record in result.records}
         assert launch_regions <= {
@@ -115,13 +116,13 @@ class TestFeatureCombination:
     def test_sequential_fleets_on_one_provider(self):
         """A long-lived SpotVerse deployment runs fleet after fleet."""
         provider = CloudProvider(seed=36)
-        spotverse = SpotVerse(provider, SpotVerseConfig(instance_type="m5.xlarge"))
-        first = spotverse.run(
+        controller = spotverse_controller(provider, SpotVerseConfig(instance_type="m5.xlarge"))
+        first = controller.run(
             [synthetic_workload(f"a{i}", duration_hours=2.0) for i in range(4)],
             max_hours=24,
         )
         assert first.all_complete
-        second = spotverse.run(
+        second = controller.run(
             [synthetic_workload(f"b{i}", duration_hours=2.0) for i in range(4)],
             max_hours=24,
         )
@@ -135,4 +136,4 @@ class TestFeatureCombination:
         from repro.errors import ExperimentError
 
         with pytest.raises(ExperimentError):
-            spotverse.run([synthetic_workload("a0", duration_hours=1.0)])
+            controller.run([synthetic_workload("a0", duration_hours=1.0)])

@@ -13,7 +13,7 @@ import pytest
 
 from repro.cli import main
 from repro.cloud.provider import CloudProvider
-from repro.core import SpotVerse, SpotVerseConfig
+from repro.core import SpotVerseConfig
 from repro.errors import ReproError
 from repro.obs import (
     EventType,
@@ -35,6 +35,7 @@ from repro.obs.provenance import (
 )
 from repro.sim.clock import DAY, HOUR
 from repro.workloads import genome_reconstruction_workload, synthetic_workload
+from tests.fleets import spotverse_controller
 
 
 # ----------------------------------------------------------------------
@@ -273,12 +274,12 @@ def provenance_run(tmp_path_factory):
     """Seed 13: a SpotVerse fleet that suffers several interruptions."""
     telemetry = Telemetry()
     provider = CloudProvider(seed=13, telemetry=telemetry, observatory=True)
-    spotverse = SpotVerse(provider, SpotVerseConfig(instance_type="m5.xlarge"))
+    controller = spotverse_controller(provider, SpotVerseConfig(instance_type="m5.xlarge"))
     fleet = [
         genome_reconstruction_workload(f"wl-{i:03d}", duration_hours=20.0)
         for i in range(10)
     ]
-    result = spotverse.run(fleet, max_hours=160.0)
+    result = controller.run(fleet, max_hours=160.0)
     path = tmp_path_factory.mktemp("provenance") / "run.jsonl"
     write_jsonl(str(path), telemetry)
     return provider, telemetry, result, path
@@ -327,9 +328,9 @@ class TestProvenanceAcceptance:
         telemetry = Telemetry()
         provider = CloudProvider(seed=5, telemetry=telemetry, observatory=True)
         config = SpotVerseConfig(instance_type="m5.xlarge", score_threshold=14.0)
-        spotverse = SpotVerse(provider, config)
+        controller = spotverse_controller(provider, config)
         fleet = [synthetic_workload(f"fb-{i}", duration_hours=2.0) for i in range(4)]
-        result = spotverse.run(fleet, max_hours=24.0)
+        result = controller.run(fleet, max_hours=24.0)
         assert result.all_complete
         fallback_events = telemetry.bus.events(EventType.FALLBACK_ON_DEMAND)
         assert len(fallback_events) == 4
@@ -406,11 +407,11 @@ class TestProvenanceAcceptance:
             provider = CloudProvider(
                 seed=11, telemetry=telemetry, observatory=observatory
             )
-            spotverse = SpotVerse(provider, SpotVerseConfig(instance_type="m5.xlarge"))
+            controller = spotverse_controller(provider, SpotVerseConfig(instance_type="m5.xlarge"))
             fleet = [
                 synthetic_workload(f"w{i}", duration_hours=4.0) for i in range(5)
             ]
-            result = spotverse.run(fleet, max_hours=48.0)
+            result = controller.run(fleet, max_hours=48.0)
             return (
                 result.instance_cost,
                 result.total_interruptions,

@@ -1,17 +1,33 @@
-"""Tests for the SpotVerse facade and the end-to-end happy path."""
+"""Tests for standing up SpotVerse from the roster and the end-to-end happy path."""
 
 
 from repro.cloud.provider import CloudProvider
-from repro.core import SpotVerse, SpotVerseConfig
+from repro.core import PolicyContext, SpotVerseConfig
 from repro.core.policy import PurchasingOption
+from repro.strategies import build_strategy
 from repro.workloads import ngs_preprocessing_workload, synthetic_workload
+from tests.fleets import spotverse_controller
+
+
+def advisor(provider, config=None):
+    """The SpotVerse optimizer and an advisory context on *provider*."""
+    provider.warmup_markets(48)
+    _, monitor, optimizer = build_strategy(
+        "spotverse", provider, config or SpotVerseConfig()
+    )
+    ctx = PolicyContext(
+        provider=provider,
+        monitor=monitor,
+        rng=provider.engine.streams.get("spotverse:advice"),
+    )
+    return optimizer, ctx
 
 
 class TestSpotVerseFacade:
     def test_run_small_fleet(self):
         provider = CloudProvider(seed=42)
-        spotverse = SpotVerse(provider, SpotVerseConfig(instance_type="m5.xlarge"))
-        result = spotverse.run(
+        controller = spotverse_controller(provider, SpotVerseConfig(instance_type="m5.xlarge"))
+        result = controller.run(
             [synthetic_workload(f"w{i}", duration_hours=4.0) for i in range(6)]
         )
         assert result.all_complete
@@ -19,9 +35,8 @@ class TestSpotVerseFacade:
         assert result.total_cost > 0
 
     def test_recommended_regions_are_stable_tier(self):
-        provider = CloudProvider(seed=42)
-        spotverse = SpotVerse(provider)
-        recommended = spotverse.recommended_regions()
+        optimizer, ctx = advisor(CloudProvider(seed=42))
+        recommended = optimizer.top_regions(ctx)
         assert 1 <= len(recommended) <= 4
         assert {m.region for m in recommended} <= {
             "us-west-1",
@@ -29,19 +44,18 @@ class TestSpotVerseFacade:
             "eu-west-1",
             "eu-north-1",
         }
-        assert not spotverse.recommends_on_demand()
+        assert optimizer.top_regions(ctx)  # not steering to on-demand
 
     def test_recommendation_single_placement(self):
-        provider = CloudProvider(seed=42)
-        spotverse = SpotVerse(provider)
-        placement = spotverse.recommendation()
+        optimizer, ctx = advisor(CloudProvider(seed=42))
+        [placement] = optimizer.initial_placements([synthetic_workload("probe")], ctx)
         assert placement.option is PurchasingOption.SPOT
 
     def test_high_threshold_recommends_on_demand(self):
-        provider = CloudProvider(seed=42)
-        spotverse = SpotVerse(provider, SpotVerseConfig(score_threshold=9.0))
-        assert spotverse.recommends_on_demand()
-        assert spotverse.recommendation().option is PurchasingOption.ON_DEMAND
+        optimizer, ctx = advisor(CloudProvider(seed=42), SpotVerseConfig(score_threshold=9.0))
+        assert not optimizer.top_regions(ctx)
+        [placement] = optimizer.initial_placements([synthetic_workload("probe")], ctx)
+        assert placement.option is PurchasingOption.ON_DEMAND
 
     def test_checkpoint_fleet_end_to_end(self):
         provider = CloudProvider(seed=9)
@@ -50,11 +64,11 @@ class TestSpotVerseFacade:
             initial_distribution=False,
             start_region="ca-central-1",
         )
-        spotverse = SpotVerse(provider, config)
+        controller = spotverse_controller(provider, config)
         fleet = [
             ngs_preprocessing_workload(f"w{i}", duration_hours=6.0) for i in range(6)
         ]
-        result = spotverse.run(fleet)
+        result = controller.run(fleet)
         assert result.all_complete
         # Checkpoints for interrupted workloads are durable in DynamoDB.
         for record in result.records:
@@ -65,16 +79,15 @@ class TestSpotVerseFacade:
     def test_package_level_exports(self):
         import repro
 
-        assert repro.SpotVerse is SpotVerse
         assert repro.SpotVerseConfig is SpotVerseConfig
         assert repro.__version__
 
     def test_deterministic_given_seed(self):
         def run_once():
             provider = CloudProvider(seed=123)
-            spotverse = SpotVerse(provider, SpotVerseConfig())
+            controller = spotverse_controller(provider, SpotVerseConfig())
             fleet = [synthetic_workload(f"w{i}", duration_hours=4.0) for i in range(4)]
-            result = spotverse.run(fleet)
+            result = controller.run(fleet)
             return (
                 result.total_interruptions,
                 result.makespan,
