@@ -3,7 +3,7 @@
     PYTHONPATH=src python benchmarks/workload_digests.py > digests.json
 
 Runs each entry of ``benchmarks/e2e/workloads.py::WORKLOADS`` at 20 %
-size for seeds 4 and 5 and records two SHA-256 digests per run:
+size for seeds 4 and 5 and records three SHA-256 digests per run:
 
 * ``fleet`` -- the workload's ``fleet_digest``, over every simulated
   cost, timestamp and placement;
@@ -12,7 +12,10 @@ size for seeds 4 and 5 and records two SHA-256 digests per run:
   bound through ``inspect.signature`` (defaults applied, so passing a
   default explicitly is the same call), and the result or the
   exception type.  Object addresses (``" at 0x…"``) are stripped and
-  sets are sorted, so the digest does not depend on the process.
+  sets are sorted, so the digest does not depend on the process;
+* ``files`` -- every file the run wrote under its work directory
+  (sorted relative paths, each followed by its size and bytes): chaos-recovery's
+  stream segments, manifest and ``BLACKBOX_*.json`` artifacts.
 
 Two interpreters (or two commits) that print the same JSON produced
 bit-identical simulations through the same state-store traffic.  CI
@@ -96,18 +99,34 @@ def dynamodb_calls() -> Iterator[Any]:
             setattr(DynamoDBService, name, fn)
 
 
+def files_digest(root: str) -> str:
+    """SHA-256 over every file under *root*: relative path, size, bytes."""
+    sha = hashlib.sha256()
+    base = Path(root)
+    for path in sorted(p for p in base.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        sha.update(f"{path.relative_to(base).as_posix()}\0{len(data)}\0".encode())
+        sha.update(data)
+    return sha.hexdigest()
+
+
 def digests(
     scale: float = SCALE, seeds: Sequence[int] = SEEDS
 ) -> Dict[str, Dict[str, Dict[str, str]]]:
-    """``{workload: {seed: {"fleet": digest, "dynamodb": digest}}}``."""
+    """``{workload: {seed: {"fleet": ..., "dynamodb": ..., "files": ...}}}``."""
     result: Dict[str, Dict[str, Dict[str, str]]] = {}
     for name, run in workloads.WORKLOADS.items():
         result[name] = {}
         for seed in seeds:
             out = workloads.Outcome()
-            with tempfile.TemporaryDirectory() as workdir, dynamodb_calls() as calls:
-                run(out, seed, scale, workdir)
-            result[name][str(seed)] = {"fleet": out.digest, "dynamodb": calls.hexdigest()}
+            with tempfile.TemporaryDirectory() as workdir:
+                with dynamodb_calls() as calls:
+                    run(out, seed, scale, workdir)
+                result[name][str(seed)] = {
+                    "fleet": out.digest,
+                    "dynamodb": calls.hexdigest(),
+                    "files": files_digest(workdir),
+                }
     return result
 
 

@@ -21,7 +21,7 @@ Determinism properties:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.chaos.campaign import CampaignSpec, Injection
 from repro.errors import ChaosError
@@ -73,6 +73,11 @@ class ChaosController:
         self._watches: List[Callable[[], None]] = []
         self._installed = False
         self._retry_rng = None
+        #: Corrupted variant per source body, keyed by identity (the
+        #: entry pins the source, so its id stays unique).  Stored bodies
+        #: are the checkpoint backends' shared per-size buffers, so this
+        #: holds one variant per distinct size for the controller's run.
+        self._corrupted: Dict[int, Tuple[bytes, bytes]] = {}
         self.started_at = 0.0
 
     # ------------------------------------------------------------------
@@ -281,7 +286,9 @@ class ChaosController:
         """Corrupted replacement for a stored artifact, or ``None``.
 
         Corruption truncates the payload and flips its first byte, so
-        both length and content checks can catch it.
+        both length and content checks can catch it; an empty payload
+        becomes the single byte ``0xFF``.  Every corruption of the same
+        *body* object returns the same (immutable) replacement.
         """
         if not key.startswith("checkpoints/"):
             return None
@@ -290,7 +297,10 @@ class ChaosController:
                 continue
             if window.roll():
                 self._note_fault("checkpoint-corruption", f"{service}:{key}")
-                truncated = bytearray(body[: max(1, len(body) // 2)])
-                truncated[0] ^= 0xFF
-                return bytes(truncated)
+                cached = self._corrupted.get(id(body))
+                if cached is None:
+                    truncated = bytearray(body[: max(1, len(body) // 2)] or b"\x00")
+                    truncated[0] ^= 0xFF
+                    cached = self._corrupted[id(body)] = (body, bytes(truncated))
+                return cached[1]
         return None

@@ -54,23 +54,40 @@ PROGRESS_RETRY_POLICY = RetryPolicy(max_attempts=5, interval=0.0, backoff_rate=1
 ARTIFACT_RETRY_POLICY = RetryPolicy(max_attempts=4, interval=5.0, backoff_rate=2.0, jitter=0.5)
 
 
-def _checksum(body: bytes) -> str:
-    return hashlib.sha256(body).hexdigest()
-
-
 # Stored artifact bodies are all-zero buffers whose content depends only
 # on their (capped) size, so the buffer and its digest are shared per
 # size instead of re-allocating and re-hashing ~1 MiB per checkpoint.
 # bytes are immutable, so handing the same object to every put is safe.
 _ZERO_BODIES: Dict[int, Tuple[bytes, str]] = {}
 
+# Digests of the other bodies verification hashed, keyed by identity;
+# an entry pins its body, so the id cannot be reused while it is cached.
+# Chaos corruption hands every damaged artifact of one size the same
+# replacement object, so a few entries cover every restore, and the cap
+# keeps arbitrary bodies from being retained without bound.
+_DIGEST_MEMO_SIZE = 8
+_DIGESTS: Dict[int, Tuple[bytes, str]] = {}
+
 
 def _zero_body(stored: int) -> Tuple[bytes, str]:
     cached = _ZERO_BODIES.get(stored)
     if cached is None:
         body = b"\x00" * stored
-        cached = _ZERO_BODIES[stored] = (body, _checksum(body))
+        cached = _ZERO_BODIES[stored] = (body, hashlib.sha256(body).hexdigest())
     return cached
+
+
+def _checksum(body: bytes) -> str:
+    """SHA-256 of *body*, reusing the digest of a body already hashed."""
+    known = _ZERO_BODIES.get(len(body))
+    if known is not None and known[0] is body:
+        return known[1]
+    known = _DIGESTS.get(id(body))
+    if known is None:
+        if len(_DIGESTS) >= _DIGEST_MEMO_SIZE:
+            del _DIGESTS[next(iter(_DIGESTS))]
+        known = _DIGESTS[id(body)] = (body, hashlib.sha256(body).hexdigest())
+    return known[1]
 
 
 @dataclass(frozen=True)

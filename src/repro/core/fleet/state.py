@@ -27,7 +27,7 @@ code behind it is replaced.
 from __future__ import annotations
 
 import zlib
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, MutableMapping, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, MutableMapping, Optional, Set, Tuple
 
 from repro.cloud.retry import RetryPolicy, call_with_retries, note_dead_letter, note_retry
 from repro.errors import ExperimentError, ThrottlingError
@@ -200,6 +200,10 @@ class FleetStateStore:
         self._flush_tables = tuple(flush_tables)
         for table, _ in self._flush_tables:
             self._pending[table] = {}
+        #: Flush position per table, and the tables with staged writes
+        #: (a tick's flush visits only these, in ``_flush_tables`` order).
+        self._flush_order = {table: index for index, (table, _) in enumerate(self._flush_tables)}
+        self._dirty: Set[str] = set()
         # Shard routing state.  Both maps are in-process conveniences
         # over durable data: tenants are re-assigned on resume (the
         # tenancy layer persists its map in the meta table) and
@@ -289,6 +293,7 @@ class FleetStateStore:
         # Staged dicts are stored as-is: every staging site passes a
         # freshly built dict, and overlay reads copy on the way out.
         self._pending[table][key] = item
+        self._dirty.add(table)
 
     def _overlay_scan(self, table: str, rows: List[Dict[str, Any]], key_attr: str) -> List[Dict[str, Any]]:
         """Merge a table scan with the staged overlay.
@@ -367,10 +372,9 @@ class FleetStateStore:
         tick's flush retries it — the mirror self-heals instead of
         silently losing state.
         """
-        for table, label in self._flush_tables:
+        for index in sorted(map(self._flush_order.__getitem__, self._dirty)):
+            table, label = self._flush_tables[index]
             pending = self._pending[table]
-            if not pending:
-                continue
             puts = [item for item in pending.values() if item is not None]
             deletes = [key for key, item in pending.items() if item is None]
             flushed: List[bool] = []
@@ -382,6 +386,7 @@ class FleetStateStore:
             self._write(apply, scope=f"fleet-state:flush:{label}")
             if flushed:
                 pending.clear()
+                self._dirty.discard(table)
 
     # ------------------------------------------------------------------
     # Workload state

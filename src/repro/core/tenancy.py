@@ -215,6 +215,7 @@ class AdmissionController:
         self._in_flight: Dict[str, int] = {}
         self._virtual: Dict[str, float] = {}
         self._global_virtual = 0.0
+        self._queued_total = 0
         self.admitted_counts: Dict[str, int] = {}
         self.done_counts: Dict[str, int] = {}
         self.throttled_counts: Dict[str, int] = {}
@@ -238,6 +239,7 @@ class AdmissionController:
                 self._virtual.get(tenant_id, 0.0), self._global_virtual
             )
         queue.append(workload)
+        self._queued_total += 1
         return True
 
     def release(self, tenant_id: str) -> None:
@@ -250,40 +252,43 @@ class AdmissionController:
         self._in_flight[tenant_id] = self._in_flight.get(tenant_id, 0) + count
 
     # -- scheduling ----------------------------------------------------
-    def _eligible(self) -> List[str]:
-        eligible = []
-        for tenant_id in sorted(self._queues):
-            if not self._queues[tenant_id]:
-                continue
-            spec = self.registry.get(tenant_id)
-            if spec.max_in_flight and self._in_flight.get(tenant_id, 0) >= spec.max_in_flight:
-                continue
-            eligible.append(tenant_id)
-        return eligible
+    def _admissible(self, tenant_id: str, spec: TenantSpec) -> bool:
+        """Queued work and free quota."""
+        if not self._queues[tenant_id]:
+            return False
+        return not spec.max_in_flight or self._in_flight.get(tenant_id, 0) < spec.max_in_flight
 
     def drain(self) -> List[Admission]:
-        """Admit everything quota allows, in weighted fair-share order."""
+        """Admit everything quota allows, in weighted fair-share order.
+
+        Only the chosen tenant's state changes per admission, so the
+        id-sorted eligible list is built once and a tenant leaves it
+        when it stops being admissible; ``min`` keeps the first of equal
+        virtual times, so ties go to the smallest id.
+        """
+        specs = {
+            tenant_id: self.registry.get(tenant_id)
+            for tenant_id in sorted(self._queues)
+            if self._queues[tenant_id]
+        }
+        eligible = [
+            tenant_id for tenant_id, spec in specs.items() if self._admissible(tenant_id, spec)
+        ]
         admitted: List[Admission] = []
-        while True:
-            eligible = self._eligible()
-            if not eligible:
-                break
-            chosen = min(
-                eligible, key=lambda tenant_id: (self._virtual[tenant_id], tenant_id)
-            )
+        while eligible:
+            chosen = min(eligible, key=self._virtual.__getitem__)
+            index = eligible.index(chosen)
+            passed_over = tuple(eligible[:index] + eligible[index + 1:])
             workload = self._queues[chosen].popleft()
-            spec = self.registry.get(chosen)
+            self._queued_total -= 1
+            spec = specs[chosen]
             self._in_flight[chosen] = self._in_flight.get(chosen, 0) + 1
             self._virtual[chosen] += 1.0 / spec.effective_weight
             self._global_virtual = self._virtual[chosen]
             self.admitted_counts[chosen] = self.admitted_counts.get(chosen, 0) + 1
-            admitted.append(
-                Admission(
-                    tenant_id=chosen,
-                    workload=workload,
-                    passed_over=tuple(t for t in eligible if t != chosen),
-                )
-            )
+            admitted.append(Admission(tenant_id=chosen, workload=workload, passed_over=passed_over))
+            if not self._admissible(chosen, spec):
+                del eligible[index]
         return admitted
 
     # -- introspection -------------------------------------------------
@@ -291,7 +296,7 @@ class AdmissionController:
         """Pending submissions (one tenant or all)."""
         if tenant_id is not None:
             return len(self._queues.get(tenant_id, ()))
-        return sum(len(queue) for queue in self._queues.values())
+        return self._queued_total
 
     def queued(self) -> List[Tuple[str, Workload]]:
         """Every queued ``(tenant, workload)``, tenant-sorted FIFO."""

@@ -16,8 +16,9 @@ feeds it every bus event through :meth:`FlightRecorder.observe` (a
 resilience dead-letter triggers a snapshot there), it never subscribes
 or emits, and it serialises events lazily (only at trigger time), so
 an armed-but-untriggered recorder costs one deque append per event.
-Only the snapshots actually written to disk (and the run-end one) stay
-in memory whole; later triggers keep a one-line summary.
+Only the snapshots actually written to disk (and the run-end one) are
+built at all; later triggers keep a one-line summary.  Each ring event
+is rendered to JSON once and reused by every artifact it appears in.
 """
 
 from __future__ import annotations
@@ -84,6 +85,9 @@ class FlightRecorder:
         self.artifacts: List[str] = []
         self._context: Dict[str, Callable[[], Any]] = {}
         self._seq = 0
+        #: Artifact rendering of each event in the last written ring,
+        #: by ``seq`` (so at most ``capacity`` entries).
+        self._rendered: Dict[int, str] = {}
 
     def observe(self, event: TelemetryEvent) -> None:
         """Ring one event; a resilience dead-letter triggers a snapshot."""
@@ -172,26 +176,59 @@ class FlightRecorder:
         return payload
 
     def _write(self, name: str, payload: Dict[str, Any]) -> str:
+        """Write *payload* as ``json.dump(..., indent=2, sort_keys=True)`` does.
+
+        The document is assembled key by key so the ``events`` list can
+        reuse the rendering of every event a previous artifact already
+        wrote; an event sits at nesting depth 2, hence its 4-space
+        re-indent.  JSON strings never hold a raw newline, so indenting
+        by line is exact.
+        """
+        rendered: Dict[int, str] = {}
+        texts = []
+        for event in payload["events"]:
+            seq = event["seq"]
+            text = self._rendered.get(seq)
+            if text is None:
+                text = json.dumps(event, indent=2, sort_keys=True).replace("\n", "\n    ")
+            rendered[seq] = text
+            texts.append(text)
+        self._rendered = rendered
+        parts = []
+        for key in sorted(payload):
+            if key == "events":
+                value = "[\n    " + ",\n    ".join(texts) + "\n  ]" if texts else "[]"
+            else:
+                value = json.dumps(payload[key], indent=2, sort_keys=True).replace("\n", "\n  ")
+            parts.append(f"  {json.dumps(key)}: {value}")
         path = os.path.join(self.directory, name)
         with open(path, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+            handle.write("{\n" + ",\n".join(parts) + "\n}\n")
         self.artifacts.append(path)
         return path
 
     def trigger(self, reason: str, detail: str = "", **attrs: Any) -> Dict[str, Any]:
-        """Freeze the ring into a snapshot payload (and maybe a file)."""
-        payload = self._payload(reason, detail, attrs)
+        """Freeze the ring into a snapshot payload (and maybe a file).
+
+        Past ``max_artifacts`` no payload is built: the returned (and
+        kept) entry is the ``reason``/``detail``/``time``/``attrs``
+        summary.
+        """
         if self._seq < self.max_artifacts:
-            self.triggers.append(payload)
+            entry = self._payload(reason, detail, attrs)
+            self.triggers.append(entry)
             if self.directory is not None:
-                self._write(f"BLACKBOX_{self._seq:03d}_{_slug(reason)}.json", payload)
+                self._write(f"BLACKBOX_{self._seq:03d}_{_slug(reason)}.json", entry)
         else:
-            self.triggers.append(
-                {key: payload[key] for key in ("reason", "detail", "time", "attrs")}
-            )
+            entry = {
+                "reason": reason,
+                "detail": detail,
+                "time": self.telemetry.bus.now(),
+                "attrs": attrs,
+            }
+            self.triggers.append(entry)
         self._seq += 1
-        return payload
+        return entry
 
     def snapshot_final(self) -> Optional[str]:
         """Write an unconditional run-end snapshot, outside the cap.

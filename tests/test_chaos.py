@@ -12,6 +12,8 @@ The load-bearing guarantees under test:
 * a controller kill mid-campaign recovers to a bit-identical result.
 """
 
+import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -26,6 +28,7 @@ from repro.chaos import (
     run_campaign,
 )
 from repro.cloud.provider import CloudProvider
+from repro.core.fleet import checkpoint
 from repro.errors import ChaosError, CloudError
 from repro.obs import EventType
 from repro.sim.clock import HOUR
@@ -271,6 +274,121 @@ class TestFaultModes:
         )
         assert outcome.all_passed
         assert outcome.scorecard["totals"]["interruptions"] >= len(small_fleet())
+
+
+# ----------------------------------------------------------------------
+# Checkpoint corruption: one shared damaged body, unchanged verdicts
+# ----------------------------------------------------------------------
+def _reference_check(entries):
+    """Verdict with a fresh SHA-256 per artifact (no digest reuse)."""
+    if not entries:
+        return None
+    corrupt = 0
+    for index, (_, body, metadata) in enumerate(sorted(entries, key=lambda e: -e[0])):
+        expected = metadata.get("sha256", "")
+        if expected and hashlib.sha256(body).hexdigest() == expected:
+            return checkpoint.ArtifactCheck(
+                newest_valid=index == 0,
+                valid_segments=int(metadata.get("segments", "0")),
+                corrupt_count=corrupt,
+            )
+        corrupt += 1
+    return checkpoint.ArtifactCheck(newest_valid=False, valid_segments=0, corrupt_count=corrupt)
+
+
+class TestCheckpointCorruption:
+    def _controller(self):
+        provider = CloudProvider(seed=1)
+        controller = ChaosController(
+            provider,
+            CampaignSpec(
+                name="corrupt",
+                injections=(
+                    Injection(kind="checkpoint-corruption", at=0.0, duration=HOUR, rate=1.0),
+                ),
+            ),
+        )
+        controller.install()
+        provider.engine.run_until(provider.engine.now + 1.0)
+        return provider, controller
+
+    def test_corruptions_of_one_body_share_one_object(self):
+        provider, controller = self._controller()
+        body, _ = checkpoint._zero_body(1 << 20)
+        first = controller.corrupt_checkpoint("s3", "checkpoints/w/1.bin", body)
+        second = controller.corrupt_checkpoint("efs", "checkpoints/w/2.bin", body)
+        assert first is second
+        expected = bytearray(body[: len(body) // 2])
+        expected[0] ^= 0xFF
+        assert first == bytes(expected)
+        other = controller.corrupt_checkpoint("s3", "checkpoints/w/3.bin", b"\x07" * 5)
+        assert other == b"\xf8\x07"
+        assert controller.corrupt_checkpoint("s3", "results/w.bin", body) is None
+        faults = [
+            e for e in provider.telemetry.bus if e.type is EventType.CHAOS_FAULT_INJECTED
+        ]
+        assert [e.attrs["scope"] for e in faults] == [
+            "s3:checkpoints/w/1.bin",
+            "efs:checkpoints/w/2.bin",
+            "s3:checkpoints/w/3.bin",
+        ]
+
+    def test_empty_body_corrupts_to_one_byte(self):
+        _, controller = self._controller()
+        assert controller.corrupt_checkpoint("s3", "checkpoints/w/1.bin", b"") == b"\xff"
+
+    def test_zero_byte_checkpoints_survive_total_corruption(self):
+        fleet = [
+            dataclasses.replace(
+                ngs_preprocessing_workload(f"ckpt-{i}", duration_hours=3.0, n_segments=3),
+                checkpoint_bytes=0,
+            )
+            for i in range(20)
+        ]
+        campaign = CampaignSpec(
+            name="corrupt-empty",
+            injections=(
+                Injection(
+                    kind="checkpoint-corruption", at=0.0, duration=72 * HOUR, rate=1.0
+                ),
+            ),
+        )
+        outcome = run_campaign(
+            policy="single-region", campaign=campaign, workloads=fleet, max_hours=72.0
+        )
+        assert outcome.all_passed
+        faults = outcome.scorecard["faults"]
+        assert faults["by_kind"]["checkpoint-corruption"] > 0
+        assert faults["checkpoint_fallbacks"] > 0
+
+    def test_verdicts_match_a_fresh_hash_per_artifact(self):
+        _, controller = self._controller()
+        body, digest = checkpoint._zero_body(1 << 20)
+        small, small_digest = checkpoint._zero_body(1000)
+        corrupted = controller.corrupt_checkpoint("s3", "checkpoints/w/1.bin", body)
+        arbitrary = b"payload"
+        meta = {"sha256": digest, "segments": "3"}
+        arbitrary_meta = {"sha256": hashlib.sha256(arbitrary).hexdigest(), "segments": "7"}
+        cases = [
+            [],
+            [(1, body, meta)],
+            [(1, small, {"sha256": small_digest, "segments": "1"})],
+            [(1, corrupted, meta), (2, corrupted, dict(meta, segments="5"))],
+            [(1, body, dict(meta, segments="2")), (2, corrupted, meta), (3, corrupted, meta)],
+            [(4, body, meta), (2, corrupted, meta), (3, b"", {"sha256": ""})],
+            [(1, arbitrary, arbitrary_meta), (2, b"x", meta)],
+            [(1, body, {"segments": "1"})],
+        ]
+        for entries in cases:
+            assert checkpoint._check_entries(list(entries)) == _reference_check(entries)
+            # A second pass reuses digests and must agree.
+            assert checkpoint._check_entries(list(entries)) == _reference_check(entries)
+
+    def test_digest_memo_is_bounded(self):
+        bodies = [bytes([i]) * 64 for i in range(3 * checkpoint._DIGEST_MEMO_SIZE)]
+        for body in bodies:
+            assert checkpoint._checksum(body) == hashlib.sha256(body).hexdigest()
+        assert len(checkpoint._DIGESTS) <= checkpoint._DIGEST_MEMO_SIZE
 
 
 # ----------------------------------------------------------------------

@@ -475,3 +475,76 @@ class TestFlightRecorder:
         assert payload["reason"] == "run-end"
         assert payload["events"]  # ring carried the tail of the run
         assert payload["metrics"]
+
+
+class TestFlightRecorderBudget:
+    """Past-cap triggers build nothing; artifacts render each event once."""
+
+    def _telemetry(self):
+        telemetry = Telemetry()
+        telemetry.bus.attach_clock(lambda: 12.5)
+        return telemetry
+
+    def _assert_written_as_json_dump(self, recorder):
+        written = [entry for entry in recorder.triggers if "events" in entry]
+        assert len(written) == len(recorder.artifacts)
+        for path, payload in zip(recorder.artifacts, written):
+            reference = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+            with open(path) as handle:
+                assert handle.read() == reference
+
+    def test_past_cap_trigger_builds_no_payload(self, tmp_path):
+        telemetry = self._telemetry()
+        collects = []
+        collect = telemetry.metrics.collect
+        telemetry.metrics.collect = lambda: collects.append(1) or collect()
+        calls = []
+        recorder = FlightRecorder(telemetry, directory=str(tmp_path), max_artifacts=1)
+        recorder.add_context("counted", lambda: calls.append(1) or len(calls))
+        telemetry.bus.subscribe(recorder.observe)
+        telemetry.bus.emit(EventType.WORKLOAD_SUBMITTED, workload_id="w0")
+        first = recorder.trigger("invariant-breach", detail="first")
+        assert first["context"] == {"counted": 1}
+        assert (len(calls), len(collects)) == (1, 1)
+        summary = recorder.trigger("invariant-breach", detail="second", invariant="x")
+        assert (len(calls), len(collects)) == (1, 1)
+        assert summary == {
+            "reason": "invariant-breach",
+            "detail": "second",
+            "time": 12.5,
+            "attrs": {"invariant": "x"},
+        }
+        assert recorder.triggers[-1] is summary
+        assert len(recorder.artifacts) == 1
+
+    def test_empty_ring_matches_json_dump(self, tmp_path):
+        telemetry = self._telemetry()
+        recorder = FlightRecorder(telemetry, directory=str(tmp_path))
+        recorder.trigger("manual", detail="nothing yet")
+        recorder.snapshot_final()
+        assert all(entry["events"] == [] for entry in recorder.triggers)
+        self._assert_written_as_json_dump(recorder)
+
+    def test_full_and_overlapping_rings_match_json_dump(self, tmp_path):
+        telemetry = self._telemetry()
+        telemetry.metrics.counter("probe_total", "probe").inc(3, region="r1")
+        recorder = FlightRecorder(telemetry, capacity=4, directory=str(tmp_path))
+        recorder.add_context("nested", lambda: {"b": [1, {"events": []}], "a": {}})
+        telemetry.bus.subscribe(recorder.observe)
+        for i in range(6):
+            telemetry.bus.emit(EventType.WORKLOAD_SUBMITTED, workload_id=f"w{i}")
+        recorder.trigger("manual", detail="full ring")
+        for i in range(2):
+            telemetry.bus.emit(
+                EventType.WORKLOAD_SUBMITTED,
+                workload_id=f"x{i}",
+                events=[{"events": {"inner": []}}, []],
+                empty=[],
+                nested={"z": {}, "events": ["a", 1.5, None]},
+            )
+        recorder.trigger("manual", detail="overlapping ring", events=[])
+        recorder.snapshot_final()
+        seqs = [[event["seq"] for event in entry["events"]] for entry in recorder.triggers]
+        assert len(seqs[0]) == 4 and seqs[1][:2] == seqs[0][2:]
+        assert set(recorder._rendered) == set(seqs[-1])
+        self._assert_written_as_json_dump(recorder)

@@ -440,5 +440,6 @@ class TestRecorderMemory:
             else:
                 assert set(entry) == summary_keys
                 assert entry["detail"] == f"breach {index}"
-        # trigger() still hands back the full snapshot past the cap.
-        assert all(len(payload["events"]) == 4 for payload in payloads)
+        # Past the cap trigger() hands back the summary it kept.
+        assert all(len(payload["events"]) == 4 for payload in payloads[:2])
+        assert all(set(payload) == summary_keys for payload in payloads[2:])

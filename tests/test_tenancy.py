@@ -11,6 +11,8 @@ float for float.
 """
 
 import json
+import random
+from typing import List
 
 import pytest
 
@@ -20,6 +22,7 @@ from repro.core.config import SpotVerseConfig
 from repro.core.monitor import Monitor
 from repro.core.optimizer import SpotVerseOptimizer
 from repro.core.tenancy import (
+    Admission,
     AdmissionController,
     MultiTenantController,
     TenantRegistry,
@@ -163,6 +166,113 @@ def test_bounded_queue_throttles():
     assert not admission.enqueue("a", synthetic_workload("a-1", 1.0, n_segments=1))
     assert admission.throttled_counts["a"] == 1
     provider.shutdown()
+
+
+class _ReferenceAdmission(AdmissionController):
+    """The original drain: rebuild the eligible list per admission."""
+
+    def _eligible(self) -> List[str]:
+        eligible = []
+        for tenant_id in sorted(self._queues):
+            if not self._queues[tenant_id]:
+                continue
+            spec = self.registry.get(tenant_id)
+            if spec.max_in_flight and self._in_flight.get(tenant_id, 0) >= spec.max_in_flight:
+                continue
+            eligible.append(tenant_id)
+        return eligible
+
+    def drain(self) -> List[Admission]:
+        admitted: List[Admission] = []
+        while True:
+            eligible = self._eligible()
+            if not eligible:
+                break
+            chosen = min(
+                eligible, key=lambda tenant_id: (self._virtual[tenant_id], tenant_id)
+            )
+            workload = self._queues[chosen].popleft()
+            spec = self.registry.get(chosen)
+            self._in_flight[chosen] = self._in_flight.get(chosen, 0) + 1
+            self._virtual[chosen] += 1.0 / spec.effective_weight
+            self._global_virtual = self._virtual[chosen]
+            self.admitted_counts[chosen] = self.admitted_counts.get(chosen, 0) + 1
+            admitted.append(
+                Admission(
+                    tenant_id=chosen,
+                    workload=workload,
+                    passed_over=tuple(t for t in eligible if t != chosen),
+                )
+            )
+        return admitted
+
+    def queued_count(self, tenant_id=None) -> int:
+        if tenant_id is not None:
+            return len(self._queues.get(tenant_id, ()))
+        return sum(len(queue) for queue in self._queues.values())
+
+
+class _Roster:
+    """The one ``TenantRegistry`` method admission reads."""
+
+    def __init__(self, specs):
+        self._specs = {spec.tenant_id: spec for spec in specs}
+
+    def get(self, tenant_id):
+        return self._specs[tenant_id]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_drain_matches_reference_admission(seed):
+    rng = random.Random(seed)
+    specs = [
+        TenantSpec(
+            tenant_id=f"t{index:02d}",
+            weight=rng.choice([0.0, 0.5, 1.0, 1.0, 2.0, 3.0]),
+            max_in_flight=rng.choice([0, 0, 1, 2, 5]),
+            max_pending=rng.choice([0, 0, 3, 10]),
+        )
+        for index in rng.sample(range(30), rng.randint(1, 12))
+    ]
+    roster = _Roster(specs)
+    fast, reference = AdmissionController(roster), _ReferenceAdmission(roster)
+    tenant_ids = [spec.tenant_id for spec in specs]
+    # In-flight counts seeded by a controller restore.
+    for tenant_id in tenant_ids:
+        restored = rng.choice([0, 0, 1, 3])
+        if restored:
+            fast.note_in_flight(tenant_id, restored)
+            reference.note_in_flight(tenant_id, restored)
+    submitted = 0
+    for _ in range(rng.randint(20, 80)):
+        op = rng.random()
+        if op < 0.6:
+            tenant_id = rng.choice(tenant_ids)
+            workload = synthetic_workload(f"w-{submitted}", 1.0, n_segments=1)
+            submitted += 1
+            assert fast.enqueue(tenant_id, workload) == reference.enqueue(tenant_id, workload)
+        elif op < 0.8:
+            tenant_id = rng.choice(tenant_ids)
+            fast.release(tenant_id)
+            reference.release(tenant_id)
+        else:
+            got, want = fast.drain(), reference.drain()
+            assert [(a.tenant_id, a.workload.workload_id, a.passed_over) for a in got] == [
+                (a.tenant_id, a.workload.workload_id, a.passed_over) for a in want
+            ]
+        assert fast.queued_count() == reference.queued_count()
+        assert fast._virtual == reference._virtual
+        assert fast._in_flight == reference._in_flight
+    for tenant_id in tenant_ids:
+        for _ in range(5):
+            fast.release(tenant_id)
+            reference.release(tenant_id)
+    got, want = fast.drain(), reference.drain()
+    assert [(a.tenant_id, a.workload, a.passed_over) for a in got] == [
+        (a.tenant_id, a.workload, a.passed_over) for a in want
+    ]
+    assert fast.queued_count() == reference.queued_count()
+    assert fast.admitted_counts == reference.admitted_counts
 
 
 # ----------------------------------------------------------------------
