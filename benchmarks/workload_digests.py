@@ -1,9 +1,9 @@
-"""Print the outcome and DynamoDB-traffic digests of every end-to-end workload.
+"""Print the outcome, DynamoDB, ledger and CloudWatch digests of every end-to-end workload.
 
     PYTHONPATH=src python benchmarks/workload_digests.py > digests.json
 
 Runs each entry of ``benchmarks/e2e/workloads.py::WORKLOADS`` at 20 %
-size for seeds 4 and 5 and records three SHA-256 digests per run:
+size for seeds 4 and 5 and records five SHA-256 digests per run:
 
 * ``fleet`` -- the workload's ``fleet_digest``, over every simulated
   cost, timestamp and placement;
@@ -15,12 +15,23 @@ size for seeds 4 and 5 and records three SHA-256 digests per run:
   sets are sorted, so the digest does not depend on the process;
 * ``files`` -- every file the run wrote under its work directory
   (sorted relative paths, each followed by its size and bytes): chaos-recovery's
-  stream segments, manifest and ``BLACKBOX_*.json`` artifacts.
+  stream segments, manifest and ``BLACKBOX_*.json`` artifacts;
+* ``ledger`` -- for every ``CloudProvider`` the run built, in
+  construction order: each itemised ``CostLedger`` entry (time,
+  category, ``repr`` of the amount, region, tag, detail), then the
+  by-category, by-region and by-tag totals in insertion order and
+  ``total()``;
+* ``cloudwatch`` -- for the same providers: every stored CloudWatch
+  metric key, sorted, with its ``(time, value)`` points.
 
 Two interpreters (or two commits) that print the same JSON produced
-bit-identical simulations through the same state-store traffic.  CI
-runs this on several Python versions and fails when their outputs
-differ.  Other sizes: call :func:`digests` directly.
+bit-identical simulations through the same state-store traffic, the
+same itemised bill and the same published metrics.  Nothing in the
+output depends on the process (hash seed, object addresses), so two
+runs under different ``PYTHONHASHSEED`` values print the same bytes.
+CI runs this on several Python versions, and twice under different
+hash seeds, and fails when the outputs differ.  Other sizes: call
+:func:`digests` directly.
 """
 
 from __future__ import annotations
@@ -34,12 +45,13 @@ import sys
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, Iterator, Sequence
+from typing import Any, Dict, Iterator, List, Sequence
 
 sys.path.insert(0, str(Path(__file__).resolve().parent / "e2e"))
 
 import workloads  # noqa: E402
 
+from repro.cloud.provider import CloudProvider  # noqa: E402
 from repro.cloud.services.dynamodb import DynamoDBService  # noqa: E402
 
 SCALE = 0.2
@@ -99,6 +111,67 @@ def dynamodb_calls() -> Iterator[Any]:
             setattr(DynamoDBService, name, fn)
 
 
+@contextmanager
+def providers_built() -> Iterator[List[CloudProvider]]:
+    """Collect every ``CloudProvider`` constructed in the block, in order."""
+    built: List[CloudProvider] = []
+    original = CloudProvider.__init__
+
+    @functools.wraps(original)
+    def init(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        built.append(self)
+
+    CloudProvider.__init__ = init
+    try:
+        yield built
+    finally:
+        CloudProvider.__init__ = original
+
+
+def ledger_digest(providers: Sequence[CloudProvider]) -> str:
+    """SHA-256 over every itemised charge and every total of each ledger."""
+    sha = hashlib.sha256()
+    for provider in providers:
+        ledger = provider.ledger
+        for entry in ledger.entries:
+            sha.update(
+                repr(
+                    (
+                        entry.time,
+                        entry.category.value,
+                        repr(entry.amount),
+                        entry.region,
+                        entry.tag,
+                        entry.detail,
+                    )
+                ).encode()
+            )
+        # Insertion order is part of the digest: ``total()`` folds the
+        # categories in that order.  The tool reads the by-tag totals
+        # directly, as the ledger has no public by-tag view.
+        totals = (
+            list(ledger.by_category().items()),
+            list(ledger.by_region().items()),
+            list(ledger._total_by_tag.items()),
+            ledger.total(),
+        )
+        sha.update(f"totals {totals!r}\n".encode())
+    return sha.hexdigest()
+
+
+def cloudwatch_digest(providers: Sequence[CloudProvider]) -> str:
+    """SHA-256 over every stored metric key and its ``(time, value)`` points."""
+    sha = hashlib.sha256()
+    for provider in providers:
+        # The service has no public key listing; read the store directly.
+        metrics = provider.cloudwatch._metrics
+        for key in sorted(metrics):
+            sha.update(f"{key!r} {metrics[key]!r}\n".encode())
+        sha.update(b"--\n")
+    return sha.hexdigest()
+
+
 def files_digest(root: str) -> str:
     """SHA-256 over every file under *root*: relative path, size, bytes."""
     sha = hashlib.sha256()
@@ -113,20 +186,23 @@ def files_digest(root: str) -> str:
 def digests(
     scale: float = SCALE, seeds: Sequence[int] = SEEDS
 ) -> Dict[str, Dict[str, Dict[str, str]]]:
-    """``{workload: {seed: {"fleet": ..., "dynamodb": ..., "files": ...}}}``."""
+    """``{workload: {seed: {"fleet", "dynamodb", "files", "ledger", "cloudwatch"}}}``."""
     result: Dict[str, Dict[str, Dict[str, str]]] = {}
     for name, run in workloads.WORKLOADS.items():
         result[name] = {}
         for seed in seeds:
             out = workloads.Outcome()
             with tempfile.TemporaryDirectory() as workdir:
-                with dynamodb_calls() as calls:
+                with dynamodb_calls() as calls, providers_built() as providers:
                     run(out, seed, scale, workdir)
                 result[name][str(seed)] = {
                     "fleet": out.digest,
                     "dynamodb": calls.hexdigest(),
                     "files": files_digest(workdir),
+                    "ledger": ledger_digest(providers),
+                    "cloudwatch": cloudwatch_digest(providers),
                 }
+                del providers[:]
     return result
 
 

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-import numpy as np
-
 from repro.bio.fastq import FastqRecord, simulate_reads, write_fastq
 from repro.bio.seq import random_genome
 from repro.errors import BioError

@@ -83,18 +83,20 @@ class CostLedger:
     """Ledger of simulated charges: itemised requests, running totals.
 
     Two kinds of charge land here.  Per-request charges (Lambda,
-    DynamoDB, S3, CloudWatch, Step Functions, EFS) arrive one at a time
-    through :meth:`charge` and are itemised in :attr:`entries`.  Compute
-    time arrives in batches through :meth:`accrue` from the EC2
-    billing sweep; it only moves the running totals, because each
-    instance's ``accrued_cost`` is already its itemised compute bill.
+    DynamoDB, S3, CloudWatch, Step Functions, EFS) arrive through
+    :meth:`charge`, one at a time or as a run of identical charges,
+    and are itemised in :attr:`entries`.  Compute time arrives in
+    batches through :meth:`accrue` from the EC2 billing sweep; it only
+    moves the running totals, because each instance's ``accrued_cost``
+    is already its itemised compute bill.
 
     Every total is a left-to-right fold in posting order, so it is the
     same float however the charges were batched.  Totals are keyed by
     the category's *value* string (hashing an enum member goes through
     two dynamic descriptor lookups per dict operation; a str hash is
-    cached), and entries are stored as plain tuples that are
-    materialised into :class:`CostEntry` objects only when read.
+    cached), and entries are stored as plain tuples (one tuple shared
+    by every charge of a run) that are materialised into
+    :class:`CostEntry` objects only when read.
     """
 
     __slots__ = (
@@ -122,8 +124,17 @@ class CostLedger:
         region: str = "",
         tag: str = "",
         detail: str = "",
+        count: int = 1,
     ) -> None:
-        """Record one itemised charge.
+        """Record *count* identical itemised charges (one by default).
+
+        A run of ``count`` charges is exactly ``count`` single calls:
+        :attr:`entries` gains ``count`` entries (stored as one shared
+        tuple), and every total grows by ``count`` float additions of
+        *amount* in order — never by a product, which would round
+        differently.  Batched services (a DynamoDB batch's per-item
+        request units, a CloudWatch batch's per-datum puts) post one
+        run instead of one call per item.
 
         Zero-amount charges are recorded too — they document that a
         billable action occurred, which keeps audit trails complete.
@@ -131,14 +142,22 @@ class CostLedger:
         """
         if amount < 0:
             raise ValueError(f"cannot charge a negative amount: {amount!r}")
-        self._entries.append((time, category, amount, region, tag, detail))
+        if count < 1:
+            return
+        entry = (time, category, amount, region, tag, detail)
+        if count == 1:
+            self._entries.append(entry)
+        else:
+            self._entries.extend([entry] * count)
         if time > self.last_charge_time:
             self.last_charge_time = time
-        self._total_by_category[category._value_str] += amount
-        if tag:
-            self._total_by_tag[tag] += amount
-        if region:
-            self._total_by_region[region] += amount
+        key = category._value_str
+        for _ in range(count):
+            self._total_by_category[key] += amount
+            if tag:
+                self._total_by_tag[tag] += amount
+            if region:
+                self._total_by_region[region] += amount
 
     def accrue(
         self, time: float, keys: Sequence[Tuple[CostCategory, str, str]], amounts: Sequence[float]

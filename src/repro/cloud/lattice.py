@@ -199,6 +199,7 @@ class MarketLattice:
         self.price = gather(lambda m: m.price_process._price)
         self.placement = gather(lambda m: m._placement)
         self.freq = gather(lambda m: m._freq)
+        self._publish()
 
         # Prefetched noise: shape (markets, block, 3); cursor at the
         # end means "empty, refill before the next step".
@@ -272,20 +273,21 @@ class MarketLattice:
         self._pending_placement[:, cursor] = placement
         self._pending_freq[:, cursor] = freq
         self._pending = cursor + 1
+        self._publish()
 
-        # Mirror the new state back into each market's scalar slots so
-        # observable reads are plain attribute lookups — per-element
-        # numpy indexing on every spot_price read was a measurable
-        # fraction of the billing and collect hot paths.  ``tolist``
-        # round-trips float64 exactly, so mirrored values are
-        # bit-identical to the array slots.
-        prices = price.tolist()
-        placements = placement.tolist()
-        freqs = freq.tolist()
-        for index, market in enumerate(self.markets):
-            market.price_process._price = prices[index]
-            market._placement = placements[index]
-            market._freq = freqs[index]
+    def _publish(self) -> None:
+        """Expose the current state as plain lists the markets read.
+
+        An adopted market reads its observables as
+        ``lattice.prices[index]`` (and ``placements``, ``freqs``): one
+        list lookup per read, with no per-read numpy indexing and no
+        per-step writes into markets nobody reads.  ``tolist``
+        round-trips float64 exactly, so the lists are bit-identical to
+        the array slots.
+        """
+        self.prices = self.price.tolist()
+        self.placements = self.placement.tolist()
+        self.freqs = self.freq.tolist()
 
     def warmup(self, steps: int, start_time: float = 0.0) -> None:
         """Step every market *steps* times without an engine.

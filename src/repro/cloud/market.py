@@ -32,7 +32,7 @@ from repro.cloud.lattice import (
     TraceBuffer,
 )
 from repro.cloud.pricing import SpotPriceProcess
-from repro.cloud.profiles import MarketProfile, stability_score_from_frequency
+from repro.cloud.profiles import HAZARD_SCALE, MarketProfile, stability_score_from_frequency
 from repro.sim.clock import DAY, HOUR
 
 #: Deterministic per-AZ price skews: AZ-level prices in Figure 2 differ
@@ -157,14 +157,20 @@ class SpotMarket:
     def placement_score(self) -> float:
         """Current Spot Placement Score (1-10).
 
-        Always served from the scalar mirror: the lattice writes the
-        fresh value back on every step, so no per-read array indexing.
+        An adopted market reads its slot of the lattice's published
+        list (no per-read array indexing); a scalar one its attribute.
         """
+        lattice = self._lattice
+        if lattice is not None:
+            return lattice.placements[self._lattice_index]
         return self._placement
 
     @property
     def interruption_frequency(self) -> float:
         """Current Interruption Frequency advisor metric (percent)."""
+        lattice = self._lattice
+        if lattice is not None:
+            return lattice.freqs[self._lattice_index]
         return self._freq
 
     @property
@@ -188,6 +194,7 @@ class SpotMarket:
         self._freq = float(freq_pct)
         if self._lattice is not None:
             self._lattice.freq[self._lattice_index] = float(freq_pct)
+            self._lattice.freqs[self._lattice_index] = float(freq_pct)
 
     @property
     def stability_score(self) -> int:
@@ -197,8 +204,6 @@ class SpotMarket:
     @property
     def interruption_hazard_per_hour(self) -> float:
         """Daily-mean hourly interruption hazard for running instances."""
-        from repro.cloud.profiles import HAZARD_SCALE
-
         return self.interruption_frequency * HAZARD_SCALE * self.profile.hazard_multiplier
 
     def hazard_at(self, now: float) -> float:

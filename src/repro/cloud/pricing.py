@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cloud.instances import InstanceType, InstanceTypeCatalog, default_instance_catalog
+from repro.cloud.instances import InstanceTypeCatalog, default_instance_catalog
 from repro.cloud.lattice import TraceBuffer
 from repro.cloud.profiles import MarketProfile
 from repro.cloud.regions import RegionCatalog, default_region_catalog
@@ -126,9 +126,12 @@ class SpotPriceProcess:
     def current(self) -> float:
         """Current spot price (USD/hour).
 
-        Served from the scalar slot on both stepping paths — an
-        adopted market's lattice mirrors the price back on every step.
+        An adopted market's price is its slot of the lattice's
+        published price list; a scalar one's is its attribute.
         """
+        lattice = self._lattice
+        if lattice is not None:
+            return lattice.prices[self._lattice_index]
         return self._price
 
     def _clamp(self, price: float) -> float:

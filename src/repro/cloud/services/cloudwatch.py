@@ -13,7 +13,7 @@ Two capabilities the paper's Monitor depends on:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.cloud.billing import CLOUDWATCH_PUT_PRICE, CostCategory
 from repro.errors import ServiceError
@@ -22,7 +22,9 @@ from repro.sim.engine import PeriodicTask
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cloud.provider import CloudProvider
 
-MetricKey = Tuple[str, str, Tuple[Tuple[str, str], ...]]
+#: Dimensions in stored form: ``(name, value)`` pairs sorted by name.
+Dims = Tuple[Tuple[str, str], ...]
+MetricKey = Tuple[str, str, Dims]
 
 
 @dataclass
@@ -95,22 +97,6 @@ class CloudWatchService:
     # ------------------------------------------------------------------
     # Metrics
     # ------------------------------------------------------------------
-    def _record(self, key: MetricKey, value: float, detail: str) -> None:
-        """Store one datum, run its alarms, charge one put."""
-        now = self._engine.now
-        points = self._metrics.get(key)
-        if points is None:
-            points = self._metrics[key] = []
-        points.append((now, value))
-        if self._alarms_by_key:
-            self._evaluate_alarms(key, value)
-        self._provider.ledger.charge(
-            time=now,
-            category=CostCategory.CLOUDWATCH,
-            amount=CLOUDWATCH_PUT_PRICE,
-            detail=detail,
-        )
-
     def put_metric_data(
         self,
         namespace: str,
@@ -119,28 +105,64 @@ class CloudWatchService:
         dimensions: Optional[Dict[str, str]] = None,
     ) -> None:
         """Record one datum under (namespace, metric, dimensions)."""
-        key = self._key(namespace, metric, dimensions)
-        self._record(key, float(value), f"put-metric {namespace}/{metric}")
+        self.put_metric_data_batch(namespace, [(metric, value, dimensions)])
 
     def put_metric_data_batch(
         self,
         namespace: str,
-        data: Sequence[Tuple[str, float, Optional[Dict[str, str]]]],
+        data: Sequence[Tuple[str, float, Union[None, Dict[str, str], Dims]]],
     ) -> None:
         """Record several data under one namespace in a single call.
 
         *data* is a sequence of ``(metric, value, dimensions)`` triples
-        applied in order — points, alarm evaluations, and per-datum
-        charges are identical to calling :meth:`put_metric_data` once
-        per triple; the batch exists so per-tick collectors make one
-        service call per tick instead of one per market.
+        applied in order.  Dimensions are a mapping (or ``None``), or
+        already in stored form — a tuple of ``(name, value)`` pairs
+        sorted by name — which a collector that publishes the same
+        label sets every tick builds once.
+
+        Each datum stores its point, runs the alarms watching its key,
+        and is charged one put.  Consecutive puts of the same metric
+        are posted to the ledger as one itemised run; the pending run
+        is posted before any alarm evaluates (an alarm target may
+        itself charge), so the ledger sees the same entries in the same
+        order as one :meth:`put_metric_data` per triple.  The batch
+        exists so per-tick collectors make one service call per tick
+        instead of one per market.
         """
-        details: Dict[str, str] = {}
-        for metric, value, dimensions in data:
-            detail = details.get(metric)
-            if detail is None:
-                detail = details[metric] = f"put-metric {namespace}/{metric}"
-            self._record(self._key(namespace, metric, dimensions), float(value), detail)
+        now = self._engine.now
+        metrics = self._metrics
+        watched = self._alarms_by_key
+        run_metric: Optional[str] = None
+        run_count = 0
+        try:
+            for metric, value, dimensions in data:
+                if type(dimensions) is not tuple:
+                    dimensions = tuple(sorted(dimensions.items())) if dimensions else ()
+                key = (namespace, metric, dimensions)
+                value = float(value)
+                points = metrics.get(key)
+                if points is None:
+                    points = metrics[key] = []
+                points.append((now, value))
+                if metric != run_metric or (watched and key in watched):
+                    if run_count:
+                        self._charge_puts(now, namespace, run_metric, run_count)
+                    run_metric, run_count = metric, 0
+                    if watched:
+                        self._evaluate_alarms(key, value)
+                run_count += 1
+        finally:
+            if run_count:
+                self._charge_puts(now, namespace, run_metric, run_count)
+
+    def _charge_puts(self, now: float, namespace: str, metric: str, count: int) -> None:
+        self._provider.ledger.charge(
+            time=now,
+            category=CostCategory.CLOUDWATCH,
+            amount=CLOUDWATCH_PUT_PRICE,
+            detail=f"put-metric {namespace}/{metric}",
+            count=count,
+        )
 
     def get_metric_statistics(
         self,

@@ -231,10 +231,11 @@ class DynamoDBService:
         batch** (an injected throttle rejects the whole request before
         any item lands, so a retried batch re-applies atomically and
         campaigns stay seed-replayable), while request units are still
-        charged **per item**, in item order, at the same prices as the
-        item-at-a-time calls — billing totals are unchanged by
-        batching.  Conditional writes are not supported in batches,
-        mirroring the real ``BatchWriteItem``.
+        charged **per item** (one itemised run for the puts, then one
+        for the deletes), at the same prices as the item-at-a-time
+        calls — billing totals are unchanged by batching.  Conditional
+        writes are not supported in batches, mirroring the real
+        ``BatchWriteItem``.
 
         Args:
             puts: Items to store wholesale, in order.
@@ -256,22 +257,20 @@ class DynamoDBService:
         if table.metered:
             charge = self._provider.ledger.charge
             now = self._provider.engine.now
-            put_detail = f"batch-put {table_name}"
-            for _ in puts:
-                charge(
-                    time=now,
-                    category=CostCategory.DYNAMODB,
-                    amount=DYNAMODB_WRITE_PRICE,
-                    detail=put_detail,
-                )
-            delete_detail = f"batch-delete {table_name}"
-            for _ in deletes:
-                charge(
-                    time=now,
-                    category=CostCategory.DYNAMODB,
-                    amount=DYNAMODB_WRITE_PRICE,
-                    detail=delete_detail,
-                )
+            charge(
+                time=now,
+                category=CostCategory.DYNAMODB,
+                amount=DYNAMODB_WRITE_PRICE,
+                detail=f"batch-put {table_name}",
+                count=len(puts),
+            )
+            charge(
+                time=now,
+                category=CostCategory.DYNAMODB,
+                amount=DYNAMODB_WRITE_PRICE,
+                detail=f"batch-delete {table_name}",
+                count=len(deletes),
+            )
         return len(puts) + len(deletes)
 
     def batch_get_item(
@@ -280,9 +279,9 @@ class DynamoDBService:
         """Fetch several items by key as a single request.
 
         One chaos gate for the whole batch, read units charged per key
-        in key order.  Results align positionally with *keys*; absent
-        items come back as ``None`` (a convenience divergence from the
-        real API, which omits misses).
+        (one itemised run).  Results align positionally with *keys*;
+        absent items come back as ``None`` (a convenience divergence
+        from the real API, which omits misses).
         """
         table = self._table(table_name)
         if not keys:
@@ -294,16 +293,13 @@ class DynamoDBService:
             item = items.get((partition, sort))
             results.append(dict(item) if item is not None else None)
         if table.metered:
-            charge = self._provider.ledger.charge
-            now = self._provider.engine.now
-            detail = f"batch-get {table_name}"
-            for _ in keys:
-                charge(
-                    time=now,
-                    category=CostCategory.DYNAMODB,
-                    amount=DYNAMODB_READ_PRICE,
-                    detail=detail,
-                )
+            self._provider.ledger.charge(
+                time=self._provider.engine.now,
+                category=CostCategory.DYNAMODB,
+                amount=DYNAMODB_READ_PRICE,
+                detail=f"batch-get {table_name}",
+                count=len(keys),
+            )
         return results
 
     # ------------------------------------------------------------------

@@ -28,7 +28,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -158,8 +158,11 @@ class SpotRequest:
 #: (EventBridge delivery happens additionally, for rule-based wiring).
 NoticeCallback = Callable[[Instance], None]
 
-#: Row states of :class:`_BillingColumns` (an ended row is a tombstone).
-_ENDED, _RUNNING, _INTERRUPTING = 0, 1, 2
+#: Row states of :class:`_BillingColumns`: an ended row is a tombstone;
+#: a live row is billed by every sweep, and an at-risk row (a running
+#: spot instance) also draws its hazard.  On-demand instances and spot
+#: instances inside their notice window are live but not at risk.
+_ENDED, _LIVE, _AT_RISK = 0, 1, 2
 
 
 class _BillingColumns:
@@ -167,11 +170,11 @@ class _BillingColumns:
 
     Columns: last-billed time, accrued cost, price slot (one per
     (region, type, purchasing option); see ``EC2Service._slot``), row
-    state and ledger key (cost category, region, tag), plus the
-    :class:`Instance` objects.  An ending instance leaves a tombstone
-    (state ``_ENDED``) so row numbers stay put while a sweep walks
-    them; :meth:`compact` squeezes the tombstones out and keeps the
-    launch order.
+    state (``_ENDED``, ``_LIVE`` or ``_AT_RISK``) and ledger key (cost
+    category, region, tag), plus the :class:`Instance` objects.  An
+    ending instance leaves a tombstone (state ``_ENDED``) so row
+    numbers stay put while a sweep walks them; :meth:`compact`
+    squeezes the tombstones out and keeps the launch order.
     """
 
     __slots__ = ("instances", "keys", "last_billed", "cost", "slot", "state", "n", "live")
@@ -187,7 +190,7 @@ class _BillingColumns:
         self.n = 0
         self.live = 0
 
-    def append(self, instance: Instance, slot: int, key: tuple, now: float) -> None:
+    def append(self, instance: Instance, slot: int, key: tuple, now: float, spot: bool) -> None:
         """Add a freshly launched instance as the last row."""
         capacity = len(self.state)
         if self.n == capacity:
@@ -201,7 +204,7 @@ class _BillingColumns:
         self.last_billed[row] = now
         self.cost[row] = 0.0
         self.slot[row] = slot
-        self.state[row] = _RUNNING
+        self.state[row] = _AT_RISK if spot else _LIVE
         self.instances.append(instance)
         instance._columns = self
         instance._row = row
@@ -258,14 +261,15 @@ class EC2Service:
         self._columns = _BillingColumns()
         # Price slots, one per (region, type, purchasing option) that
         # has launched: the spot market (None for on-demand), the
-        # cost_accrued_usd series, and the slot's current price (the
-        # fixed on-demand price, or the spot price as of the last
-        # accrual).
+        # cost_accrued_usd series, the slot's current price (the fixed
+        # on-demand price, or the spot price as of the last accrual)
+        # and its interruption probability in the running sweep (sweep
+        # scratch, written before it is read).
         self._slot_index: Dict[Tuple[str, str, InstanceLifecycle], int] = {}
         self._slot_market: List[Optional["SpotMarket"]] = []
         self._spot_slots: List[Tuple[int, "SpotMarket"]] = []
         self._slot_price = np.empty(0)
-        self._slot_is_spot = np.empty(0, dtype=bool)
+        self._slot_probability = np.empty(0)
         self._slot_series = np.empty(0, dtype=object)
         self._cost_counter = None
         self._requests: Dict[str, SpotRequest] = {}
@@ -456,8 +460,8 @@ class EC2Service:
             if lifecycle is InstanceLifecycle.SPOT
             else CostCategory.ON_DEMAND_INSTANCE
         )
-        self._columns.append(instance, slot, (category, region, tag), now)
         market = self._slot_market[slot]
+        self._columns.append(instance, slot, (category, region, tag), now, market is not None)
         if market is not None:
             market.instances_running += 1
         return instance
@@ -484,7 +488,7 @@ class EC2Service:
         series = self._cost_counter.series_key(region=region, purchasing_option=lifecycle.value)
         self._slot_market.append(market)
         self._slot_price = np.append(self._slot_price, price)
-        self._slot_is_spot = np.append(self._slot_is_spot, market is not None)
+        self._slot_probability = np.append(self._slot_probability, 0.0)
         self._slot_series = np.append(self._slot_series, None)
         self._slot_series[slot] = series
         return slot
@@ -514,38 +518,56 @@ class EC2Service:
         first reaches one of its running spot instances, as the
         per-instance walk memoizes it; probabilities computed ahead of
         a delivered warning are recomputed after it.
+
+        The fixed cost per sweep is a handful of NumPy calls over the
+        live rows: the at-risk rows are one state comparison (the row
+        state encodes "running spot"), probabilities land in a
+        per-slot buffer that every sweep overwrites before reading,
+        and rows are filtered for zero probability only in a sweep
+        that computed one.
         """
         columns = self._columns
         if columns.n > 2 * columns.live + 64:
             columns.compact()
         now = self._engine.now
         stop = columns.n
-        probability = np.zeros(len(self._slot_market))
-        reached = np.zeros(len(self._slot_market), dtype=bool)
+        # Slots whose probability was computed before a delivered
+        # warning and stays valid after it (the walk had reached them),
+        # and whether any probability of this sweep is zero (only then
+        # do rows need filtering: a row at probability zero draws
+        # nothing).
+        reached: Set[int] = set()
+        filtered = False
         start = 0
         while start < stop:
             slots = columns.slot[start:stop]
             state = columns.state[start:stop]
-            running = (state == _RUNNING) & self._slot_is_spot[slots]
-            running_slots = slots[running]
-            stale = np.bincount(running_slots, minlength=len(reached))
-            stale[reached] = 0
-            for slot in stale.nonzero()[0].tolist():
-                probability[slot] = interruption_probability(
-                    self._slot_market[slot].hazard_at(now), EVALUATION_INTERVAL
-                )
-            drawn = running.nonzero()[0]
-            chances = probability[running_slots]
-            at_risk = chances > 0.0
-            drawn, chances = drawn[at_risk], chances[at_risk]
-            hits = (self._rng.random(len(drawn)) < chances).nonzero()[0]
+            at_risk = state == _AT_RISK
+            risk_slots = slots[at_risk]
+            # Read after every warning: its callbacks may add slots.
+            probability = self._slot_probability
+            for slot in np.bincount(risk_slots).nonzero()[0].tolist():
+                if slot not in reached:
+                    chance = probability[slot] = interruption_probability(
+                        self._slot_market[slot].hazard_at(now), EVALUATION_INTERVAL
+                    )
+                    if not chance > 0.0:
+                        filtered = True
+            chances = probability[risk_slots]
+            if filtered:
+                drawn = chances > 0.0
+                chances = chances[drawn]
+            hits = (self._rng.random(len(chances)) < chances).nonzero()[0]
             if not len(hits):
                 self._accrue(start + state.nonzero()[0], now)
                 return
             first = int(hits[0])
-            self._rewind(len(drawn) - first - 1)
-            reach = int(drawn[first]) + 1
-            reached[slots[:reach][running[:reach]]] = True
+            self._rewind(len(chances) - first - 1)
+            candidates = at_risk.nonzero()[0]
+            if filtered:
+                candidates = candidates[drawn]
+            reach = int(candidates[first]) + 1
+            reached.update(slots[:reach][at_risk[:reach]].tolist())
             self._accrue(start + state[:reach].nonzero()[0], now)
             self._begin_interruption(columns.instances[start + reach - 1])
             start += reach
@@ -573,7 +595,7 @@ class EC2Service:
         """Deliver the two-minute warning and schedule the reclaim."""
         now = self._engine.now
         instance.state = InstanceState.INTERRUPTING
-        self._columns.state[instance._row] = _INTERRUPTING
+        self._columns.state[instance._row] = _LIVE
         self.interruption_log.append((now, instance.instance_id, instance.region, instance.tag))
         self._telemetry.bus.emit(
             EventType.INTERRUPTION_WARNING,

@@ -26,6 +26,7 @@ code behind it is replaced.
 
 from __future__ import annotations
 
+import functools
 import zlib
 from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, MutableMapping, Optional, Set, Tuple
 
@@ -152,6 +153,7 @@ class FleetStateStore:
         if int(n_shards) < 1:
             raise ExperimentError(f"n_shards must be >= 1, got {n_shards}")
         self._dynamodb = dynamodb
+        self._telemetry = dynamodb.provider.telemetry
         self.n_shards = int(n_shards)
         self.namespace = (
             namespace if namespace is not None else dynamodb.next_store_namespace()
@@ -190,6 +192,7 @@ class FleetStateStore:
         # the next engine tick boundary.  Reads consult the overlay
         # first, so staged state is always visible.
         self._pending: Dict[str, Dict[Tuple[Any, Any], Optional[Dict[str, Any]]]] = {}
+        # ``(table, retry scope)`` in flush order.
         flush_tables: List[Tuple[str, str]] = []
         for group in (self._workload_shards, self._instance_shards, self._request_shards):
             for table in group:
@@ -197,7 +200,9 @@ class FleetStateStore:
         flush_tables.append((self.meta_table, "meta"))
         flush_tables.append((self.dags_table, "dags"))
         flush_tables.append((self.tenants_table, "tenants"))
-        self._flush_tables = tuple(flush_tables)
+        self._flush_tables = tuple(
+            (table, f"fleet-state:flush:{label}") for table, label in flush_tables
+        )
         for table, _ in self._flush_tables:
             self._pending[table] = {}
         #: Flush position per table, and the tables with staged writes
@@ -243,14 +248,15 @@ class FleetStateStore:
     # ``_sync`` — while an exhausted read re-raises, because callers
     # cannot act on state they never saw.
 
-    def _write(self, fn: Callable[[], Any], scope: str) -> None:
-        telemetry = self._dynamodb.provider.telemetry
+    def _write(self, fn: Callable[[], Any], scope: str) -> Any:
+        """*fn*'s result, or ``None`` when the write was dead-lettered."""
+        telemetry = self._telemetry
         tracer = telemetry.tracer
         if tracer is not None and tracer.current is not None:
             # Store traffic off a causal chain (setup, bookkeeping
             # sweeps) stays out of every trace tree.
             tracer.event(scope, "dynamodb")
-        call_with_retries(
+        return call_with_retries(
             fn,
             STORE_RETRY_POLICY,
             retryable=ThrottlingError,
@@ -259,7 +265,7 @@ class FleetStateStore:
         )
 
     def _read(self, fn: Callable[[], Any], scope: str) -> Any:
-        telemetry = self._dynamodb.provider.telemetry
+        telemetry = self._telemetry
         return call_with_retries(
             fn,
             STORE_RETRY_POLICY,
@@ -287,7 +293,7 @@ class FleetStateStore:
         item: Optional[Dict[str, Any]],
         scope: str,
     ) -> None:
-        tracer = self._dynamodb.provider.telemetry.tracer
+        tracer = self._telemetry.tracer
         if tracer is not None and tracer.current is not None:
             tracer.event(scope, "dynamodb")
         # Staged dicts are stored as-is: every staging site passes a
@@ -370,23 +376,26 @@ class FleetStateStore:
         A batch that exhausts its retry budget against an injected
         throttle is dead-lettered and **stays pending**, so the next
         tick's flush retries it — the mirror self-heals instead of
-        silently losing state.
+        silently losing state.  A tick that staged nothing returns at
+        once.
         """
-        for index in sorted(map(self._flush_order.__getitem__, self._dirty)):
-            table, label = self._flush_tables[index]
+        dirty = self._dirty
+        if not dirty:
+            return
+        batch_write_item = self._dynamodb.batch_write_item
+        for index in sorted(map(self._flush_order.__getitem__, dirty)):
+            table, scope = self._flush_tables[index]
             pending = self._pending[table]
             puts = [item for item in pending.values() if item is not None]
             deletes = [key for key, item in pending.items() if item is None]
-            flushed: List[bool] = []
-
-            def apply(table=table, puts=puts, deletes=deletes, flushed=flushed):
-                self._dynamodb.batch_write_item(table, puts=puts, deletes=deletes)
-                flushed.append(True)
-
-            self._write(apply, scope=f"fleet-state:flush:{label}")
-            if flushed:
+            # ``batch_write_item`` returns its write count, never None.
+            landed = self._write(
+                functools.partial(batch_write_item, table, puts=puts, deletes=deletes),
+                scope=scope,
+            )
+            if landed is not None:
                 pending.clear()
-                self._dirty.discard(table)
+                dirty.discard(table)
 
     # ------------------------------------------------------------------
     # Workload state

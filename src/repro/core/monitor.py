@@ -9,9 +9,10 @@ latest snapshot through :meth:`Monitor.snapshot`.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Sequence, Tuple
 
 from repro.cloud.retry import RetryPolicy, call_with_retries, note_dead_letter, note_retry
+from repro.cloud.services.cloudwatch import Dims
 from repro.core.scoring import RegionMetrics
 from repro.errors import CloudError, LambdaError, ThrottlingError
 from repro.obs.tracing import traced_hop
@@ -59,9 +60,29 @@ class Monitor:
         self._table = provider.dynamodb.create_table(
             METRICS_TABLE, partition_key="region", sort_key="instance_type"
         )
-        # Reusable dimension dicts per (instance type, region): the
-        # collect loop publishes the same label sets every cycle.
-        self._dims_cache: Dict[Any, Dict[str, str]] = {}
+        # One collect plan per watched type, built once: the per-type
+        # market index and the on-demand prices are static, so a cycle
+        # reads only each market's live values.  A plan is the type,
+        # its ``(market, region, od_price, dims)`` entries in market
+        # order, and the type's own dims; dims are in CloudWatch's
+        # stored form (sorted ``(name, value)`` pairs).
+        od_price = provider.price_book.od_price
+        self._plans: List[Tuple[str, List[Tuple[Any, str, float, Dims]], Dims]] = [
+            (
+                instance_type,
+                [
+                    (
+                        market,
+                        market.region,
+                        od_price(market.region, instance_type),
+                        (("instance_type", instance_type), ("region", market.region)),
+                    )
+                    for market in provider.markets_for_type(instance_type)
+                ],
+                (("instance_type", instance_type),),
+            )
+            for instance_type in self._instance_types
+        ]
         self.collections = 0
         if deploy:
             # Section 4: the Python collector code and the SpotInfo
@@ -135,47 +156,34 @@ class Monitor:
 
     def _collect_once(self) -> int:
         # One batched DynamoDB write and one batched CloudWatch put per
-        # instance type per cycle, instead of one service call per
-        # market.  Charge order is unchanged from the per-market loop:
-        # DynamoDB row charges land in market order, CloudWatch datum
-        # charges land in market order followed by the regions_collected
-        # roll-up, so ledger totals stay bit-identical.
+        # instance type per cycle.  Rows keep their key order and
+        # charges their order: DynamoDB row charges, then CloudWatch
+        # datum charges in market order followed by the type's
+        # regions_collected roll-up (its own row count).
         now = self._provider.engine.now
-        od_price = self._provider.price_book.od_price
-        dims_cache = self._dims_cache
+        cloudwatch = self._provider.cloudwatch
         written = 0
-        for instance_type in self._instance_types:
-            rows: List[Dict[str, Any]] = []
-            metric_data: List[Any] = []
-            for market in self._provider.markets_for_type(instance_type):
-                region = market.region
-                frequency = market.interruption_frequency
-                rows.append(
-                    {
-                        "region": region,
-                        "instance_type": instance_type,
-                        "spot_price": market.spot_price,
-                        "od_price": od_price(region, instance_type),
-                        "placement_score": market.placement_score,
-                        "interruption_frequency": frequency,
-                        "collected_at": now,
-                    }
-                )
-                dims_key = (instance_type, region)
-                dims = dims_cache.get(dims_key)
-                if dims is None:
-                    dims = dims_cache[dims_key] = {
-                        "region": region,
-                        "instance_type": instance_type,
-                    }
-                metric_data.append(("interruption_frequency", frequency, dims))
-            written += len(rows)
+        for instance_type, plan, type_dims in self._plans:
+            rows = [
+                {
+                    "region": region,
+                    "instance_type": instance_type,
+                    "spot_price": market.spot_price,
+                    "od_price": od_price,
+                    "placement_score": market.placement_score,
+                    "interruption_frequency": market.interruption_frequency,
+                    "collected_at": now,
+                }
+                for market, region, od_price, _ in plan
+            ]
             self._put_snapshot_rows(rows)
-            dims = dims_cache.get(instance_type)
-            if dims is None:
-                dims = dims_cache[instance_type] = {"instance_type": instance_type}
-            metric_data.append(("regions_collected", float(written), dims))
-            self._provider.cloudwatch.put_metric_data_batch(NAMESPACE, metric_data)
+            metric_data: List[Any] = [
+                ("interruption_frequency", row["interruption_frequency"], dims)
+                for row, (_, _, _, dims) in zip(rows, plan)
+            ]
+            metric_data.append(("regions_collected", float(len(rows)), type_dims))
+            cloudwatch.put_metric_data_batch(NAMESPACE, metric_data)
+            written += len(rows)
         self.collections += 1
         return written
 

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List
 
-import numpy as np
-
 from repro.bio import dada as dada_module
 from repro.bio.consensus import reconstruct_genome
 from repro.bio.demux import demultiplex

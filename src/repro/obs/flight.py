@@ -18,7 +18,8 @@ or emits, and it serialises events lazily (only at trigger time), so
 an armed-but-untriggered recorder costs one deque append per event.
 Only the snapshots actually written to disk (and the run-end one) are
 built at all; later triggers keep a one-line summary.  Each ring event
-is rendered to JSON once and reused by every artifact it appears in.
+is converted to its dict once and rendered to JSON once, and both are
+reused by every snapshot it appears in.
 """
 
 from __future__ import annotations
@@ -80,11 +81,15 @@ class FlightRecorder:
         self.ring: Deque[TelemetryEvent] = deque(maxlen=self.capacity)
         #: One entry per trigger, in order: the full payload for the
         #: first ``max_artifacts`` and the run-end snapshot, a summary
-        #: for the rest.
+        #: for the rest.  Kept payloads are read-only: snapshots whose
+        #: rings overlap share the same event dicts.
         self.triggers: List[Dict[str, Any]] = []
         self.artifacts: List[str] = []
         self._context: Dict[str, Callable[[], Any]] = {}
         self._seq = 0
+        #: ``to_dict`` form of each event in the last snapshotted ring,
+        #: by ``seq`` (so at most ``capacity`` entries).
+        self._dicts: Dict[int, Dict[str, Any]] = {}
         #: Artifact rendering of each event in the last written ring,
         #: by ``seq`` (so at most ``capacity`` entries).
         self._rendered: Dict[int, str] = {}
@@ -151,6 +156,24 @@ class FlightRecorder:
     # ------------------------------------------------------------------
     # Snapshotting
     # ------------------------------------------------------------------
+    def _events(self) -> List[Dict[str, Any]]:
+        """The ring as ``to_dict`` forms, converting each event once.
+
+        An event still in the ring at the next snapshot reuses its
+        dict, so overlapping snapshots share those dicts.
+        """
+        kept = self._dicts
+        dicts: Dict[int, Dict[str, Any]] = {}
+        events = []
+        for event in self.ring:
+            record = kept.get(event.seq)
+            if record is None:
+                record = event.to_dict()
+            dicts[event.seq] = record
+            events.append(record)
+        self._dicts = dicts
+        return events
+
     def _payload(self, reason: str, detail: str, attrs: Dict[str, Any]) -> Dict[str, Any]:
         tracer = getattr(self.telemetry, "tracer", None)
         payload: Dict[str, Any] = {
@@ -159,7 +182,7 @@ class FlightRecorder:
             "detail": detail,
             "time": self.telemetry.bus.now(),
             "attrs": attrs,
-            "events": [event.to_dict() for event in self.ring],
+            "events": self._events(),
             "metrics": [sample.to_dict() for sample in self.telemetry.metrics.collect()],
             "hops": (
                 [hop.to_dict() for hop in tracer.hops[-MAX_SNAPSHOT_HOPS:]]

@@ -205,6 +205,18 @@ class TestMonitor:
         market = provider.market("ca-central-1", "m5.xlarge")
         assert value == pytest.approx(market.interruption_frequency)
 
+    def test_regions_collected_counts_each_type_alone(self):
+        provider = CloudProvider(seed=2)
+        types = ["m5.xlarge", "c5.2xlarge"]
+        monitor = Monitor(provider, types, deploy=False)
+        written = monitor.collect()
+        counts = {itype: len(provider.markets_for_type(itype)) for itype in types}
+        assert written == sum(counts.values())
+        for itype in types:
+            assert provider.cloudwatch.metric_series(
+                "SpotVerse", "regions_collected", dimensions={"instance_type": itype}
+            ) == [(0.0, float(counts[itype]))]
+
 
 class TestConfig:
     def test_defaults_reasonable(self):

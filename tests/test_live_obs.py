@@ -38,6 +38,7 @@ from repro.obs import (
     evaluate_slo_from_events,
     write_jsonl,
 )
+from repro.obs.events import TelemetryEvent
 from repro.obs.flight import DEFAULT_MAX_ARTIFACTS
 from repro.obs.live import STREAM_FORMAT
 from repro.obs.slo import SLOSpec, SLOTarget
@@ -547,4 +548,29 @@ class TestFlightRecorderBudget:
         seqs = [[event["seq"] for event in entry["events"]] for entry in recorder.triggers]
         assert len(seqs[0]) == 4 and seqs[1][:2] == seqs[0][2:]
         assert set(recorder._rendered) == set(seqs[-1])
+        self._assert_written_as_json_dump(recorder)
+
+    def test_each_ring_event_converts_once(self, tmp_path, monkeypatch):
+        telemetry = self._telemetry()
+        converted = []
+        to_dict = TelemetryEvent.to_dict
+        monkeypatch.setattr(
+            TelemetryEvent, "to_dict", lambda event: converted.append(event.seq) or to_dict(event)
+        )
+        recorder = FlightRecorder(telemetry, capacity=4, directory=str(tmp_path))
+        telemetry.bus.subscribe(recorder.observe)
+        for i in range(6):
+            telemetry.bus.emit(EventType.WORKLOAD_SUBMITTED, workload_id=f"w{i}")
+        recorder.trigger("manual", detail="full ring")
+        assert converted == [2, 3, 4, 5]
+        for i in range(2):
+            telemetry.bus.emit(EventType.WORKLOAD_SUBMITTED, workload_id=f"x{i}")
+        recorder.trigger("manual", detail="overlapping ring")
+        recorder.snapshot_final()
+        # Two new events since the first snapshot, none since the second.
+        assert converted == [2, 3, 4, 5, 6, 7]
+        first, second, final = (entry["events"] for entry in recorder.triggers)
+        assert [event["seq"] for event in second] == [4, 5, 6, 7]
+        assert second[0] is first[2] and final[0] is second[0]
+        assert set(recorder._dicts) == {4, 5, 6, 7}
         self._assert_written_as_json_dump(recorder)
