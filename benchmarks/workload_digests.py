@@ -3,7 +3,8 @@
     PYTHONPATH=src python benchmarks/workload_digests.py > digests.json
 
 Runs each entry of ``benchmarks/e2e/workloads.py::WORKLOADS`` at 20 %
-size for seeds 4 and 5 and records five SHA-256 digests per run:
+size for seeds 4 and 5 and records five SHA-256 digests per run, plus
+``dynamodb_ops``:
 
 * ``fleet`` -- the workload's ``fleet_digest``, over every simulated
   cost, timestamp and placement;
@@ -13,6 +14,9 @@ size for seeds 4 and 5 and records five SHA-256 digests per run:
   default explicitly is the same call), and the result or the
   exception type.  Object addresses (``" at 0x…"``) are stripped and
   sets are sorted, so the digest does not depend on the process;
+* ``dynamodb_ops`` -- the same calls counted per op name (name-sorted),
+  so a change that adds or deletes store calls shows which calls and
+  how many, where the ``dynamodb`` digest only says that they differ;
 * ``files`` -- every file the run wrote under its work directory
   (sorted relative paths, each followed by its size and bytes): chaos-recovery's
   stream segments, manifest and ``BLACKBOX_*.json`` artifacts;
@@ -26,9 +30,11 @@ size for seeds 4 and 5 and records five SHA-256 digests per run:
 
 Two interpreters (or two commits) that print the same JSON produced
 bit-identical simulations through the same state-store traffic, the
-same itemised bill and the same published metrics.  Nothing in the
-output depends on the process (hash seed, object addresses), so two
-runs under different ``PYTHONHASHSEED`` values print the same bytes.
+same itemised bill and the same published metrics; where two commits'
+store traffic differs, the ``dynamodb_ops`` lines of a ``diff`` name
+the calls that came or went.  Nothing in the output depends on the
+process (hash seed, object addresses), so two runs under different
+``PYTHONHASHSEED`` values print the same bytes.
 CI runs this on several Python versions, and twice under different
 hash seeds, and fails when the outputs differ.  Other sizes: call
 :func:`digests` directly.
@@ -43,6 +49,7 @@ import json
 import re
 import sys
 import tempfile
+from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Sequence
@@ -71,13 +78,22 @@ def _canon(value: Any) -> str:
     return _ADDRESS.sub("", repr(value))
 
 
-@contextmanager
-def dynamodb_calls() -> Iterator[Any]:
-    """Hash every public ``DynamoDBService`` call made in the block.
+class DynamoDBCalls:
+    """A running SHA-256 over DynamoDB calls, and a call count per op."""
 
-    Yields the running SHA-256.
-    """
-    sha = hashlib.sha256()
+    def __init__(self) -> None:
+        self.sha = hashlib.sha256()
+        self.ops: Counter = Counter()
+
+    def hexdigest(self) -> str:
+        return self.sha.hexdigest()
+
+
+@contextmanager
+def dynamodb_calls() -> Iterator[DynamoDBCalls]:
+    """Hash and count every public ``DynamoDBService`` call made in the block."""
+    calls = DynamoDBCalls()
+    sha = calls.sha
     originals = {
         name: fn
         for name, fn in vars(DynamoDBService).items()
@@ -89,6 +105,7 @@ def dynamodb_calls() -> Iterator[Any]:
 
         @functools.wraps(fn)
         def wrapper(self, *args, **kwargs):
+            calls.ops[name] += 1
             bound = signature.bind(self, *args, **kwargs)
             bound.apply_defaults()
             call = _canon({k: v for k, v in bound.arguments.items() if k != "self"})
@@ -105,7 +122,7 @@ def dynamodb_calls() -> Iterator[Any]:
     for name, fn in originals.items():
         setattr(DynamoDBService, name, record(name, fn))
     try:
-        yield sha
+        yield calls
     finally:
         for name, fn in originals.items():
             setattr(DynamoDBService, name, fn)
@@ -186,7 +203,7 @@ def files_digest(root: str) -> str:
 def digests(
     scale: float = SCALE, seeds: Sequence[int] = SEEDS
 ) -> Dict[str, Dict[str, Dict[str, str]]]:
-    """``{workload: {seed: {"fleet", "dynamodb", "files", "ledger", "cloudwatch"}}}``."""
+    """``{workload: {seed: {"fleet", "dynamodb", "dynamodb_ops", "files", "ledger", "cloudwatch"}}}``."""
     result: Dict[str, Dict[str, Dict[str, str]]] = {}
     for name, run in workloads.WORKLOADS.items():
         result[name] = {}
@@ -198,6 +215,7 @@ def digests(
                 result[name][str(seed)] = {
                     "fleet": out.digest,
                     "dynamodb": calls.hexdigest(),
+                    "dynamodb_ops": dict(sorted(calls.ops.items())),
                     "files": files_digest(workdir),
                     "ledger": ledger_digest(providers),
                     "cloudwatch": cloudwatch_digest(providers),

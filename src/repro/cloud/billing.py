@@ -31,15 +31,6 @@ class CostCategory(enum.Enum):
     STEP_FUNCTIONS = "step-functions"
 
 
-# ``Enum.value`` is a DynamicClassAttribute — a Python-level descriptor
-# call on every access, which is measurable at ledger charge rates.
-# Mirror each member's value string into a plain instance attribute the
-# hot path can read directly.
-for _category in CostCategory:
-    _category._value_str = _category.value  # type: ignore[attr-defined]
-del _category
-
-
 #: USD per Lambda GB-second (x86, us-east-1 list price).
 LAMBDA_GB_SECOND_PRICE = 0.0000166667
 #: USD per Lambda request.
@@ -94,9 +85,13 @@ class CostLedger:
     same float however the charges were batched.  Totals are keyed by
     the category's *value* string (hashing an enum member goes through
     two dynamic descriptor lookups per dict operation; a str hash is
-    cached), and entries are stored as plain tuples (one tuple shared
-    by every charge of a run) that are materialised into
-    :class:`CostEntry` objects only when read.
+    cached).  The hot paths read that string from the member's plain
+    ``_value_`` attribute: ``Enum.value`` is a Python-level descriptor
+    call on every access.  Entries are stored as plain tuples (one
+    tuple shared by every charge of a run) holding that value string
+    too, so an entry holds only atomic values and the cyclic garbage
+    collector stops tracking it after its first pass; they are
+    materialised into :class:`CostEntry` objects only when read.
     """
 
     __slots__ = (
@@ -144,14 +139,14 @@ class CostLedger:
             raise ValueError(f"cannot charge a negative amount: {amount!r}")
         if count < 1:
             return
-        entry = (time, category, amount, region, tag, detail)
+        key = category._value_
+        entry = (time, key, amount, region, tag, detail)
         if count == 1:
             self._entries.append(entry)
         else:
             self._entries.extend([entry] * count)
         if time > self.last_charge_time:
             self.last_charge_time = time
-        key = category._value_str
         for _ in range(count):
             self._total_by_category[key] += amount
             if tag:
@@ -178,7 +173,7 @@ class CostLedger:
         by_tag = self._total_by_tag
         by_region = self._total_by_region
         for (category, region, tag), amount in zip(keys, amounts):
-            by_category[category._value_str] += amount
+            by_category[category._value_] += amount
             if tag:
                 by_tag[tag] += amount
             if region:
@@ -198,7 +193,12 @@ class CostLedger:
         """
         return [
             CostEntry(
-                time=time, category=category, amount=amount, region=region, tag=tag, detail=detail
+                time=time,
+                category=CostCategory(category),
+                amount=amount,
+                region=region,
+                tag=tag,
+                detail=detail,
             )
             for time, category, amount, region, tag, detail in self._entries
         ]

@@ -178,8 +178,12 @@ class DynamoDBService:
     ) -> Optional[Item]:
         """Fetch one item by key, or ``None`` when absent."""
         table = self._table(table_name)
-        self._chaos_gate("get_item", table_name)
-        self._charge(table, write=False, detail=f"get {table_name}")
+        # The hottest store call: the chaos gate and the meter are
+        # only entered when they have work to do.
+        if self._provider.chaos is not None:
+            self._chaos_gate("get_item", table_name)
+        if table.metered:
+            self._charge(table, write=False, detail=f"get {table_name}")
         item = table.items.get((partition, sort))
         return dict(item) if item is not None else None
 
@@ -248,7 +252,8 @@ class DynamoDBService:
         table = self._table(table_name)
         if not puts and not deletes:
             return 0
-        self._chaos_gate("batch_write_item", table_name)
+        if self._provider.chaos is not None:
+            self._chaos_gate("batch_write_item", table_name)
         items = table.items
         for item in puts:
             items[table.key_of(item)] = dict(item)

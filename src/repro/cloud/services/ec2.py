@@ -298,7 +298,7 @@ class EC2Service:
             workload_id=tag,
             region=region,
             instance_id=instance.instance_id,
-            option=InstanceLifecycle.ON_DEMAND.value,
+            option=InstanceLifecycle.ON_DEMAND._value_,
         )
         return instance
 
@@ -339,7 +339,7 @@ class EC2Service:
             workload_id=tag,
             region=region,
             request_id=request.request_id,
-            option=InstanceLifecycle.SPOT.value,
+            option=InstanceLifecycle.SPOT._value_,
         )
         self._telemetry.metrics.counter(
             "spot_requests_total", "spot requests filed"
@@ -426,7 +426,7 @@ class EC2Service:
                 region=request.region,
                 instance_id=instance.instance_id,
                 request_id=request.request_id,
-                option=InstanceLifecycle.SPOT.value,
+                option=InstanceLifecycle.SPOT._value_,
                 latency=latency,
                 attempts=request.attempts,
             )
@@ -485,7 +485,7 @@ class EC2Service:
             self._cost_counter = self._telemetry.metrics.counter(
                 "cost_accrued_usd", "instance spend by region and purchasing option"
             )
-        series = self._cost_counter.series_key(region=region, purchasing_option=lifecycle.value)
+        series = self._cost_counter.series_key(region=region, purchasing_option=lifecycle._value_)
         self._slot_market.append(market)
         self._slot_price = np.append(self._slot_price, price)
         self._slot_probability = np.append(self._slot_probability, 0.0)
@@ -602,7 +602,7 @@ class EC2Service:
             workload_id=instance.tag,
             region=instance.region,
             instance_id=instance.instance_id,
-            option=instance.lifecycle.value,
+            option=instance.lifecycle._value_,
             uptime=instance.uptime(now),
         )
         self._telemetry.metrics.counter(

@@ -102,15 +102,20 @@ class WorkloadExecution:
     # Durable mirror
     # ------------------------------------------------------------------
     def state_item(self) -> Dict[str, Any]:
-        """Full durable state, for the fleet state store."""
+        """Full durable state, for the fleet state store.
+
+        An immutable snapshot, like :meth:`WorkloadRecord.to_item`:
+        sequences are tuples, which the garbage collector stops
+        tracking.
+        """
         return {
             "workload_id": self.workload.workload_id,
-            "state": self.state.value,
+            "state": self.state._value_,
             "completed_segments": self.completed_segments,
             "instance_id": self.instance.instance_id if self.instance else None,
             "boot_due": self._boot_due,
             "segment_due": self._segment_due,
-            "input_sources": [list(source) for source in self.input_sources],
+            "input_sources": tuple(self.input_sources),
             "record": self.record.to_item(),
         }
 
@@ -147,6 +152,8 @@ class WorkloadExecution:
         fleet_state: "FleetStateStore",
     ) -> "WorkloadExecution":
         """Rebuild an execution from its stored :meth:`state_item`.
+
+        Accepts tuple rows and list rows alike.
 
         Pending boot/segment timers are re-armed at their stored
         absolute due times, so the restored execution's future is
@@ -215,7 +222,7 @@ class WorkloadExecution:
             workload_id=self.workload.workload_id,
             region=instance.region,
             instance_id=instance.instance_id,
-            option=instance.lifecycle.value,
+            option=instance.lifecycle._value_,
         )
         if was_interrupted and self.record.interruptions:
             lost_at, lost_region = self.record.interruptions[-1]
@@ -225,7 +232,7 @@ class WorkloadExecution:
                 workload_id=self.workload.workload_id,
                 region=instance.region,
                 instance_id=instance.instance_id,
-                option=instance.lifecycle.value,
+                option=instance.lifecycle._value_,
                 latency=latency,
                 from_region=lost_region,
             )

@@ -109,7 +109,7 @@ class CapacityService:
             EventType.FALLBACK_ON_DEMAND,
             workload_id=workload_id,
             region=placement.region,
-            option=PurchasingOption.ON_DEMAND.value,
+            option=PurchasingOption.ON_DEMAND._value_,
             **fallback_attrs,
         )
         self._telemetry.metrics.counter(
@@ -277,7 +277,7 @@ class CapacityService:
             region=instance.region,
             instance_id=instance.instance_id,
             request_id=request.request_id,
-            option=instance.lifecycle.value,
+            option=instance.lifecycle._value_,
             reason=reason,
         )
         self._telemetry.metrics.counter(

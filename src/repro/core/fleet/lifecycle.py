@@ -145,13 +145,13 @@ class LifecycleService:
                     workload.workload_id,
                     "workload:submit",
                     "lifecycle",
-                    kind=workload.kind.value,
+                    kind=workload.kind._value_,
                     **step_attrs,
                 )
             self._telemetry.bus.emit(
                 EventType.WORKLOAD_SUBMITTED,
                 workload_id=workload.workload_id,
-                kind=workload.kind.value,
+                kind=workload.kind._value_,
                 segments=len(workload.segment_durations),
                 **step_attrs,
             )

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import zlib
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, MutableMapping, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator, List, MutableMapping, Optional, Sequence, Set, Tuple
 
 from repro.cloud.retry import RetryPolicy, call_with_retries, note_dead_letter, note_retry
 from repro.errors import ExperimentError, ThrottlingError
@@ -72,12 +72,11 @@ class _MetaMapping(MutableMapping):
     def __init__(self, store: "FleetStateStore", section: str) -> None:
         self._store = store
         self._section = section
+        self._scope = f"fleet-state:meta:{section}"
 
     def __getitem__(self, key: str) -> Any:
         store = self._store
-        _, item = store._get(
-            [store.meta_table], self._section, f"fleet-state:meta:{self._section}", sort=key
-        )
+        _, item = store._get([store.meta_table], self._section, self._scope, sort=key)
         if item is None:
             raise KeyError(key)
         return item["value"]
@@ -87,25 +86,30 @@ class _MetaMapping(MutableMapping):
             self._store.meta_table,
             (self._section, key),
             {"section": self._section, "key": key, "value": value},
-            scope=f"fleet-state:meta:{self._section}",
+            scope=self._scope,
         )
 
     def __delitem__(self, key: str) -> None:
         self.__getitem__(key)  # raise KeyError when absent
-        self._store._stage(
-            self._store.meta_table,
-            (self._section, key),
-            None,
-            scope=f"fleet-state:meta:{self._section}",
-        )
+        self.discard(key)
+
+    def discard(self, key: str) -> None:
+        """Delete *key* without reading it first.
+
+        For callers that know the key is stored: ``del`` reads the key
+        to raise ``KeyError`` when it is absent, this only stages the
+        tombstone.
+        """
+        self._store._stage(self._store.meta_table, (self._section, key), None, scope=self._scope)
 
     def __iter__(self) -> Iterator[str]:
-        rows = self._store._read(
-            lambda: self._store._dynamodb.query(self._store.meta_table, self._section),
-            scope=f"fleet-state:meta:{self._section}",
+        store = self._store
+        rows = store._read(
+            functools.partial(store._dynamodb.query, store.meta_table, self._section),
+            scope=self._scope,
         )
         keys = {row["key"] for row in rows}
-        for (section, key), staged in self._store._pending[self._store.meta_table].items():
+        for (section, key), staged in store._pending[store.meta_table].items():
             if section != self._section:
                 continue
             if staged is None:
@@ -217,6 +221,11 @@ class FleetStateStore:
         # the crash-recovery contract — never loses an item.
         self._tenant_of: Dict[str, str] = {}
         self._entity_shard: Dict[str, int] = {}
+        #: Memoised :func:`shard_index` per workload.  An entry means
+        #: the store has routed the workload, which pins its tenant.
+        self._shard_of: Dict[str, int] = {}
+        #: ``(on_retry, on_exhausted)`` telemetry hooks per retry scope.
+        self._hooks: Dict[str, Tuple[Callable[..., None], Callable[..., None]]] = {}
         dynamodb.provider.engine.add_tick_hook(self.flush)
         self.router = ControlPlaneRouter()
 
@@ -224,7 +233,22 @@ class FleetStateStore:
     # Shard routing
     # ------------------------------------------------------------------
     def assign_tenant(self, workload_id: str, tenant_id: str) -> None:
-        """Pin *workload_id*'s shard to *tenant_id* (before registration)."""
+        """Pin *workload_id*'s shard to *tenant_id* (before registration).
+
+        Re-assigning the same tenant is a no-op (tenancy restore does
+        it for every stored workload).
+
+        Raises:
+            ExperimentError: When a sharded store already routed the
+                workload under another tenant: its rows live on that
+                tenant's shard, and a second routing would store it
+                twice.
+        """
+        if workload_id in self._shard_of and self.tenant_of(workload_id) != tenant_id:
+            raise ExperimentError(
+                f"workload {workload_id!r} is already routed for tenant "
+                f"{self.tenant_of(workload_id)!r}; cannot move it to {tenant_id!r}"
+            )
         self._tenant_of[workload_id] = tenant_id
 
     def tenant_of(self, workload_id: str) -> str:
@@ -232,10 +256,14 @@ class FleetStateStore:
         return self._tenant_of.get(workload_id, DEFAULT_TENANT)
 
     def shard_of(self, workload_id: str) -> int:
-        """The shard *workload_id*'s items live on."""
+        """The shard *workload_id*'s items live on (memoised: routing is fixed)."""
         if self.n_shards == 1:
             return 0
-        return shard_index(self.tenant_of(workload_id), workload_id, self.n_shards)
+        shard = self._shard_of.get(workload_id)
+        if shard is None:
+            shard = shard_index(self.tenant_of(workload_id), workload_id, self.n_shards)
+            self._shard_of[workload_id] = shard
+        return shard
 
     # ------------------------------------------------------------------
     # Resilient store access
@@ -248,29 +276,39 @@ class FleetStateStore:
     # ``_sync`` — while an exhausted read re-raises, because callers
     # cannot act on state they never saw.
 
+    def _scope_hooks(self, scope: str) -> Tuple[Callable[..., None], Callable[..., None]]:
+        """``(on_retry, on_exhausted)`` for *scope*, built once per scope."""
+        hooks = self._hooks.get(scope)
+        if hooks is None:
+            telemetry = self._telemetry
+            hooks = self._hooks[scope] = (
+                functools.partial(note_retry, telemetry, scope),
+                lambda exc: note_dead_letter(telemetry, scope, str(exc)),
+            )
+        return hooks
+
     def _write(self, fn: Callable[[], Any], scope: str) -> Any:
         """*fn*'s result, or ``None`` when the write was dead-lettered."""
-        telemetry = self._telemetry
-        tracer = telemetry.tracer
+        tracer = self._telemetry.tracer
         if tracer is not None and tracer.current is not None:
             # Store traffic off a causal chain (setup, bookkeeping
             # sweeps) stays out of every trace tree.
             tracer.event(scope, "dynamodb")
+        on_retry, on_exhausted = self._scope_hooks(scope)
         return call_with_retries(
             fn,
             STORE_RETRY_POLICY,
             retryable=ThrottlingError,
-            on_retry=lambda attempt, exc: note_retry(telemetry, scope, attempt, exc),
-            on_exhausted=lambda exc: note_dead_letter(telemetry, scope, str(exc)),
+            on_retry=on_retry,
+            on_exhausted=on_exhausted,
         )
 
     def _read(self, fn: Callable[[], Any], scope: str) -> Any:
-        telemetry = self._telemetry
         return call_with_retries(
             fn,
             STORE_RETRY_POLICY,
             retryable=ThrottlingError,
-            on_retry=lambda attempt, exc: note_retry(telemetry, scope, attempt, exc),
+            on_retry=self._scope_hooks(scope)[0],
         )
 
     # ------------------------------------------------------------------
@@ -330,42 +368,44 @@ class FleetStateStore:
         return merged
 
     # Every row read goes through these two.  ``_get`` tries the
-    # overlay, then DynamoDB, on the routed shard first and then on the
-    # others; a staged row or tombstone answers without a read.  The
-    # fallback probe only runs on a miss with more than one shard, so a
-    # 1-shard store issues exactly one read; with shards it covers rows
-    # whose routing state predates this process (a rebuilt controller
-    # with an unrestored map).
+    # overlay, then DynamoDB, on the routed shard; a staged row or
+    # tombstone answers without a read.  Only when the caller does not
+    # know the routing (``probe``) does a miss go on to the other
+    # shards in index order: that covers rows whose routing state
+    # predates this store object (a tenant map not yet restored).  A
+    # 1-shard store always issues exactly one read.
 
     def _get(
         self,
-        tables: List[str],
+        tables: Sequence[str],
         partition: Any,
         scope: str,
         routed: int = 0,
         sort: Any = None,
+        probe: bool = False,
     ) -> Tuple[Optional[str], Optional[Dict[str, Any]]]:
         """``(table, item)`` for one row; *item* is ``None`` on a miss or tombstone."""
         key = (partition, sort)
-        for index in [routed] + [i for i in range(len(tables)) if i != routed]:
+        get_item = self._dynamodb.get_item
+        for step in range(len(tables) if probe else 1):
+            # The routed shard first, then the others in index order.
+            index = routed if step == 0 else step - 1 if step <= routed else step
             table = tables[index]
             pending = self._pending[table]
             if key in pending:
                 staged = pending[key]
                 return table, dict(staged) if staged is not None else None
-            item = self._read(
-                lambda table=table: self._dynamodb.get_item(table, partition, sort),
-                scope=scope,
-            )
+            item = self._read(functools.partial(get_item, table, partition, sort), scope)
             if item is not None:
                 return table, item
         return None, None
 
-    def _scan(self, tables: List[str], key_attr: str, scope: str) -> List[Dict[str, Any]]:
+    def _scan(self, tables: Sequence[str], key_attr: str, scope: str) -> List[Dict[str, Any]]:
         """Every row of *tables*, shard by shard, with the overlay merged."""
         items: List[Dict[str, Any]] = []
+        scan = self._dynamodb.scan
         for table in tables:
-            rows = self._read(lambda table=table: self._dynamodb.scan(table), scope=scope)
+            rows = self._read(functools.partial(scan, table), scope)
             items.extend(self._overlay_scan(table, rows, key_attr))
         return items
 
@@ -382,12 +422,23 @@ class FleetStateStore:
         dirty = self._dirty
         if not dirty:
             return
+        order = self._flush_order
+        if len(dirty) == 1:
+            (table,) = dirty
+            indices: Iterable[int] = (order[table],)
+        else:
+            indices = sorted(map(order.__getitem__, dirty))
         batch_write_item = self._dynamodb.batch_write_item
-        for index in sorted(map(self._flush_order.__getitem__, dirty)):
+        for index in indices:
             table, scope = self._flush_tables[index]
             pending = self._pending[table]
-            puts = [item for item in pending.values() if item is not None]
-            deletes = [key for key, item in pending.items() if item is None]
+            puts = []
+            deletes = []
+            for key, item in pending.items():
+                if item is None:
+                    deletes.append(key)
+                else:
+                    puts.append(item)
             # ``batch_write_item`` returns its write count, never None.
             landed = self._write(
                 functools.partial(batch_write_item, table, puts=puts, deletes=deletes),
@@ -411,12 +462,17 @@ class FleetStateStore:
         )
 
     def workload_item(self, workload_id: str) -> Optional[Dict[str, Any]]:
-        """The stored state of one workload, or ``None``."""
+        """The stored state of one workload, or ``None``.
+
+        One read when the store knows the workload's tenant; otherwise
+        a miss probes every shard.
+        """
         return self._get(
             self._workload_shards,
             workload_id,
             "fleet-state:workload-item",
             routed=self.shard_of(workload_id),
+            probe=workload_id not in self._tenant_of,
         )[1]
 
     def workload_items(self) -> List[Dict[str, Any]]:
@@ -474,7 +530,10 @@ class FleetStateStore:
 
     def _pop_row(self, tables: List[str], entity_id: str, scope: str) -> Optional[str]:
         """Remove one binding/tracking row; returns its workload id."""
-        table, item = self._get(tables, entity_id, scope, self._entity_shard.get(entity_id, 0))
+        shard = self._entity_shard.get(entity_id)
+        table, item = self._get(
+            tables, entity_id, scope, routed=shard or 0, probe=shard is None
+        )
         if item is None:
             return None
         self._stage(table, (entity_id, None), None, scope=scope)

@@ -61,15 +61,20 @@ class WorkloadRecord:
     # Durable form (the fleet state store keeps records in DynamoDB)
     # ------------------------------------------------------------------
     def to_item(self) -> Dict[str, object]:
-        """Plain-data form for the fleet state store."""
+        """Plain-data form for the fleet state store.
+
+        Sequences are tuples: a stored row is an immutable snapshot,
+        and tuples of floats and strings drop out of the cyclic
+        garbage collector's tracking once it has seen them.
+        """
         return {
             "workload_id": self.workload_id,
-            "kind": self.kind.value,
+            "kind": self.kind._value_,
             "submitted_at": self.submitted_at,
             "completed_at": self.completed_at,
-            "interruptions": [list(pair) for pair in self.interruptions],
-            "regions": list(self.regions),
-            "attempt_starts": list(self.attempt_starts),
+            "interruptions": tuple(self.interruptions),
+            "regions": tuple(self.regions),
+            "attempt_starts": tuple(self.attempt_starts),
             "attempts": self.attempts,
             "on_demand_attempts": self.on_demand_attempts,
             "cost": self.cost,
@@ -77,7 +82,11 @@ class WorkloadRecord:
 
     @classmethod
     def from_item(cls, item: Dict[str, object]) -> "WorkloadRecord":
-        """Rebuild a record from its :meth:`to_item` form."""
+        """Rebuild a record from its :meth:`to_item` form.
+
+        Accepts tuple rows and list rows alike (older stores and JSON
+        round trips hold lists).
+        """
         return cls(
             workload_id=item["workload_id"],
             kind=WorkloadKind(item["kind"]),

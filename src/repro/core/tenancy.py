@@ -449,7 +449,9 @@ class MultiTenantController:
             self._map_meta[workload_id] = admission.tenant_id
             key = self._queue_keys.pop(workload_id, None)
             if key is not None:
-                del self._queue_meta[key]
+                # ``_queue_keys`` holds exactly the stored queue rows,
+                # so the tombstone needs no existence read.
+                self._queue_meta.discard(key)
             self._bus.emit(
                 EventType.TENANT_ADMITTED,
                 workload_id=workload_id,
@@ -457,7 +459,7 @@ class MultiTenantController:
                 in_flight=self.admission.in_flight(admission.tenant_id),
                 quota=spec.max_in_flight,
                 policy=spec.policy,
-                passed_over=list(admission.passed_over),
+                passed_over=admission.passed_over,
             )
             batch.append(workload)
         self._admitted.extend(batch)

@@ -23,6 +23,12 @@ LabelKey = Tuple[Tuple[str, str], ...]
 
 
 def _label_key(labels: Dict[str, str]) -> LabelKey:
+    # Most series carry no label or one: skip the generator and sort.
+    if not labels:
+        return ()
+    if len(labels) == 1:
+        ((k, v),) = labels.items()
+        return ((str(k), str(v)),)
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 

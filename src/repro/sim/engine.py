@@ -40,7 +40,9 @@ class SimulationEngine:
         seed: int = 0,
         tracer: Optional[EngineTracer] = None,
     ) -> None:
-        self._now = 0.0
+        #: Current virtual time in seconds.  A plain attribute, read on
+        #: every event; only the engine advances it.
+        self.now = 0.0
         self._queue = EventQueue()
         self._running = False
         self.streams = RandomStreams(seed)
@@ -56,11 +58,6 @@ class SimulationEngine:
     # ------------------------------------------------------------------
     # Clock
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now
-
     @property
     def fired_events(self) -> int:
         """Total number of callbacks executed so far."""
@@ -80,9 +77,9 @@ class SimulationEngine:
         Raises:
             SchedulingError: If *time* is in the past.
         """
-        if time < self._now:
+        if time < self.now:
             raise SchedulingError(
-                f"cannot schedule {label or callback!r} at t={time:.3f}; now is t={self._now:.3f}"
+                f"cannot schedule {label or callback!r} at t={time:.3f}; now is t={self.now:.3f}"
             )
         return self._queue.push(time, callback, label)
 
@@ -90,7 +87,7 @@ class SimulationEngine:
         """Schedule *callback* after *delay* seconds."""
         if delay < 0:
             raise SchedulingError(f"negative delay {delay!r} for {label or callback!r}")
-        return self._queue.push(self._now + delay, callback, label)
+        return self._queue.push(self.now + delay, callback, label)
 
     def every(
         self,
@@ -119,7 +116,7 @@ class SimulationEngine:
         if interval <= 0:
             raise SchedulingError(f"periodic interval must be positive, got {interval!r}")
         task = PeriodicTask(self, interval, callback, label, jitter)
-        first = start_at if start_at is not None else self._now + interval
+        first = start_at if start_at is not None else self.now + interval
         task._arm(first)
         return task
 
@@ -146,7 +143,7 @@ class SimulationEngine:
         if interval <= 0:
             raise SchedulingError(f"periodic interval must be positive, got {interval!r}")
         task = PeriodicBatchTask(self, interval, callbacks, label)
-        first = start_at if start_at is not None else self._now + interval
+        first = start_at if start_at is not None else self.now + interval
         task._arm(first)
         return task
 
@@ -187,9 +184,9 @@ class SimulationEngine:
         earlier, so subsequent ``call_in`` calls are relative to the
         requested horizon.
         """
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"run_until target t={time:.3f} is before now t={self._now:.3f}"
+                f"run_until target t={time:.3f} is before now t={self.now:.3f}"
             )
         if self._running:
             raise SimulationError("run_until called re-entrantly from a callback")
@@ -203,15 +200,15 @@ class SimulationEngine:
                 next_time = self._queue.peek_time()
                 if next_time is None or next_time > time:
                     break
-                if hooks and next_time > self._now:
+                if hooks and next_time > self.now:
                     for hook in hooks:
                         hook()
                 event = self._queue.pop()
                 assert event is not None and event.callback is not None
-                self._now = event.time
+                self.now = event.time
                 self._fired_events += 1
                 self._fire(event)
-            self._now = time
+            self.now = time
             for hook in hooks:
                 hook()
         finally:
@@ -236,14 +233,14 @@ class SimulationEngine:
                 if next_time is None:
                     break
                 if max_time is not None and next_time > max_time:
-                    self._now = max_time
+                    self.now = max_time
                     break
-                if hooks and next_time > self._now:
+                if hooks and next_time > self.now:
                     for hook in hooks:
                         hook()
                 event = self._queue.pop()
                 assert event is not None and event.callback is not None
-                self._now = event.time
+                self.now = event.time
                 self._fired_events += 1
                 self._fire(event)
             for hook in hooks:
@@ -299,7 +296,7 @@ class SimulationEngine:
         for a fully independent run.
         """
         self._queue.clear()
-        self._now = 0.0
+        self.now = 0.0
         self._fired_events = 0
         if self.tracer is not None:
             self.tracer.clear()
