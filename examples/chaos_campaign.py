@@ -20,7 +20,6 @@ See also:
 from repro.chaos import (
     CampaignSpec,
     Injection,
-    default_campaign,
     render_scorecard,
     run_campaign,
 )

@@ -13,7 +13,7 @@ from repro.cloud.billing import CostCategory, CostLedger
 from repro.cloud.instances import InstanceType, InstanceTypeCatalog, default_instance_catalog
 from repro.cloud.lattice import MarketLattice, TraceBuffer
 from repro.cloud.market import SpotMarket
-from repro.cloud.pricing import PriceBook, SpotPriceProcess
+from repro.cloud.pricing import PriceBook
 from repro.cloud.profiles import MarketProfile, default_market_profiles
 from repro.cloud.provider import CloudProvider
 from repro.cloud.regions import AvailabilityZone, Region, RegionCatalog, default_region_catalog
@@ -31,7 +31,6 @@ __all__ = [
     "Region",
     "RegionCatalog",
     "SpotMarket",
-    "SpotPriceProcess",
     "TraceBuffer",
     "default_instance_catalog",
     "default_market_profiles",

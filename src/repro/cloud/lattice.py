@@ -1,29 +1,33 @@
-"""The market lattice: vectorized stepping for every spot market at once.
+"""The market lattice: the one stepper for every spot market.
 
-Scalar market stepping (:meth:`~repro.cloud.market.SpotMarket.step`)
-spends most of its time in Python: three ``rng.standard_normal()``
-calls, property lookups, and a tuple append — per market, per simulated
-hour.  A :class:`MarketLattice` instead holds *all* markets' state
-(price, placement score, interruption frequency) in contiguous numpy
-arrays and advances every market per step with a handful of vectorized
-mean-reversion/clamp operations.
+A :class:`MarketLattice` holds *all* adopted markets' state (price,
+placement score, interruption frequency) in contiguous numpy arrays and
+advances every market per step with a handful of vectorized
+mean-reversion/clamp operations.  :meth:`MarketLattice.step` is the
+only place the market dynamics are written down:
 
-Determinism is preserved **bit-exactly** relative to the scalar path:
-each market keeps its own named RNG stream, and the lattice prefetches
-noise in blocks with ``Generator.standard_normal(3 * block)`` — numpy
-fills arrays by repeatedly invoking the same per-value ziggurat draw,
-so a block draw consumes the stream identically to ``3 * block`` scalar
-draws.  Row ``k`` of the reshaped block is exactly the (price,
-placement, frequency) triple the scalar path would have drawn on step
-``k``, and the vectorized arithmetic mirrors the scalar expressions'
-association order, so same-seed traces are identical across both paths
-and paired-comparison experiments are unaffected.
+* spot price, a discretised mean-reverting (Ornstein-Uhlenbeck)
+  process ``p + PRICE_REVERSION * (mean - p) + volatility * mean *
+  N(0, 1)`` clamped to ``[PRICE_FLOOR_FRACTION * mean, od_price]`` —
+  spot never exceeds on-demand under the post-2017 policy and never
+  collapses to zero;
+* Spot Placement Score and Interruption Frequency, bounded walks that
+  revert to the profile mean at ``WALK_REVERSION`` per step, so
+  six-month series show the regional drift of the paper's Figure 4
+  while staying inside their calibrated band.
+
+Each market keeps its own named RNG stream, and the lattice prefetches
+noise in blocks with ``Generator.standard_normal(3 * block)``: numpy
+fills arrays by repeatedly invoking the same per-value ziggurat draw, so
+row ``k`` of the reshaped block is step ``k``'s (price, placement,
+frequency) triple and the series do not depend on the block size.
+``tests/data/golden_market_traces.json`` pins the series bit for bit.
 
 History recording is chunked: the lattice appends each step's values
 into preallocated 2-D pending buffers (one column write per observable)
 and flushes them into per-market :class:`TraceBuffer` columns when a
 chunk fills or a trace is read.  ``price_trace()`` / ``metric_history``
-keep their existing row-tuple semantics on top of the buffers.
+read as row tuples on top of the buffers.
 """
 
 from __future__ import annotations
@@ -32,6 +36,15 @@ from typing import Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.sim.clock import HOUR
+
+#: Seconds between market steps.
+STEP_INTERVAL = HOUR
+
+#: Mean-reversion strength of the spot price per step.
+PRICE_REVERSION = 0.15
+#: Spot price floor as a fraction of the long-run mean price.
+PRICE_FLOOR_FRACTION = 0.35
 #: Spot Placement Score band (1-10 scale, clamped).
 PLACEMENT_MIN, PLACEMENT_MAX = 1.0, 10.0
 #: Interruption Frequency advisor band (percent, clamped).
@@ -48,13 +61,12 @@ Row = Tuple[float, ...]
 class TraceBuffer:
     """A growable, columnar history of fixed-width float rows.
 
-    Replaces per-step ``List[Tuple]`` appends with preallocated numpy
-    storage (amortised doubling), while still *reading* like the old
-    tuple lists: indexing and iteration yield row tuples, equality
+    Preallocated numpy storage (amortised doubling) that *reads* like
+    a list of tuples: indexing and iteration yield row tuples, equality
     compares row contents, and ``len`` counts rows.  Consumers that
     want arrays use :meth:`column`.
 
-    The buffer is the backing store for ``SpotPriceProcess.history``
+    The buffer is the backing store for ``SpotMarket.price_trace()``
     (columns: time, price) and ``SpotMarket.metric_history`` (columns:
     time, placement score, interruption frequency).  Views returned by
     accessors are cheap — no per-call copying.
@@ -79,12 +91,6 @@ class TraceBuffer:
         grown = np.empty((max(need, 2 * capacity), self.ncols), dtype=np.float64)
         grown[: self._len] = self._data[: self._len]
         self._data = grown
-
-    def append(self, row: Sequence[float]) -> None:
-        """Append one row (tuple-compatible with ``list.append``)."""
-        self._reserve(1)
-        self._data[self._len] = row
-        self._len += 1
 
     def extend_columns(self, *columns: np.ndarray) -> None:
         """Bulk-append rows given as per-column arrays of equal length."""
@@ -151,18 +157,23 @@ class TraceBuffer:
 class MarketLattice:
     """Vectorized state + stepping for a fixed set of spot markets.
 
-    On construction the lattice *adopts* the markets: their live state
-    moves into contiguous arrays (each market's observable properties
-    transparently read its lattice slot), and subsequent stepping must
-    go through :meth:`step` / :meth:`warmup` — a scalar
-    ``SpotMarket.step`` on an adopted market raises, because it would
-    draw from an RNG stream the lattice has already prefetched.
+    On construction the lattice *adopts* the markets: their initial
+    state moves into contiguous arrays, each market's observable
+    properties read its lattice slot, and the markets step only
+    through :meth:`step` / :meth:`warmup`.  A market belongs to one
+    lattice for life: adopting it again would restart it from its
+    initial state while the first lattice keeps drawing from its RNG
+    stream, so that raises (as does listing a market twice).
 
     Args:
         markets: The markets to adopt (order fixes lattice indices).
         noise_block: Steps of per-market noise to prefetch at a time.
         history_chunk: Steps buffered before flushing history to the
             per-market trace buffers.
+
+    Raises:
+        ValueError: If *markets* is empty, lists a market twice, or
+            holds a market another lattice already adopted.
     """
 
     def __init__(
@@ -174,6 +185,14 @@ class MarketLattice:
         self.markets = list(markets)
         if not self.markets:
             raise ValueError("MarketLattice needs at least one market")
+        adopting = set()
+        for market in self.markets:
+            if market._lattice is not None or id(market) in adopting:
+                raise ValueError(
+                    f"market {market.region}/{market.instance_type} is already "
+                    "adopted by a MarketLattice"
+                )
+            adopting.add(id(market))
         n = len(self.markets)
         self._noise_block = int(noise_block)
         self._history_chunk = int(history_chunk)
@@ -181,24 +200,21 @@ class MarketLattice:
         def gather(read) -> np.ndarray:
             return np.array([read(market) for market in self.markets], dtype=np.float64)
 
-        # Price-process parameters (mirrors SpotPriceProcess.step).
-        self._price_mean = gather(lambda m: m.price_process.mean)
-        self._price_kappa = gather(lambda m: m.price_process._kappa)
-        self._price_scale = gather(
-            lambda m: m.profile.spot_volatility * m.price_process.mean
-        )
-        self._price_floor = gather(lambda m: m.price_process._floor)
-        self._price_ceil = gather(lambda m: m.price_process._od_price)
-        # Bounded-walk parameters (mirrors SpotMarket.step).
+        # Price-process parameters.
+        self._price_mean = gather(lambda m: m.mean_price)
+        self._price_scale = gather(lambda m: m.profile.spot_volatility) * self._price_mean
+        self._price_floor = PRICE_FLOOR_FRACTION * self._price_mean
+        self._price_ceil = gather(lambda m: m.od_price)
+        # Bounded-walk parameters.
         self._placement_mean = gather(lambda m: m.profile.placement_mean)
         self._placement_vol = gather(lambda m: m.profile.placement_volatility)
         self._freq_mean = gather(lambda m: m.profile.interruption_freq_pct)
         self._freq_vol = gather(lambda m: m.profile.freq_volatility)
 
-        # Live state (adopted from the markets' scalar attributes).
-        self.price = gather(lambda m: m.price_process._price)
-        self.placement = gather(lambda m: m._placement)
-        self.freq = gather(lambda m: m._freq)
+        # Live state, starting from the markets' construction-time draws.
+        self.price = gather(lambda m: m._initial_price)
+        self.placement = gather(lambda m: m._initial_placement)
+        self.freq = gather(lambda m: m._initial_freq)
         self._publish()
 
         # Prefetched noise: shape (markets, block, 3); cursor at the
@@ -214,7 +230,8 @@ class MarketLattice:
         self._pending = 0
 
         for index, market in enumerate(self.markets):
-            market._attach_lattice(self, index)
+            market._lattice = self
+            market._lattice_index = index
 
     def __len__(self) -> int:
         return len(self.markets)
@@ -226,15 +243,15 @@ class MarketLattice:
         draws = self._noise_block * DRAWS_PER_STEP
         for index, market in enumerate(self.markets):
             # One block draw consumes the market's stream exactly like
-            # `draws` scalar draws; row k of the reshape is step k's
-            # (price, placement, freq) triple in scalar draw order.
+            # `draws` single draws; row k of the reshape is step k's
+            # (price, placement, freq) triple.
             self._noise[index] = market._rng.standard_normal(draws).reshape(
                 self._noise_block, DRAWS_PER_STEP
             )
         self._noise_cursor = 0
 
     def step(self, now: float) -> None:
-        """Advance every market one interval, bit-equal to scalar steps."""
+        """Advance every market one interval and record the new state."""
         if self._noise is None:
             raise RuntimeError("the lattice was released and can no longer step")
         if self._noise_cursor == self._noise_block:
@@ -242,15 +259,18 @@ class MarketLattice:
         noise = self._noise[:, self._noise_cursor, :]
         self._noise_cursor += 1
 
-        # Expressions mirror the scalar paths' association order so the
-        # float64 arithmetic is bit-identical.
+        # Mean-reverting price, clamped between the floor and the
+        # on-demand ceiling.  The association order of every
+        # expression is part of the pinned float64 series.
         price = self.price
-        price = price + self._price_kappa * (self._price_mean - price) + (
+        price = price + PRICE_REVERSION * (self._price_mean - price) + (
             self._price_scale * noise[:, 0]
         )
         np.clip(price, self._price_floor, self._price_ceil, out=price)
         self.price = price
 
+        # Bounded walks: reversion keeps each market in its calibrated
+        # band; the noise produces the regional drift of Figure 4.
         placement = self.placement
         placement = placement + WALK_REVERSION * (
             self._placement_mean - placement
@@ -292,15 +312,10 @@ class MarketLattice:
     def warmup(self, steps: int, start_time: float = 0.0) -> None:
         """Step every market *steps* times without an engine.
 
-        Matches ``SpotMarket.warmup`` timing: the markets share one
-        step interval and step at ``start_time + (i + 1) * interval``.
+        Steps land at ``start_time + (i + 1) * STEP_INTERVAL``.
         """
-        intervals = {market.step_interval for market in self.markets}
-        if len(intervals) != 1:
-            raise ValueError("lattice warmup needs a uniform step interval")
-        interval = intervals.pop()
         for i in range(steps):
-            self.step(start_time + (i + 1) * interval)
+            self.step(start_time + (i + 1) * STEP_INTERVAL)
 
     # ------------------------------------------------------------------
     # History
@@ -312,7 +327,7 @@ class MarketLattice:
             return
         times = self._pending_times[:count]
         for index, market in enumerate(self.markets):
-            market.price_process.history.extend_columns(
+            market._price_history.extend_columns(
                 times, self._pending_price[index, :count]
             )
             market._metric_history.extend_columns(
@@ -326,7 +341,7 @@ class MarketLattice:
         """Drop pending *and* recorded history for every market."""
         self._pending = 0
         for market in self.markets:
-            market.price_process.history.clear()
+            market._price_history.clear()
             market._metric_history.clear()
 
     def release(self) -> None:
@@ -342,24 +357,6 @@ class MarketLattice:
         self._pending_times = self._pending_price = None
         self._pending_placement = self._pending_freq = None
 
-    # ------------------------------------------------------------------
-    # Detach
-    # ------------------------------------------------------------------
-    def detach(self) -> None:
-        """Write state back into the markets and release them.
-
-        After detaching, markets step scalar again (their RNG streams
-        resume wherever the lattice's prefetch left them, so a detached
-        market stays self-consistent but is no longer step-for-step
-        comparable with a never-attached one).
-        """
-        self.flush()
-        for index, market in enumerate(self.markets):
-            market.price_process._price = float(self.price[index])
-            market._placement = float(self.placement[index])
-            market._freq = float(self.freq[index])
-            market._detach_lattice()
-
 
 __all__ = [
     "FREQ_MAX",
@@ -367,6 +364,9 @@ __all__ = [
     "MarketLattice",
     "PLACEMENT_MAX",
     "PLACEMENT_MIN",
+    "PRICE_FLOOR_FRACTION",
+    "PRICE_REVERSION",
+    "STEP_INTERVAL",
     "TraceBuffer",
     "WALK_REVERSION",
 ]

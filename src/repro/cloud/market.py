@@ -2,36 +2,30 @@
 
 A :class:`SpotMarket` bundles the three observables SpotVerse's Monitor
 consumes — spot price, Spot Placement Score, Interruption Frequency —
-and steps them together on a fixed interval.  Placement score and
-interruption frequency follow bounded, mean-reverting random walks so
-six-month series show the regional drift visible in the paper's
-Figure 4, while staying inside their calibrated score band (which keeps
-the Table 3 threshold tiers stable).
-
-Markets step in one of two bit-identical ways: the scalar
-:meth:`SpotMarket.step` below, or adopted into a
-:class:`~repro.cloud.lattice.MarketLattice` that advances every market
-per step with vectorized array operations (the provider's default fast
-path).
+plus the interruption hazard derived from them.  Markets do not step
+themselves: a :class:`~repro.cloud.lattice.MarketLattice` adopts them
+and advances every market per step with vectorized array operations
+(the price process and the bounded placement/frequency walks are
+written down there).  A market's observables read its lattice slot, so
+they exist only once a lattice has adopted it; before that the market
+holds only its calibration and its construction-time initial state.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence, Tuple
 
 import numpy as np
-
-import math
 
 from repro.cloud.lattice import (
     FREQ_MAX,
     FREQ_MIN,
     PLACEMENT_MAX,
     PLACEMENT_MIN,
-    WALK_REVERSION,
+    PRICE_FLOOR_FRACTION,
     TraceBuffer,
 )
-from repro.cloud.pricing import SpotPriceProcess
 from repro.cloud.profiles import HAZARD_SCALE, MarketProfile, stability_score_from_frequency
 from repro.sim.clock import DAY, HOUR
 
@@ -53,6 +47,10 @@ GEOGRAPHY_PEAK_HOURS = {
 }
 
 
+def _bounded(value: float, lo: float, hi: float) -> float:
+    return min(max(value, lo), hi)
+
+
 def diurnal_factor(now: float, peak_hour: float, amplitude: float = DIURNAL_AMPLITUDE) -> float:
     """Multiplicative hazard factor at *now* for a given local peak.
 
@@ -68,9 +66,10 @@ class SpotMarket:
 
     Args:
         profile: Calibrated long-run regime.
-        od_price: Regional on-demand price (USD/hour).
+        od_price: Regional on-demand price (USD/hour; the spot ceiling).
         rng: Dedicated random stream for this market.
-        step_interval: Seconds between market steps (default one hour).
+        hazard_peak_hour: Local business-hours peak of the diurnal
+            hazard swing (hours into the simulation day).
     """
 
     def __init__(
@@ -78,30 +77,38 @@ class SpotMarket:
         profile: MarketProfile,
         od_price: float,
         rng: np.random.Generator,
-        step_interval: float = HOUR,
         hazard_peak_hour: float = 0.0,
     ) -> None:
         self.profile = profile
         self.od_price = od_price
-        self.step_interval = step_interval
         self.hazard_peak_hour = hazard_peak_hour
         self._rng = rng
-        self.price_process = SpotPriceProcess(profile, od_price, rng)
-        self._placement = self._bounded(
+        #: Long-run mean spot price (USD/hour) the price reverts to.
+        self.mean_price = profile.spot_fraction * od_price
+        # Initial state the adopting lattice starts from, drawn in
+        # stream order price, placement, frequency.  The price starts at
+        # its mean plus one step of noise so traces do not all begin on
+        # their mean.
+        self._initial_price = _bounded(
+            self.mean_price * (1.0 + profile.spot_volatility * rng.standard_normal()),
+            PRICE_FLOOR_FRACTION * self.mean_price,
+            od_price,
+        )
+        self._initial_placement = _bounded(
             profile.placement_mean + profile.placement_volatility * rng.standard_normal(),
             PLACEMENT_MIN,
             PLACEMENT_MAX,
         )
-        self._freq = self._bounded(
+        self._initial_freq = _bounded(
             profile.interruption_freq_pct + profile.freq_volatility * rng.standard_normal(),
             FREQ_MIN,
             FREQ_MAX,
         )
-        #: ``(time, placement_score, interruption_freq_pct)`` history,
-        #: recorded in a chunked columnar buffer (rows read as tuples).
+        # ``(time, price)`` and ``(time, placement_score,
+        # interruption_freq_pct)`` histories, filled by the lattice.
+        self._price_history = TraceBuffer(2)
         self._metric_history = TraceBuffer(3)
-        # Set when a MarketLattice adopts this market; observables then
-        # read the lattice's arrays instead of the scalar attributes.
+        # Set when a MarketLattice adopts this market.
         self._lattice = None
         self._lattice_index = -1
         # Reclaim bursts hit at market-specific phases so markets are
@@ -116,19 +123,6 @@ class SpotMarket:
         #: by the EC2 substrate; only meaningful alongside a finite
         #: profile capacity).
         self.instances_running = 0
-
-    # ------------------------------------------------------------------
-    # Lattice adoption
-    # ------------------------------------------------------------------
-    def _attach_lattice(self, lattice, index: int) -> None:
-        self._lattice = lattice
-        self._lattice_index = index
-        self.price_process._attach_lattice(lattice, index)
-
-    def _detach_lattice(self) -> None:
-        self._lattice = None
-        self._lattice_index = -1
-        self.price_process._detach_lattice()
 
     # ------------------------------------------------------------------
     # Observables
@@ -148,53 +142,50 @@ class SpotMarket:
         """Whether the type is launchable in this region at all."""
         return self.profile.available
 
+    # Each observable reads its slot of the lattice's published list
+    # (no per-read array indexing).
     @property
     def spot_price(self) -> float:
         """Current spot price (USD/hour)."""
-        return self.price_process.current
+        return self._lattice.prices[self._lattice_index]
 
     @property
     def placement_score(self) -> float:
-        """Current Spot Placement Score (1-10).
-
-        An adopted market reads its slot of the lattice's published
-        list (no per-read array indexing); a scalar one its attribute.
-        """
-        lattice = self._lattice
-        if lattice is not None:
-            return lattice.placements[self._lattice_index]
-        return self._placement
+        """Current Spot Placement Score (1-10)."""
+        return self._lattice.placements[self._lattice_index]
 
     @property
     def interruption_frequency(self) -> float:
         """Current Interruption Frequency advisor metric (percent)."""
-        lattice = self._lattice
-        if lattice is not None:
-            return lattice.freqs[self._lattice_index]
-        return self._freq
+        return self._lattice.freqs[self._lattice_index]
+
+    def price_trace(self) -> Sequence[Tuple[float, float]]:
+        """The recorded ``(time, price)`` series.
+
+        A cheap read-only view over the chunked buffer — no per-call
+        copy; snapshot with ``list(...)`` to hold rows across further
+        steps.
+        """
+        self._lattice.flush()
+        return self._price_history
 
     @property
     def metric_history(self) -> TraceBuffer:
         """``(time, placement_score, interruption_freq_pct)`` history.
 
-        A cheap read-only view over the chunked buffer; snapshot with
-        ``list(...)`` if you need to hold rows across further steps.
+        A view like :meth:`price_trace`.
         """
-        if self._lattice is not None:
-            self._lattice.flush()
+        self._lattice.flush()
         return self._metric_history
 
     def force_frequency(self, freq_pct: float) -> None:
         """Override the current Interruption Frequency (scenario/test hook).
 
-        Writes through to the lattice slot when the market is adopted,
-        so the override is honoured on both stepping paths.  The next
-        market step resumes the mean-reverting walk from this value.
+        Writes the lattice slot; the next step resumes the
+        mean-reverting walk from this value.
         """
-        self._freq = float(freq_pct)
-        if self._lattice is not None:
-            self._lattice.freq[self._lattice_index] = float(freq_pct)
-            self._lattice.freqs[self._lattice_index] = float(freq_pct)
+        self._lattice.freq[self._lattice_index] = float(freq_pct)
+        self._lattice.freqs[self._lattice_index] = float(freq_pct)
 
     @property
     def stability_score(self) -> int:
@@ -270,51 +261,3 @@ class SpotMarket:
         """Spot price in the region's *az_index*-th AZ (Figure 2 detail)."""
         skew = AZ_PRICE_SKEWS[az_index % len(AZ_PRICE_SKEWS)]
         return self.spot_price * skew
-
-    # ------------------------------------------------------------------
-    # Dynamics
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _bounded(value: float, lo: float, hi: float) -> float:
-        return min(max(value, lo), hi)
-
-    def step(self, now: float) -> None:
-        """Advance price, placement score and frequency one interval."""
-        if self._lattice is not None:
-            raise RuntimeError(
-                "market is adopted by a MarketLattice; step it through the "
-                "lattice (scalar steps would double-consume the prefetched "
-                "noise stream)"
-            )
-        self.price_process.step(now)
-        # Mean-reverting bounded walks.  Reversion keeps each market in
-        # its calibrated band; the noise produces the regional drift of
-        # Figure 4.
-        self._placement = self._bounded(
-            self._placement
-            + WALK_REVERSION * (self.profile.placement_mean - self._placement)
-            + self.profile.placement_volatility * float(self._rng.standard_normal()),
-            PLACEMENT_MIN,
-            PLACEMENT_MAX,
-        )
-        self._freq = self._bounded(
-            self._freq
-            + WALK_REVERSION * (self.profile.interruption_freq_pct - self._freq)
-            + self.profile.freq_volatility * float(self._rng.standard_normal()),
-            FREQ_MIN,
-            FREQ_MAX,
-        )
-        self._metric_history.append((now, self._placement, self._freq))
-
-    def warmup(self, steps: int, start_time: float = 0.0) -> None:
-        """Step the market *steps* times without an engine.
-
-        Used by dataset generators (Figures 2 and 4) that need long
-        series without running a full simulation.
-        """
-        for i in range(steps):
-            self.step(start_time + (i + 1) * self.step_interval)
-
-    def price_trace(self) -> Sequence[Tuple[float, float]]:
-        """Return the recorded ``(time, price)`` series (read-only view)."""
-        return self.price_process.trace()

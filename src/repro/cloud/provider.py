@@ -2,8 +2,9 @@
 
 :class:`CloudProvider` wires one :class:`~repro.sim.SimulationEngine`
 to the region/instance catalogs, a calibrated market per (region,
-instance type), the cost ledger, and every service substrate.  It is
-the single object experiments construct; everything else hangs off it.
+instance type) stepped by one :class:`~repro.cloud.lattice.MarketLattice`,
+the cost ledger, and every service substrate.  It is the single object
+experiments construct; everything else hangs off it.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.cloud.billing import CostLedger
 from repro.cloud.instances import InstanceTypeCatalog, default_instance_catalog
-from repro.cloud.lattice import MarketLattice
-from repro.cloud.market import SpotMarket
+from repro.cloud.lattice import STEP_INTERVAL, MarketLattice
+from repro.cloud.market import GEOGRAPHY_PEAK_HOURS, SpotMarket
 from repro.cloud.pricing import PriceBook
 from repro.cloud.profiles import MarketProfileBook, default_market_profiles
 from repro.cloud.regions import RegionCatalog, default_region_catalog
@@ -27,11 +28,7 @@ from repro.cloud.services.s3 import S3Service
 from repro.cloud.services.stepfunctions import StepFunctionsService
 from repro.errors import CloudError
 from repro.obs import MarketObservatory, Telemetry
-from repro.sim.clock import HOUR
 from repro.sim.engine import SimulationEngine
-
-#: Seconds between market steps.
-MARKET_STEP_INTERVAL = HOUR
 
 
 class CloudProvider:
@@ -56,12 +53,6 @@ class CloudProvider:
             Off by default — sampling is pure observation (it never
             feeds back into markets or policies) but costs time on
             large sweeps.
-        vectorized_markets: When true (default), adopt every market
-            into a :class:`~repro.cloud.lattice.MarketLattice` and
-            advance them all per step with vectorized array ops.
-            Bit-identical to the scalar path for the same seed (the
-            lattice prefetches each market's noise from its own RNG
-            stream); turn off to force the scalar reference path.
         tracing: When true, enable cross-service causal tracing on the
             telemetry bundle (``telemetry.tracer``).  Off by default:
             every instrumentation site then reduces to one ``None``
@@ -77,7 +68,6 @@ class CloudProvider:
         seed: int = 0,
         telemetry: Optional[Telemetry] = None,
         observatory: bool = False,
-        vectorized_markets: bool = True,
         tracing: bool = False,
     ) -> None:
         self.engine = engine or SimulationEngine(seed=seed)
@@ -101,8 +91,6 @@ class CloudProvider:
         # controller here via :meth:`attach_chaos`.
         self.chaos = None
 
-        from repro.cloud.market import GEOGRAPHY_PEAK_HOURS
-
         self._markets: Dict[Tuple[str, str], SpotMarket] = {}
         for profile in self.profiles:
             geography = self.regions.get(profile.region).geography
@@ -112,7 +100,6 @@ class CloudProvider:
                 rng=self.engine.streams.get(
                     f"market:{profile.region}:{profile.instance_type}"
                 ),
-                step_interval=MARKET_STEP_INTERVAL,
                 hazard_peak_hour=GEOGRAPHY_PEAK_HOURS.get(geography, 0.0),
             )
             self._markets[(profile.region, profile.instance_type)] = market
@@ -124,14 +111,13 @@ class CloudProvider:
         for market in self._markets.values():
             if market.available:
                 self._markets_by_type.setdefault(market.instance_type, []).append(market)
-        self.lattice: Optional[MarketLattice] = (
-            MarketLattice(list(self._markets.values())) if vectorized_markets else None
-        )
+        #: Steps every market, once per ``STEP_INTERVAL`` of sim time.
+        self.lattice = MarketLattice(list(self._markets.values()))
         # One engine event per market tick drives both the price step
         # and the observatory sweep — coalesced via the batch variant so
         # attaching more per-tick market work never adds heap traffic.
         self._market_task = self.engine.every_batch(
-            MARKET_STEP_INTERVAL,
+            STEP_INTERVAL,
             [self._step_markets, self._observe_markets],
             label="markets:step",
         )
@@ -178,12 +164,7 @@ class CloudProvider:
         return list(self._markets_by_type.get(instance_type, ()))
 
     def _step_markets(self) -> None:
-        now = self.engine.now
-        if self.lattice is not None:
-            self.lattice.step(now)
-        else:
-            for market in self._markets.values():
-                market.step(now)
+        self.lattice.step(self.engine.now)
 
     def _observe_markets(self) -> None:
         if self.observatory is not None:
@@ -196,15 +177,8 @@ class CloudProvider:
         all start exactly on the calibrated means.  Burn-in history is
         synthetic pre-experiment data and is dropped from the traces.
         """
-        if self.lattice is not None:
-            interval = self.lattice.markets[0].step_interval
-            self.lattice.warmup(steps, start_time=-steps * interval)
-            self.lattice.clear_history()
-            return
-        for market in self._markets.values():
-            market.warmup(steps, start_time=-steps * market.step_interval)
-            market.price_process.history.clear()
-            market.metric_history.clear()
+        self.lattice.warmup(steps, start_time=-steps * STEP_INTERVAL)
+        self.lattice.clear_history()
 
     # ------------------------------------------------------------------
     # Convenience views
@@ -223,8 +197,8 @@ class CloudProvider:
         markets = self.markets_for_type(instance_type)
         if not markets:
             raise CloudError(f"no region offers instance type {instance_type!r}")
-        best = min(markets, key=lambda market: market.price_process.mean)
-        return best.region, best.price_process.mean
+        best = min(markets, key=lambda market: market.mean_price)
+        return best.region, best.mean_price
 
     def shutdown(self) -> None:
         """Cancel periodic machinery, settle billing, free market scratch.
@@ -236,5 +210,4 @@ class CloudProvider:
         self.ec2.settle_billing()
         self.ec2.shutdown()
         self.cloudwatch.remove_all_rules()
-        if self.lattice is not None:
-            self.lattice.release()
+        self.lattice.release()

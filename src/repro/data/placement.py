@@ -12,15 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.cloud.instances import InstanceTypeCatalog, default_instance_catalog
-from repro.cloud.lattice import MarketLattice
-from repro.cloud.market import SpotMarket
-from repro.cloud.pricing import PriceBook
-from repro.cloud.profiles import MarketProfileBook, default_market_profiles
-from repro.cloud.regions import RegionCatalog, default_region_catalog
+from repro.cloud.instances import InstanceTypeCatalog
+from repro.cloud.profiles import MarketProfileBook
+from repro.cloud.regions import RegionCatalog
+from repro.data.spot_advisor import daily_markets
 from repro.errors import CloudError
-from repro.sim.clock import DAY
-from repro.sim.rng import RandomStreams
 
 
 @dataclass(frozen=True)
@@ -118,33 +114,9 @@ def generate_placement_dataset(
     seed: int = 0,
 ) -> PlacementScoreDataset:
     """Generate a *days*-long placement-score dataset."""
-    regions = regions or default_region_catalog()
-    instances = instances or default_instance_catalog()
-    profiles = profiles or default_market_profiles(regions, instances)
-    wanted = set(instance_types) if instance_types is not None else None
-    price_book = PriceBook(regions, instances)
-    streams = RandomStreams(seed)
-
-    # Same vectorization as the advisor generator: one lattice pass
-    # over every market, then expand histories into daily records.
-    markets: List[SpotMarket] = []
-    for profile in profiles:
-        if wanted is not None and profile.instance_type not in wanted:
-            continue
-        if not profile.available:
-            continue
-        markets.append(
-            SpotMarket(
-                profile=profile,
-                od_price=price_book.od_price(profile.region, profile.instance_type),
-                rng=streams.get(f"placement:{profile.region}:{profile.instance_type}"),
-                step_interval=DAY,
-            )
-        )
-    if markets:
-        lattice = MarketLattice(markets)
-        for day in range(days):
-            lattice.step(day * DAY)
+    markets = daily_markets(
+        "placement", days, instance_types, regions, instances, profiles, seed
+    )
 
     records: List[PlacementRecord] = []
     for market in markets:

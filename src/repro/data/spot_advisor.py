@@ -125,6 +125,46 @@ class SpotAdvisorDataset:
         ]
 
 
+def daily_markets(
+    stream_prefix: str,
+    days: int,
+    instance_types: Optional[Sequence[str]],
+    regions: Optional[RegionCatalog],
+    instances: Optional[InstanceTypeCatalog],
+    profiles: Optional[MarketProfileBook],
+    seed: int,
+) -> List[SpotMarket]:
+    """Build and step the markets behind a daily-sampled dataset.
+
+    One market per available (region, type) profile — only
+    *instance_types* when given — each on its own stream
+    ``"{stream_prefix}:{region}:{type}"``, in profile order.  A single
+    :class:`~repro.cloud.lattice.MarketLattice` steps them all once a
+    day at ``day * DAY`` for *days* days, so every market's traces
+    hold one row per day.
+    """
+    regions = regions or default_region_catalog()
+    instances = instances or default_instance_catalog()
+    profiles = profiles or default_market_profiles(regions, instances)
+    wanted = set(instance_types) if instance_types is not None else None
+    price_book = PriceBook(regions, instances)
+    streams = RandomStreams(seed)
+    markets = [
+        SpotMarket(
+            profile=profile,
+            od_price=price_book.od_price(profile.region, profile.instance_type),
+            rng=streams.get(f"{stream_prefix}:{profile.region}:{profile.instance_type}"),
+        )
+        for profile in profiles
+        if profile.available and (wanted is None or profile.instance_type in wanted)
+    ]
+    if markets:
+        lattice = MarketLattice(markets)
+        for day in range(days):
+            lattice.step(day * DAY)
+    return markets
+
+
 def generate_advisor_dataset(
     days: int = 180,
     instance_types: Optional[Sequence[str]] = None,
@@ -139,42 +179,17 @@ def generate_advisor_dataset(
     (e.g. p3 in excluded regions) are skipped, matching the paper's
     note about p3 region exclusions.
     """
-    regions = regions or default_region_catalog()
     instances = instances or default_instance_catalog()
-    profiles = profiles or default_market_profiles(regions, instances)
-    wanted = set(instance_types) if instance_types is not None else None
-    price_book = PriceBook(regions, instances)
-    streams = RandomStreams(seed)
-
-    # Build every market, advance them all together through one
-    # MarketLattice (vectorized, bit-identical to per-market scalar
-    # stepping), then expand the recorded series into daily records in
-    # the same per-profile order as before.
-    markets: List[SpotMarket] = []
-    for profile in profiles:
-        if wanted is not None and profile.instance_type not in wanted:
-            continue
-        if not profile.available:
-            continue
-        markets.append(
-            SpotMarket(
-                profile=profile,
-                od_price=price_book.od_price(profile.region, profile.instance_type),
-                rng=streams.get(f"advisor:{profile.region}:{profile.instance_type}"),
-                step_interval=DAY,
-            )
-        )
-    if markets:
-        lattice = MarketLattice(markets)
-        for day in range(days):
-            lattice.step(day * DAY)
+    markets = daily_markets(
+        "advisor", days, instance_types, regions, instances, profiles, seed
+    )
 
     records: List[AdvisorRecord] = []
     for market in markets:
         profile = market.profile
         itype = instances.get(profile.instance_type)
         od_price = market.od_price
-        prices = market.price_process.trace().column(1)
+        prices = market.price_trace().column(1)
         freqs = market.metric_history.column(2)
         for day in range(days):
             price = float(prices[day])

@@ -98,8 +98,7 @@ def generate_price_traces(
     steps = int(days * DAY / HOUR)
 
     # Build every market first, then advance them all together through
-    # one MarketLattice — one vectorized pass instead of a scalar walk
-    # per market, bit-identical series either way (each market draws
+    # one MarketLattice at its hourly step interval (each market draws
     # from its own named stream).
     markets: List[SpotMarket] = []
     market_meta = []
@@ -114,7 +113,6 @@ def generate_price_traces(
                     profile=profile,
                     od_price=price_book.od_price(region.name, itype_name),
                     rng=streams.get(f"trace:{region.name}:{itype_name}"),
-                    step_interval=HOUR,
                 )
             )
             market_meta.append((itype_name, region))

@@ -49,7 +49,7 @@ class SkyPilotPolicy(PlacementPolicy):
             )
         # Catalog (long-run) price, as SkyPilot's optimizer sees it.
         best = min(
-            markets, key=lambda market: (market.price_process.mean, market.region)
+            markets, key=lambda market: (market.mean_price, market.region)
         )
         return best.region
 

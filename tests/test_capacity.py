@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.cloud.lattice import MarketLattice
 from repro.cloud.market import SpotMarket
 from repro.cloud.profiles import MarketProfile, default_market_profiles
 from repro.cloud.provider import CloudProvider
@@ -17,7 +18,9 @@ def metered_market(capacity=10, **kwargs):
         capacity=capacity,
         **kwargs,
     )
-    return SpotMarket(profile=profile, od_price=0.2, rng=np.random.default_rng(1))
+    market = SpotMarket(profile=profile, od_price=0.2, rng=np.random.default_rng(1))
+    MarketLattice([market])  # the market's observables read its lattice slot
+    return market
 
 
 class TestPressureModel:

@@ -4,6 +4,7 @@ burst-degraded fulfillment, and the sweep's recovery path."""
 import numpy as np
 import pytest
 
+from repro.cloud.lattice import MarketLattice
 from repro.cloud.market import (
     DIURNAL_AMPLITUDE,
     GEOGRAPHY_PEAK_HOURS,
@@ -30,11 +31,13 @@ def burst_market(**kwargs):
         burst_hazard_per_hour=1.2,
     )
     defaults.update(kwargs)
-    return SpotMarket(
+    market = SpotMarket(
         profile=MarketProfile(**defaults),
         od_price=0.2,
         rng=np.random.default_rng(3),
     )
+    MarketLattice([market])  # the market's observables read its lattice slot
+    return market
 
 
 class TestDiurnal:
@@ -63,7 +66,6 @@ class TestDiurnal:
 class TestReclaimBursts:
     def test_burst_raises_hazard(self):
         market = burst_market()
-        baseline = market.interruption_hazard_per_hour
         in_burst = []
         out_burst = []
         for minutes in range(0, 24 * 60, 5):

@@ -1,4 +1,4 @@
-"""Unit tests for spot markets, pricing processes, and billing."""
+"""Unit tests for spot markets, the spot price process, and billing."""
 
 import numpy as np
 import pytest
@@ -10,8 +10,8 @@ from repro.cloud.interruptions import (
     sample_interruption,
     survival_probability,
 )
+from repro.cloud.lattice import MarketLattice
 from repro.cloud.market import PLACEMENT_MAX, PLACEMENT_MIN, SpotMarket
-from repro.cloud.pricing import SpotPriceProcess
 from repro.cloud.profiles import MarketProfile
 from repro.sim.clock import HOUR
 
@@ -22,30 +22,32 @@ def make_profile(**kwargs):
     return MarketProfile(**defaults)
 
 
+def adopted(profile, seed, **kwargs):
+    """A bare market adopted into its own lattice, which steps it."""
+    market = SpotMarket(
+        profile=profile, od_price=1.0, rng=np.random.default_rng(seed), **kwargs
+    )
+    return market, MarketLattice([market])
+
+
 class TestSpotPriceProcess:
     def test_price_stays_between_floor_and_od(self):
-        process = SpotPriceProcess(
-            make_profile(spot_fraction=0.4, spot_volatility=0.5),
-            od_price=1.0,
-            rng=np.random.default_rng(0),
-        )
+        market, lattice = adopted(make_profile(spot_fraction=0.4, spot_volatility=0.5), 0)
         for step in range(500):
-            price = process.step(float(step))
-            assert 0.35 * 0.4 <= price <= 1.0
+            lattice.step(float(step))
+            assert 0.35 * 0.4 <= market.spot_price <= 1.0
 
     def test_long_run_average_near_mean(self):
-        process = SpotPriceProcess(
-            make_profile(spot_fraction=0.4), od_price=1.0, rng=np.random.default_rng(1)
-        )
-        prices = [process.step(float(i)) for i in range(3000)]
-        assert abs(np.mean(prices) - 0.4) < 0.02
+        market, lattice = adopted(make_profile(spot_fraction=0.4), 1)
+        lattice.warmup(3000)
+        assert market.mean_price == pytest.approx(0.4)
+        assert abs(np.mean(market.price_trace().column(1)) - 0.4) < 0.02
 
     def test_history_records_steps(self):
-        process = SpotPriceProcess(make_profile(), od_price=1.0, rng=np.random.default_rng(2))
-        process.step(10.0)
-        process.step(20.0)
-        trace = process.trace()
-        assert [t for t, _ in trace] == [10.0, 20.0]
+        market, lattice = adopted(make_profile(), 2)
+        lattice.step(10.0)
+        lattice.step(20.0)
+        assert [t for t, _ in market.price_trace()] == [10.0, 20.0]
 
 
 class TestInterruptionModel:
@@ -72,48 +74,44 @@ class TestInterruptionModel:
 
 class TestSpotMarket:
     def make_market(self, **profile_kwargs):
-        return SpotMarket(
-            profile=make_profile(**profile_kwargs),
-            od_price=1.0,
-            rng=np.random.default_rng(7),
-        )
+        return adopted(make_profile(**profile_kwargs), 7)
 
     def test_observables_exposed(self):
-        market = self.make_market(interruption_freq_pct=8.0, placement_mean=3.4)
+        market, _ = self.make_market(interruption_freq_pct=8.0, placement_mean=3.4)
         assert market.region == "us-east-1"
         assert market.stability_score == 2
         assert PLACEMENT_MIN <= market.placement_score <= PLACEMENT_MAX
         assert market.spot_price > 0
 
     def test_step_appends_metric_history(self):
-        market = self.make_market()
-        market.step(HOUR)
-        market.step(2 * HOUR)
+        market, lattice = self.make_market()
+        lattice.step(HOUR)
+        lattice.step(2 * HOUR)
         assert len(market.metric_history) == 2
         assert market.metric_history[0][0] == HOUR
 
     def test_placement_walk_stays_in_band(self):
-        market = self.make_market(placement_mean=4.3, placement_volatility=0.08)
-        market.warmup(2000)
+        market, lattice = self.make_market(placement_mean=4.3, placement_volatility=0.08)
+        lattice.warmup(2000)
         scores = [score for _, score, _ in market.metric_history]
         assert all(PLACEMENT_MIN <= score <= PLACEMENT_MAX for score in scores)
         assert abs(np.mean(scores) - 4.3) < 0.2
 
     def test_frequency_walk_reverts_to_profile_mean(self):
-        market = self.make_market(interruption_freq_pct=17.0, freq_volatility=0.5)
-        market.warmup(2000)
+        market, lattice = self.make_market(interruption_freq_pct=17.0, freq_volatility=0.5)
+        lattice.warmup(2000)
         freqs = [freq for _, _, freq in market.metric_history]
         assert abs(np.mean(freqs) - 17.0) < 1.0
 
     def test_az_prices_skew_around_region_price(self):
-        market = self.make_market()
+        market, _ = self.make_market()
         prices = [market.az_spot_price(i) for i in range(3)]
         assert prices[0] < prices[1] < prices[2]
         assert prices[1] == pytest.approx(market.spot_price)
 
     def test_hazard_tracks_current_frequency(self):
-        market = self.make_market(interruption_freq_pct=10.0)
-        market.warmup(50)
+        market, lattice = self.make_market(interruption_freq_pct=10.0)
+        lattice.warmup(50)
         assert market.interruption_hazard_per_hour == pytest.approx(
             market.interruption_frequency * 0.7 / 100.0
         )
@@ -122,25 +120,18 @@ class TestSpotMarket:
 class TestMarketDeterminism:
     """Same seed, same trace — the paired-comparison guarantee."""
 
-    def build(self, seed, peak_hour=0.0):
-        return SpotMarket(
-            profile=make_profile(),
-            od_price=1.0,
-            rng=np.random.default_rng(seed),
-            hazard_peak_hour=peak_hour,
-        )
+    def build(self, seed, steps=0, peak_hour=0.0):
+        market, lattice = adopted(make_profile(), seed, hazard_peak_hour=peak_hour)
+        lattice.warmup(steps)
+        return market
 
     def test_same_seed_identical_price_trace_and_metrics(self):
-        a, b = self.build(123), self.build(123)
-        a.warmup(300)
-        b.warmup(300)
+        a, b = self.build(123, steps=300), self.build(123, steps=300)
         assert list(a.price_trace()) == list(b.price_trace())
         assert a.metric_history == b.metric_history
 
     def test_different_seeds_diverge(self):
-        a, b = self.build(123), self.build(124)
-        a.warmup(50)
-        b.warmup(50)
+        a, b = self.build(123, steps=50), self.build(124, steps=50)
         assert list(a.price_trace()) != list(b.price_trace())
 
     def test_provider_market_traces_reproducible_across_builds(self):
