@@ -42,8 +42,9 @@ from repro.obs import (
 )
 from repro.obs.export import ANOMALY_CORRELATION_WINDOW
 from repro.sim.clock import HOUR
-from repro.strategies import STRATEGIES, SingleRegionPolicy
+from repro.strategies import STRATEGIES
 from repro.workloads.base import synthetic_workload
+from tests import golden_observatory
 
 
 # ----------------------------------------------------------------------
@@ -220,17 +221,7 @@ def storm_stream(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def observatory_events():
-    provider = CloudProvider(seed=10, observatory=True)
-    provider.warmup_markets(24)
-    controller = FleetController(
-        provider,
-        SingleRegionPolicy(instance_type="m5.xlarge"),
-        SpotVerseConfig(instance_type="m5.xlarge"),
-    )
-    controller.run(
-        [synthetic_workload(f"wl-{i}", duration_hours=6.0, n_segments=6) for i in range(6)],
-        max_hours=48.0,
-    )
+    provider = golden_observatory.fleet_run()
     events = provider.telemetry.bus.events()
     samples = provider.telemetry.metrics.collect()
     provider.shutdown()
