@@ -11,7 +11,7 @@ Functions, EFS).  The entry point is
 
 from repro.cloud.billing import CostCategory, CostLedger
 from repro.cloud.instances import InstanceType, InstanceTypeCatalog, default_instance_catalog
-from repro.cloud.lattice import MarketLattice, TraceBuffer
+from repro.cloud.lattice import MarketLattice, TraceView
 from repro.cloud.market import SpotMarket
 from repro.cloud.pricing import PriceBook
 from repro.cloud.profiles import MarketProfile, default_market_profiles
@@ -31,7 +31,7 @@ __all__ = [
     "Region",
     "RegionCatalog",
     "SpotMarket",
-    "TraceBuffer",
+    "TraceView",
     "default_instance_catalog",
     "default_market_profiles",
     "default_region_catalog",

@@ -1,6 +1,6 @@
 """The market lattice: the one stepper for every spot market.
 
-A :class:`MarketLattice` holds *all* adopted markets' state (price,
+A :class:`MarketLattice` holds every market's state (price,
 placement score, interruption frequency) in contiguous numpy arrays and
 advances every market per step with a handful of vectorized
 mean-reversion/clamp operations.  :meth:`MarketLattice.step` is the
@@ -16,18 +16,25 @@ only place the market dynamics are written down:
   six-month series show the regional drift of the paper's Figure 4
   while staying inside their calibrated band.
 
-Each market keeps its own named RNG stream, and the lattice prefetches
-noise in blocks with ``Generator.standard_normal(3 * block)``: numpy
-fills arrays by repeatedly invoking the same per-value ziggurat draw, so
-row ``k`` of the reshaped block is step ``k``'s (price, placement,
-frequency) triple and the series do not depend on the block size.
-``tests/data/golden_market_traces.json`` pins the series bit for bit.
+The lattice owns every market outright: it builds its
+:class:`~repro.cloud.market.SpotMarket` rows from ``(profile, od_price,
+rng, hazard_peak_hour)`` specs, takes each market's initial draws, and
+holds the only copy of its state and history, so a market cannot exist
+without a lattice.
 
-History recording is chunked: the lattice appends each step's values
-into preallocated 2-D pending buffers (one column write per observable)
-and flushes them into per-market :class:`TraceBuffer` columns when a
-chunk fills or a trace is read.  ``price_trace()`` / ``metric_history``
-read as row tuples on top of the buffers.
+Each market keeps its own named RNG stream.  Construction draws, per
+stream, the initial price, placement and frequency normals and then
+(for markets with reclaim bursts) the burst-phase uniform.  Stepping
+prefetches noise in blocks with ``Generator.standard_normal(3 *
+block)``: numpy fills arrays by repeatedly invoking the same per-value
+ziggurat draw, so row ``k`` of the reshaped block is step ``k``'s
+(price, placement, frequency) triple and the series do not depend on
+the block size.  ``tests/data/golden_market_traces.json`` pins the
+series bit for bit.
+
+Each step writes one column of growable ``(markets x steps)`` history
+arrays.  A market's ``price_trace()`` and ``metric_history`` are
+:class:`TraceView` rows over them: read-only, no per-market copy.
 """
 
 from __future__ import annotations
@@ -36,6 +43,8 @@ from typing import Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.cloud.market import SpotMarket
+from repro.cloud.profiles import MarketProfile
 from repro.sim.clock import HOUR
 
 #: Seconds between market steps.
@@ -55,166 +64,138 @@ WALK_REVERSION = 0.10
 #: Per-market noise draws per step: price, placement, frequency.
 DRAWS_PER_STEP = 3
 
+#: Steps of history the lattice allocates before it first grows.
+HISTORY_CAPACITY = 64
+
+#: ``(profile, od_price, rng, hazard_peak_hour)``: what the lattice
+#: builds one market row from.
+MarketSpec = Tuple[MarketProfile, float, np.random.Generator, float]
+
 Row = Tuple[float, ...]
 
 
-class TraceBuffer:
-    """A growable, columnar history of fixed-width float rows.
+class TraceView:
+    """One market's recorded history: ``(time, *observables)`` rows.
 
-    Preallocated numpy storage (amortised doubling) that *reads* like
+    A read-only view over the lattice's history arrays that reads like
     a list of tuples: indexing and iteration yield row tuples, equality
     compares row contents, and ``len`` counts rows.  Consumers that
-    want arrays use :meth:`column`.
-
-    The buffer is the backing store for ``SpotMarket.price_trace()``
-    (columns: time, price) and ``SpotMarket.metric_history`` (columns:
-    time, placement score, interruption frequency).  Views returned by
-    accessors are cheap — no per-call copying.
+    want arrays use :meth:`column`.  The view tracks later steps
+    instead of freezing a copy; snapshot with ``list(...)``.
     """
 
-    __slots__ = ("_data", "_len")
+    __slots__ = ("_lattice", "_index", "_planes")
 
-    def __init__(self, ncols: int, capacity: int = 64) -> None:
-        self._data = np.empty((max(1, capacity), ncols), dtype=np.float64)
-        self._len = 0
+    def __init__(self, lattice: "MarketLattice", index: int, planes: Tuple[int, ...]) -> None:
+        self._lattice = lattice
+        self._index = index
+        self._planes = planes
 
-    @property
-    def ncols(self) -> int:
-        """Number of columns per row."""
-        return self._data.shape[1]
-
-    def _reserve(self, extra: int) -> None:
-        need = self._len + extra
-        capacity = self._data.shape[0]
-        if need <= capacity:
-            return
-        grown = np.empty((max(need, 2 * capacity), self.ncols), dtype=np.float64)
-        grown[: self._len] = self._data[: self._len]
-        self._data = grown
-
-    def extend_columns(self, *columns: np.ndarray) -> None:
-        """Bulk-append rows given as per-column arrays of equal length."""
-        if len(columns) != self.ncols:
-            raise ValueError(
-                f"expected {self.ncols} columns, got {len(columns)}"
-            )
-        count = len(columns[0])
-        self._reserve(count)
-        for j, column in enumerate(columns):
-            self._data[self._len : self._len + count, j] = column
-        self._len += count
-
-    def clear(self) -> None:
-        """Drop every recorded row (capacity is retained)."""
-        self._len = 0
+    def _columns(self) -> List[np.ndarray]:
+        lattice = self._lattice
+        steps = lattice._steps
+        return [lattice._times[:steps]] + [
+            lattice._history[plane, self._index, :steps] for plane in self._planes
+        ]
 
     def column(self, index: int) -> np.ndarray:
         """Read-only array view of one column over the recorded rows."""
-        view = self._data[: self._len, index]
+        view = self._columns()[index]
         view.flags.writeable = False
         return view
 
     def rows(self) -> List[Row]:
         """All rows as a list of tuples (a copy; mutation-safe)."""
-        return [tuple(row) for row in self._data[: self._len].tolist()]
+        return list(zip(*(column.tolist() for column in self._columns())))
 
     def __len__(self) -> int:
-        return self._len
+        return self._lattice._steps
 
     def __getitem__(self, index: Union[int, slice]) -> Union[Row, List[Row]]:
         if isinstance(index, slice):
-            return [tuple(row) for row in self._data[: self._len][index].tolist()]
-        if index < -self._len or index >= self._len:
-            raise IndexError(f"row {index} out of range for {self._len} rows")
-        if index < 0:
-            index += self._len
-        return tuple(self._data[index].tolist())
+            return self.rows()[index]
+        steps = self._lattice._steps
+        if index < -steps or index >= steps:
+            raise IndexError(f"row {index} out of range for {steps} rows")
+        return tuple(float(column[index]) for column in self._columns())
 
     def __iter__(self) -> Iterator[Row]:
         return iter(self.rows())
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, TraceBuffer):
-            return (
-                self._len == other._len
-                and self.ncols == other.ncols
-                and bool(
-                    np.array_equal(
-                        self._data[: self._len], other._data[: other._len]
-                    )
-                )
-            )
+        if isinstance(other, TraceView):
+            return self.rows() == other.rows()
         if isinstance(other, (list, tuple)):
             return self.rows() == [tuple(row) for row in other]
         return NotImplemented
 
-    __hash__ = None  # mutable container
+    __hash__ = None  # tracks a growing history
 
     def __repr__(self) -> str:
-        return f"TraceBuffer(rows={self._len}, ncols={self.ncols})"
+        return f"TraceView(rows={len(self)}, columns={1 + len(self._planes)})"
 
 
 class MarketLattice:
-    """Vectorized state + stepping for a fixed set of spot markets.
+    """Vectorized state, stepping and history for a fixed set of spot markets.
 
-    On construction the lattice *adopts* the markets: their initial
-    state moves into contiguous arrays, each market's observable
-    properties read its lattice slot, and the markets step only
-    through :meth:`step` / :meth:`warmup`.  A market belongs to one
-    lattice for life: adopting it again would restart it from its
-    initial state while the first lattice keeps drawing from its RNG
-    stream, so that raises (as does listing a market twice).
+    The lattice builds one :class:`~repro.cloud.market.SpotMarket` row
+    per spec (in :attr:`markets`, spec order); each market's observable
+    properties read its lattice slot, and the markets step only through
+    :meth:`step` / :meth:`warmup`.
 
     Args:
-        markets: The markets to adopt (order fixes lattice indices).
+        specs: ``(profile, od_price, rng, hazard_peak_hour)`` per
+            market; *rng* is the market's own stream.
         noise_block: Steps of per-market noise to prefetch at a time.
-        history_chunk: Steps buffered before flushing history to the
-            per-market trace buffers.
 
     Raises:
-        ValueError: If *markets* is empty, lists a market twice, or
-            holds a market another lattice already adopted.
+        ValueError: If *specs* is empty.
     """
 
-    def __init__(
-        self,
-        markets: Sequence,
-        noise_block: int = 128,
-        history_chunk: int = 256,
-    ) -> None:
-        self.markets = list(markets)
-        if not self.markets:
+    def __init__(self, specs: Sequence[MarketSpec], noise_block: int = 128) -> None:
+        specs = list(specs)
+        if not specs:
             raise ValueError("MarketLattice needs at least one market")
-        adopting = set()
-        for market in self.markets:
-            if market._lattice is not None or id(market) in adopting:
-                raise ValueError(
-                    f"market {market.region}/{market.instance_type} is already "
-                    "adopted by a MarketLattice"
-                )
-            adopting.add(id(market))
-        n = len(self.markets)
+        n = len(specs)
         self._noise_block = int(noise_block)
-        self._history_chunk = int(history_chunk)
-
-        def gather(read) -> np.ndarray:
-            return np.array([read(market) for market in self.markets], dtype=np.float64)
+        self._rngs = [rng for _, _, rng, _ in specs]
+        profiles = [profile for profile, _, _, _ in specs]
 
         # Price-process parameters.
-        self._price_mean = gather(lambda m: m.mean_price)
-        self._price_scale = gather(lambda m: m.profile.spot_volatility) * self._price_mean
+        self._price_ceil = np.array([od_price for _, od_price, _, _ in specs])
+        self._price_mean = np.array([p.spot_fraction for p in profiles]) * self._price_ceil
+        price_volatility = np.array([p.spot_volatility for p in profiles])
+        self._price_scale = price_volatility * self._price_mean
         self._price_floor = PRICE_FLOOR_FRACTION * self._price_mean
-        self._price_ceil = gather(lambda m: m.od_price)
         # Bounded-walk parameters.
-        self._placement_mean = gather(lambda m: m.profile.placement_mean)
-        self._placement_vol = gather(lambda m: m.profile.placement_volatility)
-        self._freq_mean = gather(lambda m: m.profile.interruption_freq_pct)
-        self._freq_vol = gather(lambda m: m.profile.freq_volatility)
+        self._placement_mean = np.array([p.placement_mean for p in profiles])
+        self._placement_vol = np.array([p.placement_volatility for p in profiles])
+        self._freq_mean = np.array([p.interruption_freq_pct for p in profiles])
+        self._freq_vol = np.array([p.freq_volatility for p in profiles])
 
-        # Live state, starting from the markets' construction-time draws.
-        self.price = gather(lambda m: m._initial_price)
-        self.placement = gather(lambda m: m._initial_placement)
-        self.freq = gather(lambda m: m._initial_freq)
+        # Initial state: per stream, the price, placement and frequency
+        # normals, then the burst-phase uniform.  The price starts at
+        # its mean plus one step of noise so traces do not all begin on
+        # their mean.
+        initial = np.empty((n, DRAWS_PER_STEP))
+        burst_phases = []
+        for index, (profile, _, rng, _) in enumerate(specs):
+            initial[index] = rng.standard_normal(DRAWS_PER_STEP)
+            burst_period = profile.burst_period_hours * HOUR
+            burst_phases.append(
+                float(rng.uniform(0.0, burst_period)) if burst_period > 0.0 else 0.0
+            )
+        self.price = np.clip(
+            self._price_mean * (1.0 + price_volatility * initial[:, 0]),
+            self._price_floor,
+            self._price_ceil,
+        )
+        self.placement = np.clip(
+            self._placement_mean + self._placement_vol * initial[:, 1],
+            PLACEMENT_MIN,
+            PLACEMENT_MAX,
+        )
+        self.freq = np.clip(self._freq_mean + self._freq_vol * initial[:, 2], FREQ_MIN, FREQ_MAX)
         self._publish()
 
         # Prefetched noise: shape (markets, block, 3); cursor at the
@@ -222,30 +203,36 @@ class MarketLattice:
         self._noise = np.empty((n, self._noise_block, DRAWS_PER_STEP))
         self._noise_cursor = self._noise_block
 
-        # Pending (unflushed) history, shape (markets, chunk).
-        self._pending_times = np.empty(self._history_chunk)
-        self._pending_price = np.empty((n, self._history_chunk))
-        self._pending_placement = np.empty((n, self._history_chunk))
-        self._pending_freq = np.empty((n, self._history_chunk))
-        self._pending = 0
+        # History: step times, and (price, placement, freq) planes of
+        # shape (markets, capacity) whose first ``_steps`` columns are
+        # recorded; capacity doubles when full.
+        self._times = np.empty(HISTORY_CAPACITY)
+        self._history = np.empty((DRAWS_PER_STEP, n, HISTORY_CAPACITY))
+        self._steps = 0
 
-        for index, market in enumerate(self.markets):
-            market._lattice = self
-            market._lattice_index = index
+        self.markets = [
+            SpotMarket(self, index, profile, od_price, peak_hour, burst_phases[index])
+            for index, (profile, od_price, _, peak_hour) in enumerate(specs)
+        ]
 
     def __len__(self) -> int:
         return len(self.markets)
+
+    def history(self, index: int, *planes: int) -> TraceView:
+        """A view of market *index*'s history over the given planes
+        (0 price, 1 placement score, 2 interruption frequency)."""
+        return TraceView(self, index, planes)
 
     # ------------------------------------------------------------------
     # Stepping
     # ------------------------------------------------------------------
     def _refill_noise(self) -> None:
         draws = self._noise_block * DRAWS_PER_STEP
-        for index, market in enumerate(self.markets):
+        for index, rng in enumerate(self._rngs):
             # One block draw consumes the market's stream exactly like
             # `draws` single draws; row k of the reshape is step k's
             # (price, placement, freq) triple.
-            self._noise[index] = market._rng.standard_normal(draws).reshape(
+            self._noise[index] = rng.standard_normal(draws).reshape(
                 self._noise_block, DRAWS_PER_STEP
             )
         self._noise_cursor = 0
@@ -285,20 +272,26 @@ class MarketLattice:
         np.clip(freq, FREQ_MIN, FREQ_MAX, out=freq)
         self.freq = freq
 
-        if self._pending == self._history_chunk:
-            self.flush()
-        cursor = self._pending
-        self._pending_times[cursor] = now
-        self._pending_price[:, cursor] = price
-        self._pending_placement[:, cursor] = placement
-        self._pending_freq[:, cursor] = freq
-        self._pending = cursor + 1
+        step = self._steps
+        capacity = len(self._times)
+        if step == capacity:
+            times = np.empty(2 * capacity)
+            times[:step] = self._times
+            history = np.empty(self._history.shape[:2] + (2 * capacity,))
+            history[:, :, :step] = self._history
+            self._times, self._history = times, history
+        self._times[step] = now
+        history = self._history
+        history[0, :, step] = price
+        history[1, :, step] = placement
+        history[2, :, step] = freq
+        self._steps = step + 1
         self._publish()
 
     def _publish(self) -> None:
         """Expose the current state as plain lists the markets read.
 
-        An adopted market reads its observables as
+        A market reads its observables as
         ``lattice.prices[index]`` (and ``placements``, ``freqs``): one
         list lookup per read, with no per-read numpy indexing and no
         per-step writes into markets nobody reads.  ``tolist``
@@ -320,53 +313,31 @@ class MarketLattice:
     # ------------------------------------------------------------------
     # History
     # ------------------------------------------------------------------
-    def flush(self) -> None:
-        """Move pending step history into the per-market trace buffers."""
-        count = self._pending
-        if count == 0:
-            return
-        times = self._pending_times[:count]
-        for index, market in enumerate(self.markets):
-            market._price_history.extend_columns(
-                times, self._pending_price[index, :count]
-            )
-            market._metric_history.extend_columns(
-                times,
-                self._pending_placement[index, :count],
-                self._pending_freq[index, :count],
-            )
-        self._pending = 0
-
     def clear_history(self) -> None:
-        """Drop pending *and* recorded history for every market."""
-        self._pending = 0
-        for market in self.markets:
-            market._price_history.clear()
-            market._metric_history.clear()
+        """Drop the recorded history of every market."""
+        self._steps = 0
 
     def release(self) -> None:
-        """Flush history, then free the stepping scratch buffers.
+        """Free the stepping scratch buffers.
 
         For a finished simulation: every recorded step stays readable
         through the markets' traces, but the lattice can no longer
         step (the dropped noise block held draws already taken from
         the markets' streams).
         """
-        self.flush()
         self._noise = None
-        self._pending_times = self._pending_price = None
-        self._pending_placement = self._pending_freq = None
 
 
 __all__ = [
     "FREQ_MAX",
     "FREQ_MIN",
     "MarketLattice",
+    "MarketSpec",
     "PLACEMENT_MAX",
     "PLACEMENT_MIN",
     "PRICE_FLOOR_FRACTION",
     "PRICE_REVERSION",
     "STEP_INTERVAL",
-    "TraceBuffer",
+    "TraceView",
     "WALK_REVERSION",
 ]

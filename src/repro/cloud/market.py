@@ -2,32 +2,24 @@
 
 A :class:`SpotMarket` bundles the three observables SpotVerse's Monitor
 consumes — spot price, Spot Placement Score, Interruption Frequency —
-plus the interruption hazard derived from them.  Markets do not step
-themselves: a :class:`~repro.cloud.lattice.MarketLattice` adopts them
-and advances every market per step with vectorized array operations
+plus the interruption hazard derived from them.  A market is one row
+of a :class:`~repro.cloud.lattice.MarketLattice`: the lattice builds
+it, takes its initial draws, steps it with vectorized array operations
 (the price process and the bounded placement/frequency walks are
-written down there).  A market's observables read its lattice slot, so
-they exist only once a lattice has adopted it; before that the market
-holds only its calibration and its construction-time initial state.
+written down there) and holds its state and history, which the
+market's observables and traces read.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence, Tuple
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from repro.cloud.lattice import (
-    FREQ_MAX,
-    FREQ_MIN,
-    PLACEMENT_MAX,
-    PLACEMENT_MIN,
-    PRICE_FLOOR_FRACTION,
-    TraceBuffer,
-)
 from repro.cloud.profiles import HAZARD_SCALE, MarketProfile, stability_score_from_frequency
 from repro.sim.clock import DAY, HOUR
+
+if TYPE_CHECKING:
+    from repro.cloud.lattice import MarketLattice, TraceView
 
 #: Deterministic per-AZ price skews: AZ-level prices in Figure 2 differ
 #: slightly and persistently inside one region.
@@ -47,10 +39,6 @@ GEOGRAPHY_PEAK_HOURS = {
 }
 
 
-def _bounded(value: float, lo: float, hi: float) -> float:
-    return min(max(value, lo), hi)
-
-
 def diurnal_factor(now: float, peak_hour: float, amplitude: float = DIURNAL_AMPLITUDE) -> float:
     """Multiplicative hazard factor at *now* for a given local peak.
 
@@ -64,61 +52,43 @@ def diurnal_factor(now: float, peak_hour: float, amplitude: float = DIURNAL_AMPL
 class SpotMarket:
     """Live market state for one (region, instance type) pair.
 
+    Built only by :class:`~repro.cloud.lattice.MarketLattice`, as row
+    *index* of its arrays.
+
     Args:
+        lattice: The lattice that owns this market's state.
+        index: The market's row in *lattice*.
         profile: Calibrated long-run regime.
         od_price: Regional on-demand price (USD/hour; the spot ceiling).
-        rng: Dedicated random stream for this market.
         hazard_peak_hour: Local business-hours peak of the diurnal
             hazard swing (hours into the simulation day).
+        burst_phase: Offset (sim seconds) of the market's reclaim
+            bursts, so markets are not synchronized with each other
+            (instances within one market are — capacity reclaims are
+            fleet-correlated).
     """
 
     def __init__(
         self,
+        lattice: MarketLattice,
+        index: int,
         profile: MarketProfile,
         od_price: float,
-        rng: np.random.Generator,
-        hazard_peak_hour: float = 0.0,
+        hazard_peak_hour: float,
+        burst_phase: float,
     ) -> None:
         self.profile = profile
         self.od_price = od_price
         self.hazard_peak_hour = hazard_peak_hour
-        self._rng = rng
         #: Long-run mean spot price (USD/hour) the price reverts to.
         self.mean_price = profile.spot_fraction * od_price
-        # Initial state the adopting lattice starts from, drawn in
-        # stream order price, placement, frequency.  The price starts at
-        # its mean plus one step of noise so traces do not all begin on
-        # their mean.
-        self._initial_price = _bounded(
-            self.mean_price * (1.0 + profile.spot_volatility * rng.standard_normal()),
-            PRICE_FLOOR_FRACTION * self.mean_price,
-            od_price,
-        )
-        self._initial_placement = _bounded(
-            profile.placement_mean + profile.placement_volatility * rng.standard_normal(),
-            PLACEMENT_MIN,
-            PLACEMENT_MAX,
-        )
-        self._initial_freq = _bounded(
-            profile.interruption_freq_pct + profile.freq_volatility * rng.standard_normal(),
-            FREQ_MIN,
-            FREQ_MAX,
-        )
-        # ``(time, price)`` and ``(time, placement_score,
-        # interruption_freq_pct)`` histories, filled by the lattice.
-        self._price_history = TraceBuffer(2)
-        self._metric_history = TraceBuffer(3)
-        # Set when a MarketLattice adopts this market.
-        self._lattice = None
-        self._lattice_index = -1
-        # Reclaim bursts hit at market-specific phases so markets are
-        # not synchronized with each other (but instances within one
-        # market are — capacity reclaims are fleet-correlated).
-        self._burst_phase = 0.0
-        if profile.burst_period_hours > 0.0:
-            self._burst_phase = float(
-                rng.uniform(0.0, profile.burst_period_hours * HOUR)
-            )
+        self._lattice = lattice
+        self._index = index
+        self._burst_phase = burst_phase
+        self._price_trace = lattice.history(index, 0)
+        #: ``(time, placement_score, interruption_freq_pct)`` history: a
+        #: read-only view like :meth:`price_trace`.
+        self.metric_history = lattice.history(index, 1, 2)
         #: Spot instances currently running in this market (maintained
         #: by the EC2 substrate; only meaningful alongside a finite
         #: profile capacity).
@@ -147,36 +117,26 @@ class SpotMarket:
     @property
     def spot_price(self) -> float:
         """Current spot price (USD/hour)."""
-        return self._lattice.prices[self._lattice_index]
+        return self._lattice.prices[self._index]
 
     @property
     def placement_score(self) -> float:
         """Current Spot Placement Score (1-10)."""
-        return self._lattice.placements[self._lattice_index]
+        return self._lattice.placements[self._index]
 
     @property
     def interruption_frequency(self) -> float:
         """Current Interruption Frequency advisor metric (percent)."""
-        return self._lattice.freqs[self._lattice_index]
+        return self._lattice.freqs[self._index]
 
-    def price_trace(self) -> Sequence[Tuple[float, float]]:
+    def price_trace(self) -> TraceView:
         """The recorded ``(time, price)`` series.
 
-        A cheap read-only view over the chunked buffer — no per-call
-        copy; snapshot with ``list(...)`` to hold rows across further
-        steps.
+        A read-only view over the lattice's history (the same object on
+        every call) that tracks later steps; snapshot with
+        ``list(...)`` to hold rows across further steps.
         """
-        self._lattice.flush()
-        return self._price_history
-
-    @property
-    def metric_history(self) -> TraceBuffer:
-        """``(time, placement_score, interruption_freq_pct)`` history.
-
-        A view like :meth:`price_trace`.
-        """
-        self._lattice.flush()
-        return self._metric_history
+        return self._price_trace
 
     def force_frequency(self, freq_pct: float) -> None:
         """Override the current Interruption Frequency (scenario/test hook).
@@ -184,8 +144,8 @@ class SpotMarket:
         Writes the lattice slot; the next step resumes the
         mean-reverting walk from this value.
         """
-        self._lattice.freq[self._lattice_index] = float(freq_pct)
-        self._lattice.freqs[self._lattice_index] = float(freq_pct)
+        self._lattice.freq[self._index] = float(freq_pct)
+        self._lattice.freqs[self._index] = float(freq_pct)
 
     @property
     def stability_score(self) -> int:

@@ -75,11 +75,6 @@ class CloudProvider:
         self.telemetry.bus.attach_clock(lambda: self.engine.now)
         if tracing:
             self.telemetry.enable_tracing()
-        self.observatory: Optional[MarketObservatory] = None
-        if observatory:
-            self.observatory = MarketObservatory(
-                store=self.telemetry.timeseries, bus=self.telemetry.bus
-            )
         self.regions = regions or default_region_catalog()
         self.instances = instances or default_instance_catalog()
         self.profiles = profiles or default_market_profiles(self.regions, self.instances)
@@ -91,18 +86,26 @@ class CloudProvider:
         # controller here via :meth:`attach_chaos`.
         self.chaos = None
 
-        self._markets: Dict[Tuple[str, str], SpotMarket] = {}
-        for profile in self.profiles:
-            geography = self.regions.get(profile.region).geography
-            market = SpotMarket(
-                profile=profile,
-                od_price=self.price_book.od_price(profile.region, profile.instance_type),
-                rng=self.engine.streams.get(
-                    f"market:{profile.region}:{profile.instance_type}"
-                ),
-                hazard_peak_hour=GEOGRAPHY_PEAK_HOURS.get(geography, 0.0),
-            )
-            self._markets[(profile.region, profile.instance_type)] = market
+        #: Builds and steps every market, once per ``STEP_INTERVAL`` of
+        #: sim time; each market draws from its own named stream.
+        self.lattice = MarketLattice(
+            [
+                (
+                    profile,
+                    self.price_book.od_price(profile.region, profile.instance_type),
+                    self.engine.streams.get(
+                        f"market:{profile.region}:{profile.instance_type}"
+                    ),
+                    GEOGRAPHY_PEAK_HOURS.get(
+                        self.regions.get(profile.region).geography, 0.0
+                    ),
+                )
+                for profile in self.profiles
+            ]
+        )
+        self._markets: Dict[Tuple[str, str], SpotMarket] = {
+            (market.region, market.instance_type): market for market in self.lattice.markets
+        }
         # Static per-type index: markets_for_type sits on the Monitor
         # collect path and every Algorithm-1 evaluation, so it must not
         # rescan the whole market dict per call.  Availability is fixed
@@ -111,8 +114,11 @@ class CloudProvider:
         for market in self._markets.values():
             if market.available:
                 self._markets_by_type.setdefault(market.instance_type, []).append(market)
-        #: Steps every market, once per ``STEP_INTERVAL`` of sim time.
-        self.lattice = MarketLattice(list(self._markets.values()))
+        self.observatory: Optional[MarketObservatory] = None
+        if observatory:
+            self.observatory = MarketObservatory(
+                self.lattice.markets, store=self.telemetry.timeseries, bus=self.telemetry.bus
+            )
         # One engine event per market tick drives both the price step
         # and the observatory sweep — coalesced via the batch variant so
         # attaching more per-tick market work never adds heap traffic.
@@ -168,7 +174,10 @@ class CloudProvider:
 
     def _observe_markets(self) -> None:
         if self.observatory is not None:
-            self.observatory.observe(self.engine.now, self._markets.values())
+            lattice = self.lattice
+            self.observatory.observe(
+                self.engine.now, lattice.prices, lattice.placements, lattice.freqs
+            )
 
     def warmup_markets(self, steps: int) -> None:
         """Pre-roll every market *steps* intervals before t=0 data.

@@ -139,9 +139,9 @@ def daily_markets(
     One market per available (region, type) profile — only
     *instance_types* when given — each on its own stream
     ``"{stream_prefix}:{region}:{type}"``, in profile order.  A single
-    :class:`~repro.cloud.lattice.MarketLattice` steps them all once a
-    day at ``day * DAY`` for *days* days, so every market's traces
-    hold one row per day.
+    :class:`~repro.cloud.lattice.MarketLattice` builds them and steps
+    them all once a day at ``day * DAY`` for *days* days, so every
+    market's traces hold one row per day.
     """
     regions = regions or default_region_catalog()
     instances = instances or default_instance_catalog()
@@ -149,20 +149,22 @@ def daily_markets(
     wanted = set(instance_types) if instance_types is not None else None
     price_book = PriceBook(regions, instances)
     streams = RandomStreams(seed)
-    markets = [
-        SpotMarket(
-            profile=profile,
-            od_price=price_book.od_price(profile.region, profile.instance_type),
-            rng=streams.get(f"{stream_prefix}:{profile.region}:{profile.instance_type}"),
+    specs = [
+        (
+            profile,
+            price_book.od_price(profile.region, profile.instance_type),
+            streams.get(f"{stream_prefix}:{profile.region}:{profile.instance_type}"),
+            0.0,
         )
         for profile in profiles
         if profile.available and (wanted is None or profile.instance_type in wanted)
     ]
-    if markets:
-        lattice = MarketLattice(markets)
-        for day in range(days):
-            lattice.step(day * DAY)
-    return markets
+    if not specs:
+        return []
+    lattice = MarketLattice(specs)
+    for day in range(days):
+        lattice.step(day * DAY)
+    return lattice.markets
 
 
 def generate_advisor_dataset(

@@ -97,10 +97,10 @@ def generate_price_traces(
     streams = RandomStreams(seed)
     steps = int(days * DAY / HOUR)
 
-    # Build every market first, then advance them all together through
-    # one MarketLattice at its hourly step interval (each market draws
-    # from its own named stream).
-    markets: List[SpotMarket] = []
+    # One MarketLattice builds every market and advances them together
+    # at its hourly step interval (each market draws from its own named
+    # stream).
+    specs = []
     market_meta = []
     for itype_name in instance_types:
         instances.get(itype_name)  # validate
@@ -108,17 +108,20 @@ def generate_price_traces(
             profile = profiles.get(region.name, itype_name)
             if not profile.available:
                 continue
-            markets.append(
-                SpotMarket(
-                    profile=profile,
-                    od_price=price_book.od_price(region.name, itype_name),
-                    rng=streams.get(f"trace:{region.name}:{itype_name}"),
+            specs.append(
+                (
+                    profile,
+                    price_book.od_price(region.name, itype_name),
+                    streams.get(f"trace:{region.name}:{itype_name}"),
+                    0.0,
                 )
             )
             market_meta.append((itype_name, region))
-    if markets:
-        lattice = MarketLattice(markets)
+    markets: List[SpotMarket] = []
+    if specs:
+        lattice = MarketLattice(specs)
         lattice.warmup(steps, start_time=0.0)
+        markets = lattice.markets
 
     traces: List[PriceTrace] = []
     for market, (itype_name, region) in zip(markets, market_meta):

@@ -104,10 +104,6 @@ class ArmSpec:
             Each arm gets a fresh bundle when omitted.  A shared bundle
             pins the arm to serial execution — its subscribers live in
             this process.
-        observatory: When true, the arm's provider attaches a market
-            observatory (per-market time series + anomaly events).
-            Off by default — sweeps don't pay the sampling cost unless
-            a driver wants the market view.
         live_dir: When set, the arm's
             :class:`~repro.obs.live.LivePlane` streams its telemetry
             into segmented JSONL under ``<live_dir>/<arm name>``.
@@ -132,7 +128,6 @@ class ArmSpec:
     max_hours: float = 160.0
     profile_overrides: Optional[Mapping[Tuple[str, str], Mapping[str, float]]] = None
     telemetry: Optional[Telemetry] = None
-    observatory: bool = False
     live_dir: Optional[str] = None
     flight_dir: Optional[str] = None
     trim_bus: bool = False
@@ -179,7 +174,6 @@ def run_arm(spec: ArmSpec) -> ArmResult:
         seed=spec.seed,
         profiles=profiles,
         telemetry=spec.telemetry,
-        observatory=spec.observatory,
     )
     provider.warmup_markets(WARMUP_STEPS)
     plane = None
@@ -322,7 +316,7 @@ def mean_over_seeds(
     The paper repeats each experiment three times to absorb market
     variation; this is the equivalent averaging helper.  Each seed's
     clone carries *every* field of the spec — including the
-    ``telemetry`` and ``observatory`` hooks — so observability is
+    ``telemetry`` and live-plane hooks — so observability is
     consistent between single-arm runs and seed sweeps.  With
     ``jobs > 1`` the seeds fan out over the process pool.
     """

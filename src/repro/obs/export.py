@@ -174,6 +174,10 @@ class TelemetryStream:
                         )
                     )
                 elif kind == "point":
+                    if not isinstance(record.get("name"), str):
+                        raise ValueError("point has no string name")
+                    if not isinstance(record.get("labels", {}), dict):
+                        raise ValueError("point labels are not an object")
                     record["value"] = float(record["value"])
                     record["time"] = float(record["time"])
                     self.points.append(record)

@@ -17,8 +17,10 @@ the bus when the condition *starts*, not one per sample while it
 persists — so FleetController activity (interruptions, migrations,
 fallbacks) can be correlated with the onset of market turbulence.
 
-The observatory only *reads* market observables (duck-typed: region,
-instance type, spot price, scores, hazard, utilization); it never
+The observatory only *reads*: the provider hands it each step's
+lattice lists (price, placement score, interruption frequency, indexed
+by market row), and it asks each market row for what the lattice does
+not hold — hazard, utilization, fulfillment — once per step.  It never
 imports ``cloud`` and never feeds anything back into the markets, so
 enabling it cannot change a run's decisions or costs.
 """
@@ -28,22 +30,27 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from math import sqrt
-from typing import Deque, Dict, Iterable, List, MutableSequence, Optional, Tuple
+from typing import Deque, List, Optional, Sequence
 
 from repro.obs.events import EventBus, EventType
 from repro.obs.timeseries import TimeSeriesStore
 
-#: Observables sampled per market per step, as ``(field, reader)``.
-#: Readers take ``(market, now)`` so time-dependent observables
-#: (hazard, burst membership) see the sample instant.
+#: Series sampled per market per step, in sampling order.
 MARKET_FIELDS = (
-    ("spot_price", lambda market, now: market.spot_price),
-    ("placement_score", lambda market, now: market.placement_score),
-    ("interruption_frequency", lambda market, now: market.interruption_frequency),
-    ("hazard_per_hour", lambda market, now: market.hazard_at(now)),
-    ("utilization", lambda market, now: market.utilization()),
-    ("fulfillment_factor", lambda market, now: market.fulfillment_factor()),
+    "spot_price",
+    "placement_score",
+    "interruption_frequency",
+    "hazard_per_hour",
+    "utilization",
+    "fulfillment_factor",
 )
+
+#: Rolling window width (samples) of the price z-score baseline.
+PRICE_WINDOW = 48
+#: |z| at which a price sample opens a ``price_spike`` anomaly.
+PRICE_Z_THRESHOLD = 3.5
+#: Rolling window width (samples) of the hazard baseline.
+HAZARD_WINDOW = 48
 
 
 @dataclass
@@ -79,9 +86,6 @@ class _RollingWindow:
             self.total -= old
             self.total_sq -= old * old
 
-    def __len__(self) -> int:
-        return len(self.values)
-
     @property
     def mean(self) -> float:
         return self.total / len(self.values) if self.values else 0.0
@@ -102,77 +106,147 @@ class _RollingWindow:
         return (value - self.mean) / std
 
 
+class _Watch:
+    """Per-market detector state: resolved series, windows, edge flags."""
+
+    __slots__ = ("index", "market", "series", "prices", "hazards", "in_spike", "in_burst")
+
+    def __init__(self, index: int, market, store: TimeSeriesStore) -> None:
+        self.index = index
+        self.market = market
+        labels = {"region": market.region, "instance_type": market.instance_type}
+        self.series = [store.series(field, **labels) for field in MARKET_FIELDS]
+        self.prices = _RollingWindow(PRICE_WINDOW)
+        self.hazards = _RollingWindow(HAZARD_WINDOW)
+        self.in_spike = False
+        self.in_burst = False
+
+
 class MarketObservatory:
     """Samples markets into a time-series store and flags anomalies.
 
     Args:
+        markets: The market rows, in the order of the per-step lists
+            :meth:`observe` receives (duck-typed: ``region``,
+            ``instance_type``, ``available``, ``hazard_at(now)``,
+            ``utilization()``, ``fulfillment_factor()``).  Unavailable
+            markets are not sampled.
         store: Destination time-series store (fresh one when omitted).
         bus: Event bus ``market.anomaly`` events are published on
             (omit for a silent observatory, e.g. offline analysis).
-        price_window: Rolling window width (samples) for the price
-            z-score baseline.
-        price_z_threshold: |z| at which a price sample opens a
-            ``price_spike`` anomaly.
-        hazard_window: Rolling window width for the hazard baseline.
         hazard_factor: Hazard multiple of the rolling baseline at which
             a ``reclaim_burst`` anomaly opens.
         min_baseline: Samples a window must hold before the detector
             trusts its statistics (suppresses warm-up false positives).
-        max_anomalies: When set, retain only the most recent N
-            anomalies in :attr:`anomalies` (bus events still carry
-            every detection) — the bound a perpetual live run needs.
     """
 
     def __init__(
         self,
+        markets: Sequence,
         store: Optional[TimeSeriesStore] = None,
         bus: Optional[EventBus] = None,
-        price_window: int = 48,
-        price_z_threshold: float = 3.5,
-        hazard_window: int = 48,
         hazard_factor: float = 3.0,
         min_baseline: int = 12,
-        max_anomalies: Optional[int] = None,
     ) -> None:
         self.store = store if store is not None else TimeSeriesStore()
         self.bus = bus
-        self.price_window = price_window
-        self.price_z_threshold = price_z_threshold
-        self.hazard_window = hazard_window
         self.hazard_factor = hazard_factor
         self.min_baseline = min_baseline
-        # A plain list by default (unbounded, equality-friendly); a
-        # bounded deque only when a cap is requested.
-        self.anomalies: MutableSequence[Anomaly] = (
-            deque(maxlen=max_anomalies) if max_anomalies is not None else []
-        )
+        self.anomalies: List[Anomaly] = []
         self.samples_taken = 0
-        self._price_windows: Dict[Tuple[str, str], _RollingWindow] = {}
-        self._hazard_windows: Dict[Tuple[str, str], _RollingWindow] = {}
-        self._in_price_spike: Dict[Tuple[str, str], bool] = {}
-        self._in_burst: Dict[Tuple[str, str], bool] = {}
+        self._markets = [
+            (index, market) for index, market in enumerate(markets) if market.available
+        ]
+        # Resolved on the first sample, so a store nothing was observed
+        # into stays empty.
+        self._watches: List[_Watch] = []
 
     # ------------------------------------------------------------------
     # Sampling
     # ------------------------------------------------------------------
-    def observe(self, now: float, markets: Iterable) -> None:
-        """Sample every market at sim time *now* and run the anomaly pass."""
-        for market in markets:
-            if not getattr(market, "available", True):
-                continue
-            labels = {
-                "region": market.region,
-                "instance_type": market.instance_type,
-            }
-            for field, reader in MARKET_FIELDS:
-                self.store.record(field, now, float(reader(market, now)), **labels)
-                self.samples_taken += 1
-            self._detect(now, market)
+    def observe(
+        self,
+        now: float,
+        prices: Sequence[float],
+        placements: Sequence[float],
+        freqs: Sequence[float],
+    ) -> None:
+        """Sample every market at sim time *now* and run the anomaly pass.
+
+        *prices*, *placements* and *freqs* hold this step's state,
+        indexed like the markets the observatory was built with.
+        """
+        watches = self._watches
+        if not watches and self._markets:
+            watches = self._watches = [
+                _Watch(index, market, self.store) for index, market in self._markets
+            ]
+        min_baseline = self.min_baseline
+        for watch in watches:
+            market = watch.market
+            index = watch.index
+            price = prices[index]
+            hazard = market.hazard_at(now)
+            values = (
+                price,
+                placements[index],
+                freqs[index],
+                hazard,
+                market.utilization(),
+                market.fulfillment_factor(),
+            )
+            for series, value in zip(watch.series, values):
+                series.append(now, value)
+
+            # Price spikes: compare against the *previous* window, then
+            # fold the sample in — a spike must stand out from history,
+            # not from a baseline it already contaminated.
+            window = watch.prices
+            spiking = False
+            if len(window.values) >= min_baseline:
+                z = window.zscore(price)
+                if abs(z) >= PRICE_Z_THRESHOLD:
+                    spiking = True
+                    if not watch.in_spike:
+                        self._emit(now, "price_spike", market, "spot_price", price, z)
+            watch.in_spike = spiking
+            window.push(price)
+
+            # Reclaim bursts: hazard crossing a multiple of its own
+            # rolling baseline (catches both the market's periodic burst
+            # windows and capacity-pressure pile-ups), edge-triggered.
+            window = watch.hazards
+            bursting = False
+            if len(window.values) >= min_baseline:
+                baseline = window.mean
+                if baseline > 0.0 and hazard >= self.hazard_factor * baseline:
+                    bursting = True
+                    if not watch.in_burst:
+                        self._emit(
+                            now,
+                            "reclaim_burst",
+                            market,
+                            "hazard_per_hour",
+                            hazard,
+                            window.zscore(hazard),
+                        )
+            watch.in_burst = bursting
+            window.push(hazard)
+        self.samples_taken += len(MARKET_FIELDS) * len(watches)
 
     # ------------------------------------------------------------------
     # Anomaly pass
     # ------------------------------------------------------------------
-    def _emit(self, anomaly: Anomaly) -> None:
+    def _emit(self, now: float, kind: str, market, field: str, value: float, zscore: float) -> None:
+        anomaly = Anomaly(
+            time=now,
+            kind=kind,
+            region=market.region,
+            instance_type=market.instance_type,
+            field=field,
+            value=value,
+            zscore=zscore,
+        )
         self.anomalies.append(anomaly)
         if self.bus is not None:
             self.bus.emit(
@@ -184,63 +258,6 @@ class MarketObservatory:
                 zscore=anomaly.zscore,
                 instance_type=anomaly.instance_type,
             )
-
-    def _detect(self, now: float, market) -> None:
-        key = (market.region, market.instance_type)
-
-        # Price spikes: compare against the *previous* window, then
-        # fold the sample in — a spike must stand out from history,
-        # not from a baseline it already contaminated.
-        price = float(market.spot_price)
-        window = self._price_windows.get(key)
-        if window is None:
-            window = self._price_windows[key] = _RollingWindow(self.price_window)
-        spiking = False
-        if len(window) >= self.min_baseline:
-            z = window.zscore(price)
-            if abs(z) >= self.price_z_threshold:
-                spiking = True
-                if not self._in_price_spike.get(key, False):
-                    self._emit(
-                        Anomaly(
-                            time=now,
-                            kind="price_spike",
-                            region=market.region,
-                            instance_type=market.instance_type,
-                            field="spot_price",
-                            value=price,
-                            zscore=z,
-                        )
-                    )
-        self._in_price_spike[key] = spiking
-        window.push(price)
-
-        # Reclaim bursts: hazard crossing a multiple of its own rolling
-        # baseline (catches both the market's periodic burst windows
-        # and capacity-pressure pile-ups), edge-triggered.
-        hazard = float(market.hazard_at(now))
-        hazard_window = self._hazard_windows.get(key)
-        if hazard_window is None:
-            hazard_window = self._hazard_windows[key] = _RollingWindow(self.hazard_window)
-        bursting = False
-        if len(hazard_window) >= self.min_baseline:
-            baseline = hazard_window.mean
-            if baseline > 0.0 and hazard >= self.hazard_factor * baseline:
-                bursting = True
-                if not self._in_burst.get(key, False):
-                    self._emit(
-                        Anomaly(
-                            time=now,
-                            kind="reclaim_burst",
-                            region=market.region,
-                            instance_type=market.instance_type,
-                            field="hazard_per_hour",
-                            value=hazard,
-                            zscore=hazard_window.zscore(hazard),
-                        )
-                    )
-        self._in_burst[key] = bursting
-        hazard_window.push(hazard)
 
     # ------------------------------------------------------------------
     # Views
@@ -254,4 +271,11 @@ class MarketObservatory:
         ]
 
 
-__all__ = ["Anomaly", "MarketObservatory", "MARKET_FIELDS"]
+__all__ = [
+    "Anomaly",
+    "HAZARD_WINDOW",
+    "MARKET_FIELDS",
+    "MarketObservatory",
+    "PRICE_WINDOW",
+    "PRICE_Z_THRESHOLD",
+]

@@ -26,12 +26,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import ReproError
-
-LabelKey = Tuple[Tuple[str, str], ...]
-
-
-def _label_key(labels: Dict[str, str]) -> LabelKey:
-    return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
+from repro.obs.metrics import LabelKey, _label_key
 
 
 @dataclass
@@ -109,7 +104,7 @@ class RingSeries:
             self.first_time = time
         pending = self._pending
         if pending is None:
-            self._pending = Bucket(time=time, value=value, lo=value, hi=value)
+            pending = Bucket(time, value, value, value)
         else:
             total = pending.count + 1
             pending.value += (value - pending.value) / total
@@ -117,11 +112,14 @@ class RingSeries:
             pending.hi = max(pending.hi, value)
             pending.time = time
             pending.count = total
-        if self._pending.count >= self.stride:
-            self._buckets.append(self._pending)
-            self._pending = None
-            if len(self._buckets) >= self.capacity:
-                self._compact()
+        if pending.count < self.stride:
+            self._pending = pending
+            return
+        self._pending = None
+        buckets = self._buckets
+        buckets.append(pending)
+        if len(buckets) >= self.capacity:
+            self._compact()
 
     def _compact(self) -> None:
         """Merge adjacent buckets pairwise and double the fold stride."""
@@ -182,13 +180,21 @@ class TimeSeriesStore:
         self.capacity = capacity
         self._series: Dict[Tuple[str, LabelKey], RingSeries] = {}
 
-    def record(self, name: str, time: float, value: float, **labels: str) -> None:
-        """Append one sample to ``name{labels}``, creating the series."""
+    def series(self, name: str, **labels: str) -> RingSeries:
+        """The series ``name{labels}``, created empty if never recorded.
+
+        A writer that samples the same series every step resolves it
+        once and appends to it directly.
+        """
         key = (name, _label_key(labels))
         series = self._series.get(key)
         if series is None:
             series = self._series[key] = RingSeries(self.capacity)
-        series.append(time, value)
+        return series
+
+    def record(self, name: str, time: float, value: float, **labels: str) -> None:
+        """Append one sample to ``name{labels}``, creating the series."""
+        self.series(name, **labels).append(time, value)
 
     def get(self, name: str, **labels: str) -> Optional[RingSeries]:
         """The series for ``name{labels}``, or None if never recorded."""

@@ -37,9 +37,9 @@ FIXTURE_PATH = Path(__file__).parent / "data" / "golden_market_traces.json"
 
 #: The pinned runs.  ``warmup`` is ``CloudProvider.warmup_markets``
 #: steps before t=0; ``hours`` is the engine horizon after it.  The
-#: last run is replayed through a lattice with tiny prefetch and
-#: history blocks, so it crosses many noise-refill and flush
-#: boundaries (and flushes mid-chunk on reads).
+#: last run is replayed through a lattice with a tiny prefetch block,
+#: so it crosses many noise-refill boundaries.  Its key still names the
+#: 3-step history chunk the lattice used to flush history in.
 RUNS: Dict[str, dict] = {
     "seed13-50h": {"seed": 13, "warmup": 0, "hours": 50},
     "seed13-warmup30-50h": {"seed": 13, "warmup": 30, "hours": 50},
@@ -49,7 +49,6 @@ RUNS: Dict[str, dict] = {
         "warmup": 0,
         "hours": 25,
         "noise_block": 4,
-        "history_chunk": 3,
     },
 }
 
@@ -92,8 +91,8 @@ def provider_markets(spec: dict, make_provider: Callable = CloudProvider) -> Mar
 
 
 def block_lattice_markets(spec: dict) -> Markets:
-    """Build the provider's markets by hand and step them through a lattice
-    with *spec*'s ``noise_block`` and ``history_chunk``.
+    """Build the provider's markets through a lattice with *spec*'s
+    ``noise_block`` and step them by hand.
 
     Same profiles, prices and named streams as ``CloudProvider``, so the
     series must equal :func:`provider_markets` for the same seed.
@@ -101,24 +100,24 @@ def block_lattice_markets(spec: dict) -> Markets:
     regions, instances = default_region_catalog(), default_instance_catalog()
     price_book = PriceBook(regions, instances)
     streams = RandomStreams(spec["seed"])
-    markets = {
-        (profile.region, profile.instance_type): SpotMarket(
-            profile=profile,
-            od_price=price_book.od_price(profile.region, profile.instance_type),
-            rng=streams.get(f"market:{profile.region}:{profile.instance_type}"),
-        )
-        for profile in default_market_profiles(regions, instances)
-    }
     lattice = MarketLattice(
-        list(markets.values()),
+        [
+            (
+                profile,
+                price_book.od_price(profile.region, profile.instance_type),
+                streams.get(f"market:{profile.region}:{profile.instance_type}"),
+                0.0,
+            )
+            for profile in default_market_profiles(regions, instances)
+        ],
         noise_block=spec["noise_block"],
-        history_chunk=spec["history_chunk"],
     )
-    probe = next(iter(markets.values()))
+    markets = {(market.region, market.instance_type): market for market in lattice.markets}
+    probe = lattice.markets[0]
     for hour in range(1, spec["hours"] + 1):
         lattice.step(hour * HOUR)
         if hour % 5 == 0:
-            probe.price_trace()  # a read flushes a part-filled chunk
+            list(probe.price_trace())  # a mid-run read must not perturb the run
     return markets
 
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.cloud.lattice import MarketLattice
-from repro.cloud.market import SpotMarket
 from repro.cloud.profiles import MarketProfile, default_market_profiles
 from repro.cloud.provider import CloudProvider
 from repro.cloud.services.ec2 import InstanceLifecycle
@@ -18,9 +17,7 @@ def metered_market(capacity=10, **kwargs):
         capacity=capacity,
         **kwargs,
     )
-    market = SpotMarket(profile=profile, od_price=0.2, rng=np.random.default_rng(1))
-    MarketLattice([market])  # the market's observables read its lattice slot
-    return market
+    return MarketLattice([(profile, 0.2, np.random.default_rng(1), 0.0)]).markets[0]
 
 
 class TestPressureModel:

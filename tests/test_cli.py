@@ -295,6 +295,25 @@ class TestObsSubcommands:
             assert "error:" in out
             assert "empty" in out
 
+    def test_malformed_point_fails_gracefully(self, capsys, tmp_path):
+        # A point record without a name, or with labels that are not an
+        # object, names its line instead of crashing the market view.
+        event = '{"kind": "event", "seq": 0, "time": 0.0, "type": "workload.submitted"}'
+        for point, reason in (
+            ('{"kind": "point", "time": 1.0, "value": 2.0, "labels": {}}', "no string name"),
+            (
+                '{"kind": "point", "name": "spot_price", "time": 1.0, "value": 2.0,'
+                ' "labels": "region"}',
+                "labels are not an object",
+            ),
+        ):
+            path = tmp_path / "points.jsonl"
+            path.write_text(f"{event}\n{point}\n")
+            assert main(["obs", "markets", "--from-events", str(path)]) == 2
+            out = capsys.readouterr().out
+            assert f"error: {path}:2: " in out
+            assert reason in out
+
     def test_corrupt_stream_fails_gracefully(self, capsys, tmp_path):
         # A damaged line that is *not* an unterminated tail is real
         # corruption and still names the line.

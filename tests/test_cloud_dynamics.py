@@ -8,7 +8,6 @@ from repro.cloud.lattice import MarketLattice
 from repro.cloud.market import (
     DIURNAL_AMPLITUDE,
     GEOGRAPHY_PEAK_HOURS,
-    SpotMarket,
     diurnal_factor,
 )
 from repro.cloud.profiles import MarketProfile
@@ -31,13 +30,8 @@ def burst_market(**kwargs):
         burst_hazard_per_hour=1.2,
     )
     defaults.update(kwargs)
-    market = SpotMarket(
-        profile=MarketProfile(**defaults),
-        od_price=0.2,
-        rng=np.random.default_rng(3),
-    )
-    MarketLattice([market])  # the market's observables read its lattice slot
-    return market
+    lattice = MarketLattice([(MarketProfile(**defaults), 0.2, np.random.default_rng(3), 0.0)])
+    return lattice.markets[0]
 
 
 class TestDiurnal:

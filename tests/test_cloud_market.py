@@ -10,8 +10,7 @@ from repro.cloud.interruptions import (
     sample_interruption,
     survival_probability,
 )
-from repro.cloud.lattice import MarketLattice
-from repro.cloud.market import PLACEMENT_MAX, PLACEMENT_MIN, SpotMarket
+from repro.cloud.lattice import PLACEMENT_MAX, PLACEMENT_MIN, MarketLattice
 from repro.cloud.profiles import MarketProfile
 from repro.sim.clock import HOUR
 
@@ -22,29 +21,27 @@ def make_profile(**kwargs):
     return MarketProfile(**defaults)
 
 
-def adopted(profile, seed, **kwargs):
-    """A bare market adopted into its own lattice, which steps it."""
-    market = SpotMarket(
-        profile=profile, od_price=1.0, rng=np.random.default_rng(seed), **kwargs
-    )
-    return market, MarketLattice([market])
+def one_market(profile, seed, hazard_peak_hour=0.0):
+    """A market built by its own one-row lattice, which steps it."""
+    lattice = MarketLattice([(profile, 1.0, np.random.default_rng(seed), hazard_peak_hour)])
+    return lattice.markets[0], lattice
 
 
 class TestSpotPriceProcess:
     def test_price_stays_between_floor_and_od(self):
-        market, lattice = adopted(make_profile(spot_fraction=0.4, spot_volatility=0.5), 0)
+        market, lattice = one_market(make_profile(spot_fraction=0.4, spot_volatility=0.5), 0)
         for step in range(500):
             lattice.step(float(step))
             assert 0.35 * 0.4 <= market.spot_price <= 1.0
 
     def test_long_run_average_near_mean(self):
-        market, lattice = adopted(make_profile(spot_fraction=0.4), 1)
+        market, lattice = one_market(make_profile(spot_fraction=0.4), 1)
         lattice.warmup(3000)
         assert market.mean_price == pytest.approx(0.4)
         assert abs(np.mean(market.price_trace().column(1)) - 0.4) < 0.02
 
     def test_history_records_steps(self):
-        market, lattice = adopted(make_profile(), 2)
+        market, lattice = one_market(make_profile(), 2)
         lattice.step(10.0)
         lattice.step(20.0)
         assert [t for t, _ in market.price_trace()] == [10.0, 20.0]
@@ -74,7 +71,7 @@ class TestInterruptionModel:
 
 class TestSpotMarket:
     def make_market(self, **profile_kwargs):
-        return adopted(make_profile(**profile_kwargs), 7)
+        return one_market(make_profile(**profile_kwargs), 7)
 
     def test_observables_exposed(self):
         market, _ = self.make_market(interruption_freq_pct=8.0, placement_mean=3.4)
@@ -121,7 +118,7 @@ class TestMarketDeterminism:
     """Same seed, same trace — the paired-comparison guarantee."""
 
     def build(self, seed, steps=0, peak_hour=0.0):
-        market, lattice = adopted(make_profile(), seed, hazard_peak_hour=peak_hour)
+        market, lattice = one_market(make_profile(), seed, hazard_peak_hour=peak_hour)
         lattice.warmup(steps)
         return market
 

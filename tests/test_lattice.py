@@ -1,10 +1,10 @@
-"""Market lattice: golden-trace replay, adoption, and TraceBuffer semantics."""
+"""Market lattice: golden-trace replay, market rows, and trace-view semantics."""
 
 import numpy as np
 import pytest
 
-from repro.cloud.lattice import MarketLattice, TraceBuffer
-from repro.cloud.market import SpotMarket
+from repro.cloud.lattice import HISTORY_CAPACITY, MarketLattice
+from repro.cloud.profiles import MarketProfile
 from repro.cloud.provider import CloudProvider
 from repro.sim.clock import HOUR
 from tests import golden_markets
@@ -47,23 +47,21 @@ def test_lattice_survives_noise_block_boundary():
     _assert_matches_golden(run, golden_markets.block_lattice_markets(spec))
 
 
-def test_adopting_an_adopted_market_raises():
+def _one_market(seed=0):
+    profile = MarketProfile(region="us-east-1", instance_type="m5.xlarge")
+    lattice = MarketLattice([(profile, 1.0, np.random.default_rng(seed), 0.0)])
+    return lattice, lattice.markets[0]
+
+
+def test_markets_are_readable_from_construction():
+    # The lattice builds its markets with their initial state, so no
+    # observable can fail (and a getattr default never hides a failure).
     provider = CloudProvider(seed=3)
-    provider.engine.run_until(5 * HOUR)
-    markets = list(provider._markets.values())
-    price = markets[0].spot_price
-    with pytest.raises(ValueError, match="already adopted"):
-        MarketLattice(markets)
-    with pytest.raises(ValueError, match="already adopted"):
-        MarketLattice(markets[:1])
-    bare = SpotMarket(markets[0].profile, od_price=1.0, rng=np.random.default_rng(0))
-    with pytest.raises(ValueError, match="already adopted"):
-        MarketLattice([bare, bare])  # one market, two slots
-    # The refused adoption neither rewound the market nor took it over.
-    assert markets[0].spot_price == price
-    assert markets[0]._lattice is provider.lattice
-    provider.engine.run_until(6 * HOUR)
-    assert len(markets[0].price_trace()) == 6
+    for market in provider.lattice.markets:
+        assert market.mean_price * 0.35 <= market.spot_price <= market.od_price
+        assert getattr(market, "placement_score", None) is not None
+        assert market.hazard_at(0.0) >= 0.0
+        assert len(market.price_trace()) == 0
 
 
 def test_force_frequency_writes_through_to_lattice():
@@ -91,35 +89,40 @@ def test_trace_returns_live_view_not_copy():
 
 
 def test_trace_buffer_reads_like_tuple_list():
-    buffer = TraceBuffer(2, capacity=2)
-    rows = [(0.0, 1.5), (1.0, 2.5), (2.0, 3.5)]
-    for time, value in rows:
-        # The third row crosses the growth boundary.
-        buffer.extend_columns(np.array([time]), np.array([value]))
-    assert len(buffer) == 3
-    assert buffer[0] == rows[0]
-    assert buffer[-1] == rows[-1]
-    assert buffer[1:] == rows[1:]
-    assert list(buffer) == rows
-    assert buffer == rows
-    assert [time for time, _ in buffer] == [0.0, 1.0, 2.0]
+    lattice, market = _one_market()
+    trace = market.price_trace()
+    rows = []
+    for step in range(HISTORY_CAPACITY + 1):
+        # The last step crosses the history's growth boundary.
+        lattice.step(float(step))
+        rows.append((float(step), market.spot_price))
+    assert len(trace) == len(rows)
+    assert trace[0] == rows[0]
+    assert trace[-1] == rows[-1]
+    assert trace[1:] == rows[1:]
+    assert list(trace) == rows
+    assert trace == rows
+    assert [time for time, _ in trace] == [time for time, _ in rows]
     with pytest.raises(IndexError):
-        buffer[3]
+        trace[len(rows)]
 
 
 def test_trace_buffer_columns_and_equality():
-    buffer = TraceBuffer(2)
-    buffer.extend_columns(np.array([0.0, 1.0]), np.array([5.0, 6.0]))
-    assert buffer.column(1).tolist() == [5.0, 6.0]
+    lattice, market = _one_market()
+    lattice.step(0.0)
+    lattice.step(1.0)
+    trace = market.price_trace()
+    assert trace.column(0).tolist() == [0.0, 1.0]
+    assert trace.column(1).tolist() == [price for _, price in trace]
+    assert market.metric_history is market.metric_history
+    assert len(market.metric_history[-1]) == 3
     with pytest.raises(ValueError):
-        buffer.column(1)[0] = 9.9  # read-only view
-    with pytest.raises(ValueError):
-        buffer.extend_columns(np.array([2.0]))  # wrong column count
-    other = TraceBuffer(2)
-    other.extend_columns(np.array([0.0]), np.array([5.0]))
-    other.extend_columns(np.array([1.0]), np.array([6.0]))
-    assert buffer == other
-    other.extend_columns(np.array([2.0]), np.array([7.0]))
-    assert buffer != other
-    buffer.clear()
-    assert len(buffer) == 0 and buffer == []
+        trace.column(1)[0] = 9.9  # read-only view
+    twin_lattice, twin = _one_market()  # same stream, same rows
+    twin_lattice.step(0.0)
+    twin_lattice.step(1.0)
+    assert trace == twin.price_trace()
+    twin_lattice.step(2.0)
+    assert trace != twin.price_trace()
+    lattice.clear_history()
+    assert len(trace) == 0 and trace == []

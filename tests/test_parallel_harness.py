@@ -23,7 +23,7 @@ from repro.strategies import STRATEGIES
 from repro.workloads.genome_reconstruction import genome_reconstruction_workload
 
 
-def _spec(name="arm", seed=3, telemetry=None, observatory=False):
+def _spec(name="arm", seed=3, telemetry=None):
     return ArmSpec(
         name=name,
         strategy=STRATEGIES["single-region"],
@@ -35,7 +35,6 @@ def _spec(name="arm", seed=3, telemetry=None, observatory=False):
         seed=seed,
         max_hours=20.0,
         telemetry=telemetry,
-        observatory=observatory,
     )
 
 
@@ -119,7 +118,7 @@ def test_duplicate_arm_names_rejected():
 
 def test_mean_over_seeds_preserves_spec_fields():
     telemetry = Telemetry()
-    spec = _spec(telemetry=telemetry, observatory=True)
+    spec = _spec(telemetry=telemetry)
     captured = []
     original = harness.run_arms
 
@@ -136,7 +135,6 @@ def test_mean_over_seeds_preserves_spec_fields():
     assert [clone.seed for clone in captured] == [1, 2]
     for clone in captured:
         assert clone.telemetry is telemetry
-        assert clone.observatory is True
         assert clone.max_hours == spec.max_hours
 
 

@@ -26,7 +26,7 @@ from repro.obs import (
     validate_stream,
     write_jsonl,
 )
-from repro.obs.observatory import MarketObservatory
+from repro.obs.observatory import PRICE_Z_THRESHOLD, MarketObservatory
 from repro.obs.provenance import (
     FALLBACK_BELOW_THRESHOLD,
     DecisionLog,
@@ -112,7 +112,7 @@ class TestTimeSeriesStore:
 # Anomaly detection on synthetic markets
 # ----------------------------------------------------------------------
 class _FakeMarket:
-    """Duck-typed market with scriptable price and hazard."""
+    """Duck-typed market row with scriptable price and hazard."""
 
     def __init__(self, region="r1", price=0.10, hazard=0.05):
         self.region = region
@@ -133,56 +133,63 @@ class _FakeMarket:
         return 1.0
 
 
+def observe(observatory, now, market):
+    """One step of a one-market lattice: its lists hold *market*'s state."""
+    observatory.observe(
+        now, [market.spot_price], [market.placement_score], [market.interruption_frequency]
+    )
+
+
 class TestMarketObservatory:
     def test_price_spike_is_edge_triggered(self):
-        observatory = MarketObservatory(min_baseline=8)
         market = _FakeMarket(price=0.10)
+        observatory = MarketObservatory([market], min_baseline=8)
         rng_prices = [0.10 + 0.001 * ((i * 7) % 5 - 2) for i in range(20)]
         for i, price in enumerate(rng_prices):
             market.spot_price = price
-            observatory.observe(float(i) * HOUR, [market])
+            observe(observatory, float(i) * HOUR, market)
         assert observatory.anomalies == []
         # A 5x spike held for three steps raises exactly one anomaly.
         market.spot_price = 0.50
         for i in range(3):
-            observatory.observe((20 + i) * HOUR, [market])
+            observe(observatory, (20 + i) * HOUR, market)
         spikes = observatory.anomalies_for("r1", kind="price_spike")
         assert len(spikes) == 1
         assert spikes[0].field == "spot_price"
-        assert spikes[0].zscore > observatory.price_z_threshold
+        assert spikes[0].zscore > PRICE_Z_THRESHOLD
 
     def test_reclaim_burst_against_rolling_baseline(self):
-        observatory = MarketObservatory(min_baseline=8, hazard_factor=3.0)
         market = _FakeMarket(hazard=0.05)
+        observatory = MarketObservatory([market], min_baseline=8, hazard_factor=3.0)
         for i in range(12):
-            observatory.observe(float(i) * HOUR, [market])
+            observe(observatory, float(i) * HOUR, market)
         market._hazard = 0.50  # 10x the baseline
-        observatory.observe(12.0 * HOUR, [market])
-        observatory.observe(13.0 * HOUR, [market])
+        observe(observatory, 12.0 * HOUR, market)
+        observe(observatory, 13.0 * HOUR, market)
         bursts = observatory.anomalies_for("r1", kind="reclaim_burst")
         assert len(bursts) == 1  # edge-triggered, not one per step
         assert bursts[0].field == "hazard_per_hour"
 
     def test_anomalies_publish_on_bus(self):
         telemetry = Telemetry()
-        observatory = MarketObservatory(
-            store=telemetry.timeseries, bus=telemetry.bus, min_baseline=4
-        )
         market = _FakeMarket(price=0.10)
+        observatory = MarketObservatory(
+            [market], store=telemetry.timeseries, bus=telemetry.bus, min_baseline=4
+        )
         for i in range(8):
-            observatory.observe(float(i), [market])
+            observe(observatory, float(i), market)
         market.spot_price = 1.0
-        observatory.observe(9.0, [market])
+        observe(observatory, 9.0, market)
         events = telemetry.bus.events(EventType.MARKET_ANOMALY)
         assert len(events) == 1
         assert events[0].region == "r1"
         assert events[0].attrs["kind"] == "price_spike"
 
     def test_unavailable_markets_are_skipped(self):
-        observatory = MarketObservatory()
         market = _FakeMarket()
         market.available = False
-        observatory.observe(0.0, [market])
+        observatory = MarketObservatory([market])
+        observe(observatory, 0.0, market)
         assert observatory.store.names() == []
 
 
