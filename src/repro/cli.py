@@ -11,15 +11,21 @@ Subcommands::
     spotverse chaos       # fault-injection campaigns + resilience scorecards
     spotverse tenants     # multi-tenant fleet: roster + per-tenant scorecard
 
-Every command is deterministic given ``--seed``.
+Every command is deterministic given ``--seed``.  Every input file is
+read in one place (:func:`_read_json` for JSON documents,
+:func:`_load_stream` for event streams) and every ``--json`` /
+``--export`` document is written in one (:func:`_export`); a bad input,
+an unknown id or an unwritable path prints one ``error:`` line and
+exits 2, never a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from typing import List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.cloud.provider import CloudProvider
 from repro.core.config import SpotVerseConfig
@@ -35,6 +41,9 @@ from repro.workloads import (
     standard_general_workload,
     synthetic_workload,
 )
+
+#: Experiment id -> (title, runner), the rows of ``ALL_EXPERIMENTS``.
+_EXPERIMENTS = {experiment_id: (title, runner) for experiment_id, title, runner in ALL_EXPERIMENTS}
 
 WORKLOAD_FACTORIES = {
     "qiime": standard_general_workload,
@@ -99,11 +108,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="render a report from an existing JSONL stream; no fleet runs")
     obs.add_argument("--gantt-width", type=int, default=64,
                      help="character width of the span timeline")
-    obs.add_argument("--profile", action="store_true",
-                     help="also print the engine's hot-path profile "
-                          "(events/sec, per-subsystem and hottest label groups)")
     obs_sub = obs.add_subparsers(
-        dest="obs_command", metavar="{explain,markets,profile,trace,slo,watch}"
+        dest="subcommand", metavar="{explain,markets,profile,trace,slo,watch}"
     )
     explain = obs_sub.add_parser(
         "explain",
@@ -198,7 +204,7 @@ def _build_parser() -> argparse.ArgumentParser:
     experiment = sub.add_parser("experiment", help="regenerate one paper experiment")
     experiment.add_argument(
         "experiment_id",
-        choices=[experiment_id for experiment_id, _, _ in ALL_EXPERIMENTS],
+        choices=list(_EXPERIMENTS),
     )
     experiment.add_argument(
         "--jobs", type=int, default=1, metavar="N",
@@ -215,7 +221,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "chaos",
         help="run seeded fault-injection campaigns and verify resilience invariants",
     )
-    chaos_sub = chaos.add_subparsers(dest="chaos_command", required=True)
+    chaos_sub = chaos.add_subparsers(dest="subcommand", required=True)
     chaos_run = chaos_sub.add_parser(
         "run",
         help="run one campaign against one policy; exits 1 on invariant violations",
@@ -375,27 +381,48 @@ def _run_fleet(args: argparse.Namespace, provider: CloudProvider):
     return result
 
 
-def _write_file(path: str, text: str, what: str) -> bool:
-    """Write *text* to *path* for a file export.
+def _read_json(path: str, what: str, build: Callable[[dict], Any]) -> Any:
+    """Read the JSON object at *path* and return ``build(payload)``.
 
-    On an unwritable path prints ``error: cannot write <what> <path>``
-    and returns False; the caller exits 2.
+    Every JSON document the CLI takes (profile artifact, SLO spec,
+    campaign, scorecard) comes in here.  An unreadable path, invalid
+    JSON, a document that is not an object, or any error *build* raises
+    on it becomes one :class:`ReproError`, which :func:`main` prints as
+    one ``error:`` line before it exits 2.
     """
     try:
-        with open(path, "w") as handle:
-            handle.write(text)
+        with open(path) as handle:
+            payload = json.load(handle)
+        if not isinstance(payload, dict):
+            raise ValueError(f"expected a JSON object, got {type(payload).__name__}")
+        return build(payload)
     except OSError as exc:
-        print(f"error: cannot write {what} {path!r}: {exc}")
-        return False
-    return True
+        raise ReproError(f"cannot read {what} {path!r}: {exc}") from exc
+    except (ReproError, ValueError, LookupError, TypeError, AttributeError) as exc:
+        detail = f"missing {exc}" if isinstance(exc, KeyError) else exc
+        raise ReproError(f"{what} {path!r} is not a valid {what}: {detail}") from exc
 
 
-def _json_text(payload) -> str:
-    """The JSON form every CLI export writes (sorted keys, trailing newline)."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _export(path: str, document: Any, what: str, written: str) -> None:
+    """Write one ``--json`` / ``--export`` document and announce it.
+
+    *document* is text, or a payload written as JSON (sorted keys,
+    trailing newline).  Prints ``<written> written to <path>``; an
+    unwritable path raises ``cannot write <what> <path>`` instead.
+    """
+    if not isinstance(document, str):
+        document = json.dumps(document, indent=2, sort_keys=True) + "\n"
+    try:
+        with open(path, "w") as handle:
+            handle.write(document)
+    except OSError as exc:
+        raise ReproError(f"cannot write {what} {path!r}: {exc}") from exc
+    print(f"{written} written to {path}")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.experiments import timeline
+
     result = _run_fleet(args, CloudProvider(seed=args.seed))
     print(result.summary())
     if args.lifelines:
@@ -403,97 +430,66 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
         print()
         print(render_lifelines(result))
-    if args.export_csv or args.export_json:
-        from repro.experiments import timeline
-
-        if args.export_csv:
-            if not _write_file(args.export_csv, timeline.to_csv(result), "timeline CSV"):
-                return 2
-            print(f"timeline CSV written to {args.export_csv}")
-        if args.export_json:
-            if not _write_file(args.export_json, timeline.to_json(result), "timeline JSON"):
-                return 2
-            print(f"timeline JSON written to {args.export_json}")
+    if args.export_csv:
+        _export(args.export_csv, timeline.to_csv(result), "timeline CSV", "timeline CSV")
+    if args.export_json:
+        _export(args.export_json, timeline.to_json(result), "timeline JSON", "timeline JSON")
     return 0 if result.all_complete else 1
 
 
 def _load_stream(path: str):
-    """Load a JSONL telemetry stream, or print a clear error and return None.
+    """Load a JSONL telemetry stream that holds at least one record.
 
-    Empty and truncated/corrupt streams both fail here — the obs
-    subcommands promise a message and a nonzero exit, never a traceback.
+    Missing, unreadable, empty and corrupt streams all raise one
+    :class:`ReproError` naming the path (and the damaged line).
     """
     from repro.obs import TelemetryStream
 
     try:
         stream = TelemetryStream.load(path)
-    except OSError as exc:
-        print(f"error: cannot read event stream {path!r}: {exc}")
-        return None
-    except ReproError as exc:
-        print(f"error: {exc}")
-        return None
+    except (OSError, ValueError) as exc:
+        raise ReproError(f"cannot read event stream {path!r}: {exc}") from exc
     if stream.empty:
-        print(f"error: event stream {path!r} is empty (was the export interrupted?)")
-        return None
+        raise ReproError(f"event stream {path!r} is empty (was the export interrupted?)")
     return stream
 
 
 def _cmd_obs_explain(args: argparse.Namespace) -> int:
     from repro.obs import render_explanation
 
-    stream = _load_stream(args.from_events)
-    if stream is None:
-        return 2
-    try:
-        print(render_explanation(stream.events, args.workload_id))
-    except ReproError as exc:
-        print(f"error: {exc}")
-        return 2
+    print(render_explanation(_load_stream(args.from_events).events, args.workload_id))
     return 0
 
 
 def _cmd_obs_markets(args: argparse.Namespace) -> int:
     from repro.obs.export import render_market_tables
 
-    instance_type = args.instance_type or None
+    provider = None
     if args.from_events:
         stream = _load_stream(args.from_events)
-        if stream is None:
-            return 2
-        store = stream.timeseries()
+        store, events = stream.timeseries(), stream.events
         if not store.names():
-            print(
-                f"error: event stream {args.from_events!r} has no market series "
+            raise ReproError(
+                f"event stream {args.from_events!r} has no market series "
                 "(export one with `spotverse obs --events PATH`)"
             )
-            return 2
+    else:
+        # No stream given: simulate fresh markets under the observatory —
+        # no fleet, just prices/scores/hazard evolving and being sampled.
+        provider = CloudProvider(seed=args.seed, observatory=True)
+        provider.engine.run_until(args.days * 24 * 3600.0)
+        store, events = provider.telemetry.timeseries, list(provider.telemetry.bus)
         print(
-            render_market_tables(
-                store,
-                events=stream.events,
-                width=args.width,
-                instance_type=instance_type,
-            )
+            f"{args.days:g} day(s) of simulated markets "
+            f"(seed {args.seed}, anomalies {len(provider.observatory.anomalies)}):"
         )
-        return 0
-    # No stream given: simulate fresh markets under the observatory —
-    # no fleet, just prices/scores/hazard evolving and being sampled.
-    provider = CloudProvider(seed=args.seed, observatory=True)
-    provider.engine.run_until(args.days * 24 * 3600.0)
-    print(
-        f"{args.days:g} day(s) of simulated markets "
-        f"(seed {args.seed}, anomalies {len(provider.observatory.anomalies)}):"
-    )
     print(
         render_market_tables(
-            provider.telemetry.timeseries,
-            events=list(provider.telemetry.bus),
-            width=args.width,
-            instance_type=instance_type,
+            store, events=events, width=args.width, instance_type=args.instance_type or None
         )
     )
-    provider.shutdown()
+    if provider is not None:
+        provider.shutdown()
     return 0
 
 
@@ -501,20 +497,13 @@ def _cmd_obs_profile(args: argparse.Namespace) -> int:
     from repro.obs.profiler import HotPathProfile, attach_profiler
 
     if args.from_profile:
-        try:
-            with open(args.from_profile) as handle:
-                payload = json.load(handle)
-        except OSError as exc:
-            print(f"error: cannot read profile {args.from_profile!r}: {exc}")
-            return 2
-        except ValueError as exc:
-            print(f"error: profile {args.from_profile!r} is not valid JSON: {exc}")
-            return 2
-        profile = HotPathProfile.from_payload(payload)
-        if not profile.entries():
-            print(f"error: profile {args.from_profile!r} has no entries")
-            return 2
-        print(profile.report(top=args.top))
+        def render(payload: dict) -> str:
+            profile = HotPathProfile.from_payload(payload)
+            if not profile.entries():
+                raise ValueError("it has no entries")
+            return profile.report(top=args.top)
+
+        print(_read_json(args.from_profile, "profile", render))
         return 0
 
     provider = CloudProvider(seed=args.seed)
@@ -525,10 +514,7 @@ def _cmd_obs_profile(args: argparse.Namespace) -> int:
     print()
     print(profile.report(top=args.top))
     if args.json:
-        if not _write_file(args.json, _json_text(profile.to_payload()), "profile"):
-            return 2
-        print()
-        print(f"profile artifact written to {args.json}")
+        _export(args.json, profile.to_payload(), "profile", "\nprofile artifact")
     return 0 if result.all_complete else 1
 
 
@@ -547,17 +533,12 @@ def _cmd_obs_trace(args: argparse.Namespace) -> int:
     hops = tracer.hops_for(args.workload_id)
     if not hops:
         known = ", ".join(sorted(tracer.trace_ids())) or "none"
-        print(
-            f"error: no trace recorded for workload {args.workload_id!r} "
-            f"(known traces: {known})"
+        raise ReproError(
+            f"no trace recorded for workload {args.workload_id!r} (known traces: {known})"
         )
-        return 2
     print(render_trace(hops, args.workload_id))
     if args.json:
-        if not _write_file(args.json, _json_text([hop.to_dict() for hop in hops]), "hops"):
-            return 2
-        print()
-        print(f"hop records written to {args.json}")
+        _export(args.json, [hop.to_dict() for hop in hops], "hops", "\nhop records")
     return 0
 
 
@@ -566,25 +547,12 @@ def _cmd_obs_slo(args: argparse.Namespace) -> int:
 
     spec = default_slo_spec()
     if args.spec:
-        try:
-            with open(args.spec) as handle:
-                payload = json.load(handle)
-            spec = SLOSpec.from_dict(payload)
-        except OSError as exc:
-            print(f"error: cannot read SLO spec {args.spec!r}: {exc}")
-            return 2
-        except (ReproError, ValueError, KeyError, TypeError) as exc:
-            print(f"error: SLO spec {args.spec!r} is not a valid spec: {exc}")
-            return 2
+        spec = _read_json(args.spec, "SLO spec", SLOSpec.from_dict)
 
     if args.from_events:
         if args.export_metrics:
-            print("error: --export-metrics needs a live run (drop --from-events)")
-            return 2
-        stream = _load_stream(args.from_events)
-        if stream is None:
-            return 2
-        scorecard = evaluate_slo_from_events(spec, stream.events)
+            raise ReproError("--export-metrics needs a live run (drop --from-events)")
+        scorecard = evaluate_slo_from_events(spec, _load_stream(args.from_events).events)
         print(scorecard.render())
     else:
         provider = CloudProvider(seed=args.seed)
@@ -595,137 +563,100 @@ def _cmd_obs_slo(args: argparse.Namespace) -> int:
         print(scorecard.render())
         if args.export_metrics:
             exposition = provider.telemetry.metrics.exposition()
-            if not _write_file(args.export_metrics, exposition, "metrics"):
-                return 2
-            print()
-            print(f"metrics exposition written to {args.export_metrics}")
+            _export(args.export_metrics, exposition, "metrics", "\nmetrics exposition")
     if args.json:
-        if not _write_file(args.json, _json_text(scorecard.to_dict()), "scorecard"):
-            return 2
-        print()
-        print(f"scorecard written to {args.json}")
+        _export(args.json, scorecard.to_dict(), "scorecard", "\nscorecard")
     return 0 if scorecard.all_passed else 1
 
 
 def _stream_complete(directory: str) -> bool:
-    """Whether a segmented stream's manifest says the run ended."""
-    import os
+    """Whether a segmented stream's manifest says the run ended.
 
+    False while the manifest is missing or unreadable: a follower keeps
+    polling, and :func:`_load_stream` reports a damaged manifest.
+    """
     try:
         with open(os.path.join(directory, "manifest.json")) as handle:
-            return bool(json.load(handle).get("complete"))
+            manifest = json.load(handle)
     except (OSError, ValueError):
         return False
+    return isinstance(manifest, dict) and bool(manifest.get("complete"))
 
 
 def _cmd_obs_watch(args: argparse.Namespace) -> int:
-    import os
     import time
 
     from repro.obs.watch import WatchState, render_dashboard
     from repro.sim.clock import HOUR
 
-    sources = [bool(args.from_events), bool(args.stream_dir), args.live]
-    if sum(sources) != 1:
-        print("error: pick exactly one of --from-events, --dir, or --live")
-        return 2
+    if sum([bool(args.from_events), bool(args.stream_dir), args.live]) != 1:
+        raise ReproError("pick exactly one of --from-events, --dir, or --live")
     window_seconds = args.window_hours * HOUR
+
+    def show(state: WatchState, source: str, complete: bool, end: str = "\n") -> None:
+        state.complete = complete
+        print(
+            render_dashboard(
+                state,
+                source=source,
+                show_windows=args.show_windows,
+                show_feed=args.show_feed,
+            ),
+            end=end,
+        )
 
     if args.live:
         provider = CloudProvider(seed=args.seed, observatory=True)
         state = WatchState(window_seconds=window_seconds)
         provider.telemetry.bus.subscribe(state.observe)
-
-        def _refresh() -> None:
-            print(render_dashboard(
-                state,
-                source=f"live run (seed {args.seed})",
-                show_windows=args.show_windows,
-                show_feed=args.show_feed,
-            ))
-            print()
-
         if not args.once:
             provider.engine.every(
-                args.refresh_hours * HOUR, _refresh, label="obs-watch-refresh"
+                args.refresh_hours * HOUR,
+                lambda: show(state, f"live run (seed {args.seed})", False, end="\n\n"),
+                label="obs-watch-refresh",
             )
         result = _run_fleet(args, provider)
-        state.complete = True
-        print(render_dashboard(
-            state,
-            source=f"live run (seed {args.seed}, finished)",
-            show_windows=args.show_windows,
-            show_feed=args.show_feed,
-        ))
+        show(state, f"live run (seed {args.seed}, finished)", True)
         return 0 if result.all_complete else 1
 
     path = args.from_events or args.stream_dir
     if args.from_events or args.once:
         stream = _load_stream(path)
-        if stream is None:
-            return 2
-        state = WatchState.from_stream(stream, window_seconds=window_seconds)
-        state.complete = bool(args.from_events) or _stream_complete(path)
-        print(render_dashboard(
-            state,
-            source=path,
-            show_windows=args.show_windows,
-            show_feed=args.show_feed,
-        ))
+        complete = bool(args.from_events) or _stream_complete(path)
+        show(WatchState.from_stream(stream, window_seconds=window_seconds), path, complete)
         return 0
 
     # Follow mode over a growing segmented stream: re-fold and re-render
     # until the manifest reports completion.  Re-loading is O(stream) but
     # the segment caps keep streams small at interactive scales.
     if not os.path.exists(path):
-        print(f"error: cannot read event stream {path!r}: no such directory")
-        return 2
+        raise ReproError(f"cannot read event stream {path!r}: no such directory")
     while True:
-        stream = _load_stream(path)
+        try:
+            stream = _load_stream(path)
+        except ReproError as exc:
+            stream = None
+            print(f"error: {exc}")
         complete = _stream_complete(path)
         if stream is not None:
             state = WatchState.from_stream(stream, window_seconds=window_seconds)
-            state.complete = complete
-            print(render_dashboard(
-                state,
-                source=path,
-                show_windows=args.show_windows,
-                show_feed=args.show_feed,
-            ))
-            print()
+            show(state, path, complete, end="\n\n")
         if complete:
             return 0 if stream is not None else 2
         time.sleep(max(0.05, args.interval))
 
 
 def _cmd_obs(args: argparse.Namespace) -> int:
-    from repro.obs import RunReport, Telemetry, attach_profiler, write_jsonl
-
-    obs_command = getattr(args, "obs_command", None)
-    if obs_command == "explain":
-        return _cmd_obs_explain(args)
-    if obs_command == "markets":
-        return _cmd_obs_markets(args)
-    if obs_command == "profile":
-        return _cmd_obs_profile(args)
-    if obs_command == "trace":
-        return _cmd_obs_trace(args)
-    if obs_command == "slo":
-        return _cmd_obs_slo(args)
-    if obs_command == "watch":
-        return _cmd_obs_watch(args)
+    from repro.obs import RunReport, Telemetry, write_jsonl
 
     if args.from_events:
         stream = _load_stream(args.from_events)
-        if stream is None:
-            return 2
         report = RunReport(stream.events, stream.samples)
         print(report.render(gantt_width=args.gantt_width))
         return 0
 
     telemetry = Telemetry()
     provider = CloudProvider(seed=args.seed, telemetry=telemetry, observatory=True)
-    profiler = attach_profiler(provider.engine) if args.profile else None
     result = _run_fleet(args, provider)
 
     print(result.summary())
@@ -735,59 +666,45 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         try:
             lines = write_jsonl(args.events, telemetry)
         except OSError as exc:
-            print(f"error: cannot write event stream {args.events!r}: {exc}")
-            return 2
+            raise ReproError(f"cannot write event stream {args.events!r}: {exc}") from exc
         print()
         print(f"event stream written to {args.events} ({lines} lines)")
-    if profiler is not None:
-        print()
-        print("engine wall-clock profile:")
-        print(profiler.profile().report())
     return 0 if result.all_complete else 1
 
 
-def _cmd_experiment(args: argparse.Namespace) -> int:
+def _cmd_experiments(args: argparse.Namespace) -> int:
+    """``experiment ID`` regenerates one experiment, ``report`` all of them."""
     from repro.experiments import harness
 
     harness.set_default_jobs(args.jobs)
-    for experiment_id, title, runner in ALL_EXPERIMENTS:
-        if experiment_id == args.experiment_id:
-            print(f"[{experiment_id}] {title}")
-            print(runner().render())
-            return 0
-    return 2  # unreachable: argparse validates choices
-
-
-def _load_campaign(args: argparse.Namespace):
-    """Resolve the campaign for ``chaos run``, or None after an error."""
-    from repro.chaos import CampaignSpec, default_campaign, random_campaign
-    from repro.cloud.regions import default_region_catalog
-
-    if args.random is not None and args.campaign is not None:
-        print("error: --campaign and --random are mutually exclusive")
-        return None
-    if args.random is not None:
-        regions = tuple(default_region_catalog().names())
-        return random_campaign(args.random, regions)
-    if args.campaign is None:
-        return default_campaign()
-    try:
-        with open(args.campaign) as handle:
-            payload = json.load(handle)
-        return CampaignSpec.from_dict(payload)
-    except OSError as exc:
-        print(f"error: cannot read campaign {args.campaign!r}: {exc}")
-    except (ValueError, KeyError, TypeError) as exc:
-        print(f"error: campaign {args.campaign!r} is not a valid campaign spec: {exc}")
-    return None
+    if args.command == "report":
+        run_all()
+        return 0
+    title, runner = _EXPERIMENTS[args.experiment_id]
+    print(f"[{args.experiment_id}] {title}")
+    print(runner().render())
+    return 0
 
 
 def _cmd_chaos_run(args: argparse.Namespace) -> int:
-    from repro.chaos import render_scorecard, run_campaign
+    from repro.chaos import (
+        CampaignSpec,
+        default_campaign,
+        random_campaign,
+        render_scorecard,
+        run_campaign,
+    )
 
-    campaign = _load_campaign(args)
-    if campaign is None:
-        return 2
+    if args.random is not None and args.campaign is not None:
+        raise ReproError("--campaign and --random are mutually exclusive")
+    if args.random is not None:
+        from repro.cloud.regions import default_region_catalog
+
+        campaign = random_campaign(args.random, tuple(default_region_catalog().names()))
+    elif args.campaign is not None:
+        campaign = _read_json(args.campaign, "campaign", CampaignSpec.from_dict)
+    else:
+        campaign = default_campaign()
     outcome = run_campaign(
         policy=args.policy,
         campaign=campaign,
@@ -804,54 +721,38 @@ def _cmd_chaos_run(args: argparse.Namespace) -> int:
     if args.blackbox:
         print(f"blackbox artifacts written to {args.blackbox}")
     if args.export:
-        if not _write_file(args.export, _json_text(outcome.scorecard), "scorecard"):
-            return 2
-        print(f"scorecard written to {args.export}")
+        _export(args.export, outcome.scorecard, "scorecard", "scorecard")
     return 0 if outcome.all_passed else 1
 
 
 def _cmd_chaos_report(args: argparse.Namespace) -> int:
     from repro.chaos import render_scorecard
 
-    try:
-        with open(args.scorecard) as handle:
-            text = handle.read()
-    except OSError as exc:
-        print(f"error: cannot read scorecard {args.scorecard!r}: {exc}")
-        return 2
-    if not text.strip():
-        print(f"error: scorecard {args.scorecard!r} is empty (was the export interrupted?)")
-        return 2
-    try:
-        scorecard = json.loads(text)
-    except ValueError as exc:
-        print(f"error: scorecard {args.scorecard!r} is not valid JSON: {exc}")
-        return 2
-    if not isinstance(scorecard, dict) or "invariants" not in scorecard:
-        print(f"error: {args.scorecard!r} is not a chaos scorecard (missing 'invariants')")
-        return 2
-    if args.workload is not None:
+    def render(scorecard: dict):
+        """The scorecard and its rendering; a field it lacks fails here."""
+        if "invariants" not in scorecard:
+            raise ValueError("not a chaos scorecard (missing 'invariants')")
         workloads = scorecard.get("workloads", {})
-        entry = workloads.get(args.workload)
-        if entry is None:
-            known = ", ".join(sorted(workloads)) or "none"
-            print(
-                f"error: workload {args.workload!r} not in this scorecard "
-                f"(known workloads: {known})"
-            )
-            return 2
-        print(f"{args.workload} under campaign {scorecard['campaign']['name']!r}:")
-        for key, value in entry.items():
-            print(f"  {key:<18s} {value}")
-        return 0
-    print(render_scorecard(scorecard))
-    return 0 if scorecard.get("all_passed") else 1
+        if not isinstance(workloads, dict) or not all(
+            isinstance(entry, dict) for entry in workloads.values()
+        ):
+            raise ValueError("'workloads' is not an object of objects")
+        return scorecard, render_scorecard(scorecard)
 
-
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    if args.chaos_command == "run":
-        return _cmd_chaos_run(args)
-    return _cmd_chaos_report(args)
+    scorecard, rendered = _read_json(args.scorecard, "scorecard", render)
+    if args.workload is None:
+        print(rendered)
+        return 0 if scorecard.get("all_passed") else 1
+    workloads = scorecard.get("workloads", {})
+    if args.workload not in workloads:
+        known = ", ".join(sorted(workloads)) or "none"
+        raise ReproError(
+            f"workload {args.workload!r} not in this scorecard (known workloads: {known})"
+        )
+    print(f"{args.workload} under campaign {scorecard['campaign']['name']!r}:")
+    for key, value in workloads[args.workload].items():
+        print(f"  {key:<18s} {value}")
+    return 0
 
 
 def _cmd_tenants(args: argparse.Namespace) -> int:
@@ -922,9 +823,7 @@ def _cmd_tenants(args: argparse.Namespace) -> int:
                 "workloads": len(result.records),
             },
         }
-        if not _write_file(args.export, _json_text(payload), "scorecard"):
-            return 2
-        print(f"tenant scorecard written to {args.export}")
+        _export(args.export, payload, "scorecard", "tenant scorecard")
     provider.shutdown()
     return 0
 
@@ -978,35 +877,42 @@ def _cmd_datasets(args: argparse.Namespace) -> int:
     return 0
 
 
+#: ``(command, subcommand)`` -> handler; a bare command's subcommand is None.
+_HANDLERS: Dict[Tuple[str, Optional[str]], Callable[[argparse.Namespace], int]] = {
+    ("recommend", None): _cmd_recommend,
+    ("run", None): _cmd_run,
+    ("obs", None): _cmd_obs,
+    ("obs", "explain"): _cmd_obs_explain,
+    ("obs", "markets"): _cmd_obs_markets,
+    ("obs", "profile"): _cmd_obs_profile,
+    ("obs", "trace"): _cmd_obs_trace,
+    ("obs", "slo"): _cmd_obs_slo,
+    ("obs", "watch"): _cmd_obs_watch,
+    ("experiment", None): _cmd_experiments,
+    ("report", None): _cmd_experiments,
+    ("chaos", "run"): _cmd_chaos_run,
+    ("chaos", "report"): _cmd_chaos_report,
+    ("tenants", None): _cmd_tenants,
+    ("datasets", None): _cmd_datasets,
+}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = _build_parser().parse_args(argv)
+    handler = _HANDLERS[args.command, getattr(args, "subcommand", None)]
     try:
-        if args.command == "recommend":
-            return _cmd_recommend(args)
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "obs":
-            return _cmd_obs(args)
-        if args.command == "experiment":
-            return _cmd_experiment(args)
-        if args.command == "report":
-            from repro.experiments import harness
-
-            harness.set_default_jobs(args.jobs)
-            run_all()
-            return 0
-        if args.command == "chaos":
-            return _cmd_chaos(args)
-        if args.command == "tenants":
-            return _cmd_tenants(args)
-        if args.command == "datasets":
-            return _cmd_datasets(args)
+        return handler(args)
+    except ReproError as exc:
+        # The CLI's input contract: a bad input file, an unknown id or an
+        # unwritable export is one ``error:`` line and exit 2, never a
+        # traceback.
+        print(f"error: {exc}")
+        return 2
     except BrokenPipeError:
         # Output was piped into something that closed early (e.g.
         # ``spotverse report | head``); that is not our error.
         return 0
-    return 2  # unreachable: argparse requires a subcommand
 
 
 if __name__ == "__main__":

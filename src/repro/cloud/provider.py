@@ -119,13 +119,10 @@ class CloudProvider:
             self.observatory = MarketObservatory(
                 self.lattice.markets, store=self.telemetry.timeseries, bus=self.telemetry.bus
             )
-        # One engine event per market tick drives both the price step
-        # and the observatory sweep — coalesced via the batch variant so
-        # attaching more per-tick market work never adds heap traffic.
-        self._market_task = self.engine.every_batch(
-            STEP_INTERVAL,
-            [self._step_markets, self._observe_markets],
-            label="markets:step",
+        # One engine event per market tick steps the prices, then feeds
+        # the observatory (when one is attached) the same step.
+        self._market_task = self.engine.every(
+            STEP_INTERVAL, self._step_markets, label="markets:step"
         )
 
         # Service substrates.  Order matters only in that EC2 publishes
@@ -170,11 +167,9 @@ class CloudProvider:
         return list(self._markets_by_type.get(instance_type, ()))
 
     def _step_markets(self) -> None:
-        self.lattice.step(self.engine.now)
-
-    def _observe_markets(self) -> None:
+        lattice = self.lattice
+        lattice.step(self.engine.now)
         if self.observatory is not None:
-            lattice = self.lattice
             self.observatory.observe(
                 self.engine.now, lattice.prices, lattice.placements, lattice.freqs
             )

@@ -21,7 +21,6 @@ from repro.obs.export import (
     RunReport,
     StreamValidator,
     TelemetryStream,
-    read_jsonl,
     render_gantt,
     segment_files,
     validate_stream,
@@ -135,10 +134,6 @@ class Telemetry:
         """Snapshot the current state into a renderable run report."""
         return RunReport.from_telemetry(self)
 
-    def export_jsonl(self, path: str) -> int:
-        """Write events + metrics snapshot to *path*; returns lines written."""
-        return write_jsonl(path, self)
-
 
 __all__ = [
     "Anomaly",
@@ -194,7 +189,6 @@ __all__ = [
     "evaluate_slo",
     "evaluate_slo_from_events",
     "latency_series",
-    "read_jsonl",
     "render_dashboard",
     "render_explanation",
     "render_gantt",

@@ -95,16 +95,6 @@ def write_jsonl(path: str, telemetry) -> int:
     return len(lines)
 
 
-def read_jsonl(path: str) -> Tuple[List[TelemetryEvent], List[Sample]]:
-    """Read the events + metric samples of a :func:`write_jsonl` stream.
-
-    Series points and record kinds from future schema versions are
-    skipped; use :meth:`TelemetryStream.load` for the full contents.
-    """
-    stream = TelemetryStream.load(path)
-    return stream.events, stream.samples
-
-
 @dataclass
 class TelemetryStream:
     """Everything a saved JSONL stream holds, plus derived views.
@@ -160,6 +150,8 @@ class TelemetryStream:
                 continue
             try:
                 record = json.loads(line)
+                if not isinstance(record, dict):
+                    raise ValueError("not a JSON object")
                 kind = record.pop("kind", "event")
                 if kind == "event":
                     self.events.append(TelemetryEvent.from_dict(record))
@@ -222,12 +214,15 @@ def segment_files(directory: str) -> List[str]:
         try:
             with open(manifest_path) as handle:
                 manifest = json.load(handle)
-        except ValueError as exc:
+            if not isinstance(manifest, dict):
+                raise ValueError("not a JSON object")
+            names = [segment["name"] for segment in manifest.get("segments", ())]
+            if manifest.get("active"):
+                names.append(manifest["active"])
+            if not all(isinstance(name, str) for name in names):
+                raise ValueError("segment names are not strings")
+        except (ValueError, KeyError, TypeError) as exc:
             raise ReproError(f"{manifest_path}: not a stream manifest ({exc})") from exc
-        names = [segment["name"] for segment in manifest.get("segments", ())]
-        active = manifest.get("active")
-        if active:
-            names.append(active)
     else:
         names = sorted(
             name
@@ -406,12 +401,6 @@ class RunReport:
     def from_telemetry(cls, telemetry) -> "RunReport":
         """Build from a live :class:`~repro.obs.Telemetry` bundle."""
         return cls(list(telemetry.bus), telemetry.metrics.collect())
-
-    @classmethod
-    def from_jsonl(cls, path: str) -> "RunReport":
-        """Build from a stream previously written by :func:`write_jsonl`."""
-        events, samples = read_jsonl(path)
-        return cls(events, samples)
 
     # -- views ----------------------------------------------------------
     def fallback_reasons(self) -> List[Tuple[str, int]]:
@@ -835,7 +824,6 @@ __all__ = [
     "RunReport",
     "StreamValidator",
     "TelemetryStream",
-    "read_jsonl",
     "render_gantt",
     "render_market_tables",
     "render_sparkline",

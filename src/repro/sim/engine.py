@@ -15,7 +15,7 @@ concurrency a middleware control plane needs at simulation fidelity.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional
 
 from repro.errors import SchedulingError, SimulationError
 from repro.sim.events import Callback, Event, EventQueue
@@ -95,7 +95,6 @@ class SimulationEngine:
         callback: Callback,
         label: str = "",
         start_at: Optional[float] = None,
-        jitter: float = 0.0,
     ) -> "PeriodicTask":
         """Run *callback* every *interval* seconds until cancelled.
 
@@ -105,44 +104,13 @@ class SimulationEngine:
             label: Trace label.
             start_at: Absolute time of the first invocation; defaults
                 to ``now + interval``.
-            jitter: If nonzero, each period is perturbed by a uniform
-                offset in ``[-jitter, +jitter]`` drawn from the
-                ``"periodic:<label>"`` stream, desynchronising periodic
-                processes the way real cron-ish schedulers drift.
 
         Returns:
             A handle whose :meth:`PeriodicTask.cancel` stops the task.
         """
         if interval <= 0:
             raise SchedulingError(f"periodic interval must be positive, got {interval!r}")
-        task = PeriodicTask(self, interval, callback, label, jitter)
-        first = start_at if start_at is not None else self.now + interval
-        task._arm(first)
-        return task
-
-    def every_batch(
-        self,
-        interval: float,
-        callbacks: Sequence[Callback],
-        label: str = "",
-        start_at: Optional[float] = None,
-    ) -> "PeriodicBatchTask":
-        """Run several callbacks on one shared periodic engine event.
-
-        The batch variant of :meth:`every`: per-entity periodic work
-        (one sampler per market, one collector per watcher) coalesces
-        into a *single* event per tick, so the scheduler pays one
-        push/pop per period regardless of how many callbacks ride it.
-        Callbacks fire in registration order; :meth:`PeriodicBatchTask.add`
-        and :meth:`PeriodicBatchTask.remove` adjust the batch live.
-
-        Raises:
-            SchedulingError: If *interval* is not positive or any
-                callback is ``None``.
-        """
-        if interval <= 0:
-            raise SchedulingError(f"periodic interval must be positive, got {interval!r}")
-        task = PeriodicBatchTask(self, interval, callbacks, label)
+        task = PeriodicTask(self, interval, callback, label)
         first = start_at if start_at is not None else self.now + interval
         task._arm(first)
         return task
@@ -311,13 +279,11 @@ class PeriodicTask:
         interval: float,
         callback: Callback,
         label: str,
-        jitter: float,
     ) -> None:
         self._engine = engine
         self._interval = interval
         self._callback = callback
         self._label = label
-        self._jitter = jitter
         self._event: Optional[Event] = None
         self._cancelled = False
         self.invocations = 0
@@ -334,13 +300,8 @@ class PeriodicTask:
         try:
             self._callback()
         finally:
-            delay = self._interval
-            if self._jitter:
-                rng = self._engine.streams.get(f"periodic:{self._label}")
-                delay += float(rng.uniform(-self._jitter, self._jitter))
-                delay = max(delay, 1e-9)
             if not self._cancelled:
-                self._arm(self._engine.now + delay)
+                self._arm(self._engine.now + self._interval)
 
     def cancel(self) -> None:
         """Stop the task; any queued next invocation is cancelled."""
@@ -354,47 +315,3 @@ class PeriodicTask:
         """Whether :meth:`cancel` has been called."""
         return self._cancelled
 
-
-class PeriodicBatchTask(PeriodicTask):
-    """Several callbacks coalesced onto one periodic engine event.
-
-    Created by :meth:`SimulationEngine.every_batch`.  Each tick fires
-    every registered callback in registration order; the scheduler sees
-    a single event regardless of batch size.  :attr:`invocations`
-    counts ticks, not callback runs.
-    """
-
-    def __init__(
-        self,
-        engine: SimulationEngine,
-        interval: float,
-        callbacks: Sequence[Callback],
-        label: str,
-    ) -> None:
-        callbacks = list(callbacks)
-        if any(callback is None for callback in callbacks):
-            raise SchedulingError("cannot schedule a None callback in a batch")
-        super().__init__(engine, interval, self._run_batch, label, jitter=0.0)
-        self._callbacks = callbacks
-
-    def _run_batch(self) -> None:
-        for callback in tuple(self._callbacks):
-            callback()
-
-    def add(self, callback: Callback) -> None:
-        """Append *callback* to the batch (fires from the next tick on)."""
-        if callback is None:
-            raise SchedulingError("cannot schedule a None callback in a batch")
-        self._callbacks.append(callback)
-
-    def remove(self, callback: Callback) -> None:
-        """Drop *callback* from the batch (no-op when absent)."""
-        try:
-            self._callbacks.remove(callback)
-        except ValueError:
-            pass
-
-    @property
-    def batch_size(self) -> int:
-        """Number of callbacks currently riding this task."""
-        return len(self._callbacks)

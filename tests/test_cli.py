@@ -198,6 +198,19 @@ def _option_choices(commands, dest):
     return next(a for a in parser._actions if a.dest == dest).choices
 
 
+def test_every_subcommand_has_one_handler():
+    from repro.cli import _HANDLERS
+
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    pairs = set()
+    for command, parser in sub.choices.items():
+        nested = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        pairs |= {(command, name) for name in (nested[0].choices if nested else ())}
+        if not nested or not nested[0].required:
+            pairs.add((command, None))
+    assert pairs == set(_HANDLERS)
+
+
 class TestStrategyRoster:
     @pytest.mark.parametrize(
         "commands, dest",
@@ -366,15 +379,6 @@ class TestObsDeepCommands:
         # Render the committed artifact without running a fleet.
         assert main(["obs", "profile", "--from-profile", str(artifact)]) == 0
         assert "hot label group" in capsys.readouterr().out
-
-    def test_obs_profile_flag_prints_hot_path_profile(self, capsys):
-        assert main(self._SMALL + ["--profile"]) == 0
-        out = capsys.readouterr().out
-        profile = out[out.index("engine wall-clock profile:"):]
-        assert "engines profiled  : 1" in profile
-        headers = [line.split()[:2] for line in profile.splitlines() if line]
-        assert ["subsystem", "events"] in headers
-        assert "hot label group" in profile
 
     def test_profile_rejects_bad_artifact(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -556,3 +560,102 @@ class TestExperimentAndDatasets:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+#: A minimal scorecard `chaos report` renders; the malformed variants
+#: below each break one field of it.
+_SCORECARD = {
+    "all_passed": True,
+    "campaign": {"name": "tiny", "injections": []},
+    "faults": {
+        "by_kind": {}, "checkpoint_fallbacks": 0, "dead_letters": 0,
+        "reconciled_interruptions": 0, "retries": 0, "total": 0,
+    },
+    "invariants": [{"name": "no-lost-work", "passed": True}],
+    "policy": "spotverse",
+    "seed": 11,
+    "totals": {"ended_at": 0.0, "interruptions": 0, "total_cost": 0.0},
+    "workloads": {"wl-000": {"status": "done"}},
+}
+
+
+def _without(key):
+    return json.dumps({k: v for k, v in _SCORECARD.items() if k != key})
+
+
+_EVENT_LINE = '{"kind": "event", "seq": 0, "time": 0.0, "type": "workload.submitted"}\n'
+
+#: (argv, files to create) for every file input the CLI reads, each fed a
+#: missing path, invalid JSON and a JSON document of the wrong shape.
+_MALFORMED_INPUTS = {
+    "stream-missing": (["obs", "--from-events", "run.jsonl"], {}),
+    "stream-invalid-json": (["obs", "--from-events", "run.jsonl"], {"run.jsonl": "not json\n"}),
+    "stream-string-line": (
+        ["obs", "--from-events", "run.jsonl"], {"run.jsonl": _EVENT_LINE + '"a string"\n'},
+    ),
+    "stream-dir-missing": (["obs", "watch", "--once", "--dir", "stream"], {}),
+    "stream-dir-invalid-manifest": (
+        ["obs", "watch", "--once", "--dir", "stream"], {"stream/manifest.json": "{"},
+    ),
+    "stream-dir-list-manifest": (
+        ["obs", "watch", "--once", "--dir", "stream"], {"stream/manifest.json": "[]"},
+    ),
+    "manifest-missing": (["obs", "--from-events", "stream/manifest.json"], {}),
+    "manifest-invalid-json": (
+        ["obs", "--from-events", "stream/manifest.json"], {"stream/manifest.json": "{"},
+    ),
+    "manifest-bad-segments": (
+        ["obs", "--from-events", "stream/manifest.json"],
+        {"stream/manifest.json": '{"segments": [1]}'},
+    ),
+    "profile-missing": (["obs", "profile", "--from-profile", "p.json"], {}),
+    "profile-invalid-json": (["obs", "profile", "--from-profile", "p.json"], {"p.json": "{"}),
+    "profile-list": (["obs", "profile", "--from-profile", "p.json"], {"p.json": "[1, 2]"}),
+    "profile-bad-entries": (
+        ["obs", "profile", "--from-profile", "p.json"], {"p.json": '{"entries": [1]}'},
+    ),
+    "slo-spec-missing": (["obs", "slo", "--spec", "s.json"], {}),
+    "slo-spec-invalid-json": (["obs", "slo", "--spec", "s.json"], {"s.json": "{"}),
+    "slo-spec-list": (["obs", "slo", "--spec", "s.json"], {"s.json": "[1]"}),
+    "campaign-missing": (["chaos", "run", "--campaign", "c.json"], {}),
+    "campaign-invalid-json": (["chaos", "run", "--campaign", "c.json"], {"c.json": "{"}),
+    "campaign-list": (["chaos", "run", "--campaign", "c.json"], {"c.json": "[1]"}),
+    "campaign-unknown-kind": (
+        ["chaos", "run", "--campaign", "c.json"],
+        {"c.json": '{"name": "x", "injections": [{"kind": "bogus"}]}'},
+    ),
+    "scorecard-missing": (["chaos", "report", "sc.json"], {}),
+    "scorecard-empty": (["chaos", "report", "sc.json"], {"sc.json": ""}),
+    "scorecard-invalid-json": (["chaos", "report", "sc.json"], {"sc.json": "{"}),
+    "scorecard-no-campaign": (["chaos", "report", "sc.json"], {"sc.json": _without("campaign")}),
+    "scorecard-no-policy": (["chaos", "report", "sc.json"], {"sc.json": _without("policy")}),
+    "scorecard-list-workloads": (
+        ["chaos", "report", "sc.json", "--workload", "wl-000"],
+        {"sc.json": json.dumps({**_SCORECARD, "workloads": []})},
+    ),
+}
+
+
+class TestMalformedInput:
+    """Every file the CLI reads fails with one `error:` line and exit 2."""
+
+    def test_scorecard_fixture_renders(self, capsys, tmp_path, monkeypatch):
+        # The malformed scorecards break one field of a valid one.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sc.json").write_text(json.dumps(_SCORECARD))
+        assert main(["chaos", "report", "sc.json"]) == 0
+        assert main(["chaos", "report", "sc.json", "--workload", "wl-000"]) == 0
+        assert "wl-000 under campaign 'tiny'" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("case", sorted(_MALFORMED_INPUTS))
+    def test_one_error_line_and_exit_2(self, case, capsys, tmp_path, monkeypatch):
+        argv, files = _MALFORMED_INPUTS[case]
+        monkeypatch.chdir(tmp_path)
+        for name, text in files.items():
+            path = tmp_path / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+        assert main(argv) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith("error: ")

@@ -23,8 +23,8 @@ from repro.obs import (
     RunReport,
     Telemetry,
     TelemetryEvent,
+    TelemetryStream,
     build_spans,
-    read_jsonl,
     validate_stream,
     write_jsonl,
 )
@@ -235,7 +235,8 @@ class TestExport:
         telemetry.metrics.histogram("migration_latency_seconds").observe(90.0)
         path = str(tmp_path / "run.jsonl")
         assert write_jsonl(path, telemetry) == 4
-        events, samples = read_jsonl(path)
+        stream = TelemetryStream.load(path)
+        events, samples = stream.events, stream.samples
         assert [event.type for event in events] == [
             EventType.WORKLOAD_SUBMITTED, EventType.WORKLOAD_DONE,
         ]
@@ -252,7 +253,7 @@ class TestExport:
         path = tmp_path / "bad.jsonl"
         path.write_text("not json\n")
         with pytest.raises(ReproError, match="bad.jsonl:1"):
-            read_jsonl(str(path))
+            TelemetryStream.load(str(path))
 
     def test_validate_stream_flags_violations(self):
         good = _stream(
@@ -374,7 +375,8 @@ class TestFleetTelemetryIntegration:
         provider, _, result = interrupted_fleet
         path = str(tmp_path / "fleet.jsonl")
         write_jsonl(path, provider.telemetry)
-        report = RunReport.from_jsonl(path)
+        stream = TelemetryStream.load(path)
+        report = RunReport(stream.events, stream.samples)
         assert sum(value for _, _, value in report.cost_rows()) == pytest.approx(
             result.instance_cost, rel=1e-9
         )
@@ -447,18 +449,16 @@ class TestObsCli:
         code = main([
             "obs", "--workload", "synthetic", "--workloads", "2",
             "--duration-hours", "1.0", "--max-hours", "12.0",
-            "--events", path, "--profile",
+            "--events", path,
         ])
         out = capsys.readouterr().out
         assert code == 0
         assert "workload span timeline" in out
-        assert "engine wall-clock profile" in out
-        assert "events/sec" in out
 
         code = main(["obs", "--from-events", path])
         replay = capsys.readouterr().out
         assert code == 0
         assert "workload span timeline" in replay
-        events, samples = read_jsonl(path)
-        assert validate_stream(events) == []
-        assert any(sample.name == "cost_accrued_usd" for sample in samples)
+        stream = TelemetryStream.load(path)
+        assert validate_stream(stream.events) == []
+        assert any(sample.name == "cost_accrued_usd" for sample in stream.samples)

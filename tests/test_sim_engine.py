@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.cloud.lattice import STEP_INTERVAL
+from repro.cloud.provider import CloudProvider
 from repro.errors import SchedulingError, SimulationError
 from repro.sim.clock import HOUR, MINUTE, format_duration, hours, minutes
 from repro.sim.engine import SimulationEngine
@@ -153,61 +155,20 @@ def test_clock_helpers():
 
 
 # ----------------------------------------------------------------------
-# Batched periodic work
+# The provider's market tick
 # ----------------------------------------------------------------------
-def test_every_batch_fires_callbacks_in_registration_order():
-    engine = SimulationEngine()
-    fired = []
-    task = engine.every_batch(
-        10.0, [lambda: fired.append("a"), lambda: fired.append("b")], label="batch"
-    )
-    engine.run_until(25.0)
-    assert fired == ["a", "b", "a", "b"]
-    assert task.invocations == 2  # ticks, not callback runs
-    assert task.batch_size == 2
-
-
-def test_every_batch_is_one_engine_event_per_tick():
-    engine = SimulationEngine()
-    callbacks = [lambda: None for _ in range(5)]
-    engine.every_batch(10.0, callbacks)
-    engine.run_until(30.0)
-    assert engine.fired_events == 3  # one event per tick, not per callback
-
-
-def test_every_batch_add_remove_live():
-    engine = SimulationEngine()
-    fired = []
-    late = lambda: fired.append("late")  # noqa: E731
-    task = engine.every_batch(10.0, [lambda: fired.append("base")])
-    engine.run_until(10.0)
-    task.add(late)
-    engine.run_until(20.0)
-    task.remove(late)
-    task.remove(late)  # absent: no-op
-    engine.run_until(30.0)
-    assert fired == ["base", "base", "late", "base"]
-
-
-def test_every_batch_rejects_bad_input():
-    engine = SimulationEngine()
-    with pytest.raises(SchedulingError):
-        engine.every_batch(0.0, [lambda: None])
-    with pytest.raises(SchedulingError):
-        engine.every_batch(5.0, [lambda: None, None])
-    task = engine.every_batch(5.0, [lambda: None])
-    with pytest.raises(SchedulingError):
-        task.add(None)
-
-
-def test_every_batch_cancel_stops_firing():
-    engine = SimulationEngine()
-    fired = []
-    task = engine.every_batch(10.0, [lambda: fired.append(engine.now)])
-    engine.run_until(15.0)
-    task.cancel()
-    engine.run_until(60.0)
-    assert fired == [10.0]
+def test_market_tick_is_one_engine_event_per_step():
+    # Stepping the lattice and sampling it into the observatory share
+    # one periodic engine event per STEP_INTERVAL.
+    provider = CloudProvider(seed=3, observatory=True)
+    tracer = EngineTracer()
+    provider.engine.tracer = tracer
+    provider.engine.run_until(3 * STEP_INTERVAL)
+    market_events = [entry for entry in tracer.as_tuples() if entry[1].startswith("markets")]
+    assert market_events == [(step * STEP_INTERVAL, "markets:step") for step in (1, 2, 3)]
+    assert len(provider.lattice.markets[0].price_trace()) == 3
+    assert provider.observatory.samples_taken > 0
+    provider.shutdown()
 
 
 # ----------------------------------------------------------------------
