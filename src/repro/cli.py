@@ -572,15 +572,15 @@ def _cmd_obs_slo(args: argparse.Namespace) -> int:
 def _stream_complete(directory: str) -> bool:
     """Whether a segmented stream's manifest says the run ended.
 
-    False while the manifest is missing or unreadable: a follower keeps
-    polling, and :func:`_load_stream` reports a damaged manifest.
+    False while the manifest is missing, so a follower keeps polling.
+
+    Raises:
+        ReproError: The manifest is damaged (it never heals).
     """
-    try:
-        with open(os.path.join(directory, "manifest.json")) as handle:
-            manifest = json.load(handle)
-    except (OSError, ValueError):
-        return False
-    return isinstance(manifest, dict) and bool(manifest.get("complete"))
+    from repro.obs.export import read_manifest
+
+    manifest = read_manifest(directory)
+    return manifest is not None and manifest[1]
 
 
 def _cmd_obs_watch(args: argparse.Namespace) -> int:
@@ -632,12 +632,14 @@ def _cmd_obs_watch(args: argparse.Namespace) -> int:
     if not os.path.exists(path):
         raise ReproError(f"cannot read event stream {path!r}: no such directory")
     while True:
+        # Read completion first so a complete render holds every event;
+        # a damaged manifest ends the follow with one error line.
+        complete = _stream_complete(path)
         try:
             stream = _load_stream(path)
         except ReproError as exc:
             stream = None
             print(f"error: {exc}")
-        complete = _stream_complete(path)
         if stream is not None:
             state = WatchState.from_stream(stream, window_seconds=window_seconds)
             show(state, path, complete, end="\n\n")

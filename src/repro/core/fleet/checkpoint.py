@@ -1,20 +1,20 @@
-"""Unified checkpoint backends for the fleet control plane.
+"""Checkpoint backends: progress rows plus interruption-time artifacts.
 
 The paper has two checkpoint storage designs: the primary S3 path
 (Section 4 — per-segment progress in DynamoDB, interruption-time state
 uploads to the results bucket) and the Section 7 EFS alternative
 (intra-region file systems with a replica toward the results region).
-The reproduction used to split these across
-``galaxy.checkpoint.DynamoCheckpointStore`` and an ad-hoc
-``EFSCheckpointArtifacts`` helper inside ``core.execution``;
-:class:`CheckpointBackend` unifies them behind one protocol so a
-:class:`~repro.core.execution.WorkloadExecution` no longer knows which
-storage design is in play.
+:class:`CheckpointBackend` is the one protocol a
+:class:`~repro.core.execution.WorkloadExecution` talks to, whichever
+design is in play.
 
-Both backends keep *progress* (the monotonic completed-segment count)
-in a :class:`~repro.galaxy.checkpoint.CheckpointStore` — DynamoDB by
-default, exactly as the paper does even when artifacts go to EFS — and
-differ only in where the interruption-time *artifact* bytes land.
+Both designs keep *progress* (the monotonic completed-segment count) as
+rows of the ``spotverse-checkpoints`` DynamoDB table, written with a
+conditional put so a stale, about-to-die instance can never roll
+progress backwards; the backend owns those rows.  The designs differ
+only in where the interruption-time *artifact* bytes land: each
+subclass supplies the storage calls, and the body, metadata, naming
+(``checkpoints/<workload>/<sequence>.bin``) and verification are shared.
 
 Resilience: every artifact carries a SHA-256 checksum and the segment
 count it encodes in its (corruption-proof) metadata, so a replacement
@@ -33,16 +33,18 @@ from __future__ import annotations
 import hashlib
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, MutableMapping, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, MutableMapping, Optional, Tuple
 
 from repro.cloud.retry import RetryPolicy, call_with_retries, note_dead_letter, note_retry
-from repro.errors import ServiceUnavailableError, ThrottlingError
-from repro.galaxy.checkpoint import CheckpointStore, DynamoCheckpointStore
+from repro.errors import ConditionalCheckFailedError, ServiceUnavailableError, ThrottlingError
 from repro.obs.events import EventType
 from repro.obs.tracing import TraceContext, traced_resume
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cloud.provider import CloudProvider
+
+#: DynamoDB table holding every workload's progress row.
+PROGRESS_TABLE = "spotverse-checkpoints"
 
 #: Synchronous retry schedule for progress reads/writes against an
 #: injected DynamoDB throttle (no simulated time passes in-event).
@@ -129,48 +131,89 @@ def _check_entries(
 
 
 class CheckpointBackend(ABC):
-    """Progress tracking plus interruption-time artifact persistence.
+    """Progress rows plus interruption-time artifact persistence.
 
-    Subclasses must set ``_provider`` (the simulated cloud) and
-    ``_progress`` (the :class:`CheckpointStore`) in their ``__init__``;
-    the progress methods and retry plumbing here use both.
+    Subclasses supply the artifact storage calls (``_target``,
+    ``_write``, ``_listing``, ``_peek``); progress, the artifact body
+    and metadata, retries and verification live here.
 
     Attributes:
         name: Stable backend identifier used as the ``backend`` attr of
-            ``checkpoint.saved`` telemetry events ("s3" or "efs").
+            ``checkpoint.saved`` telemetry events ("s3" or "efs"); the
+            artifact retry scope is ``checkpoint:<name>``.
     """
 
     name: str = ""
-    _provider: "CloudProvider"
-    _progress: CheckpointStore
+
+    def __init__(self, provider: "CloudProvider") -> None:
+        self._provider = provider
+        self._dynamodb = provider.dynamodb
+        self._dynamodb.create_table(PROGRESS_TABLE, partition_key="workload_id")
 
     # ------------------------------------------------------------------
     # Progress (shared: DynamoDB in both designs)
     # ------------------------------------------------------------------
-    def save_progress(
-        self, workload_id: str, completed_segments: int, detail: Optional[Dict[str, Any]] = None
-    ) -> bool:
-        """Record monotonic per-segment progress; see ``CheckpointStore.save``.
+    def _with_progress_retries(
+        self, scope: str, workload_id: str, call: Callable[[], Any], drop: bool = False
+    ) -> Any:
+        """Run *call*, retrying injected throttling in place.
 
-        Injected throttling is retried in place; a write exhausted past
-        the schedule is dropped (the next segment's save supersedes it).
+        With *drop*, a call throttled past the schedule is dead-lettered
+        and returns False; otherwise the last ``ThrottlingError`` is
+        raised.
         """
         telemetry = self._provider.telemetry
 
-        def exhausted(exc: BaseException) -> bool:
-            note_dead_letter(
-                telemetry, "checkpoint:progress-save", str(exc), workload_id=workload_id
-            )
+        def dead_letter(exc: BaseException) -> bool:
+            note_dead_letter(telemetry, scope, str(exc), workload_id=workload_id)
             return False
 
         return call_with_retries(
-            lambda: self._progress.save(workload_id, completed_segments, detail=detail),
+            call,
             PROGRESS_RETRY_POLICY,
             retryable=ThrottlingError,
             on_retry=lambda attempt, exc: note_retry(
-                telemetry, "checkpoint:progress-save", attempt, exc, workload_id=workload_id
+                telemetry, scope, attempt, exc, workload_id=workload_id
             ),
-            on_exhausted=exhausted,
+            on_exhausted=dead_letter if drop else None,
+        )
+
+    def save_progress(
+        self, workload_id: str, completed_segments: int, detail: Optional[Dict[str, Any]] = None
+    ) -> bool:
+        """Record that *workload_id* completed *completed_segments*.
+
+        Returns:
+            True when the write advanced progress; False when a newer
+            row already existed (the write is discarded) or when
+            injected throttling outlasted every retry (the next
+            segment's save supersedes it).
+        """
+        item = {
+            "workload_id": workload_id,
+            "completed_segments": int(completed_segments),
+            "detail": dict(detail or {}),
+        }
+
+        def put() -> bool:
+            try:
+                self._dynamodb.put_item(
+                    PROGRESS_TABLE,
+                    item,
+                    condition=lambda old: old is None
+                    or old["completed_segments"] < completed_segments,
+                )
+            except ConditionalCheckFailedError:
+                return False
+            return True
+
+        return self._with_progress_retries("checkpoint:progress-save", workload_id, put, drop=True)
+
+    def _progress_row(self, workload_id: str) -> Optional[Dict[str, Any]]:
+        return self._with_progress_retries(
+            "checkpoint:progress-load",
+            workload_id,
+            lambda: self._dynamodb.get_item(PROGRESS_TABLE, workload_id),
         )
 
     def load_progress(self, workload_id: str) -> int:
@@ -180,32 +223,17 @@ class CheckpointBackend(ABC):
             ThrottlingError: When injected throttling outlasted every
                 retry; the caller falls back to its in-memory count.
         """
-        telemetry = self._provider.telemetry
-        return call_with_retries(
-            lambda: self._progress.load(workload_id),
-            PROGRESS_RETRY_POLICY,
-            retryable=ThrottlingError,
-            on_retry=lambda attempt, exc: note_retry(
-                telemetry, "checkpoint:progress-load", attempt, exc, workload_id=workload_id
-            ),
-        )
+        row = self._progress_row(workload_id)
+        return 0 if row is None else int(row["completed_segments"])
 
     def progress_detail(self, workload_id: str) -> Dict[str, Any]:
-        """Detail payload of the latest progress write."""
-        telemetry = self._provider.telemetry
-        return call_with_retries(
-            lambda: self._progress.detail(workload_id),
-            PROGRESS_RETRY_POLICY,
-            retryable=ThrottlingError,
-            on_retry=lambda attempt, exc: note_retry(
-                telemetry, "checkpoint:progress-load", attempt, exc, workload_id=workload_id
-            ),
-        )
+        """Detail payload of the latest progress write ({} when never saved)."""
+        row = self._progress_row(workload_id)
+        return {} if row is None else dict(row.get("detail", {}))
 
     # ------------------------------------------------------------------
     # Artifacts
     # ------------------------------------------------------------------
-    @abstractmethod
     def persist_artifact(
         self,
         workload_id: str,
@@ -216,6 +244,9 @@ class CheckpointBackend(ABC):
     ) -> None:
         """Persist the interruption-time checkpoint state itself.
 
+        The stored body is capped at 1 MiB to keep simulator memory
+        flat; the backend bills the remaining logical bytes.
+
         Args:
             workload_id: Owning workload.
             sequence: Per-workload artifact sequence number (the
@@ -225,8 +256,22 @@ class CheckpointBackend(ABC):
             segments: Completed-segment count the artifact encodes,
                 recorded in metadata for integrity fallback.
         """
+        target = self._target(region, workload_id)
+        if target is None:
+            return
+        body, digest = _zero_body(min(checkpoint_bytes, 1 << 20))
+        metadata = {
+            "actual_bytes": str(checkpoint_bytes),
+            "sha256": digest,
+            "segments": str(segments),
+        }
+        path = f"checkpoints/{workload_id}/{sequence}.bin"
+        self._persist_with_retries(
+            lambda: self._write(target, path, body, metadata, checkpoint_bytes, region, workload_id),
+            scope=f"checkpoint:{self.name}",
+            workload_id=workload_id,
+        )
 
-    @abstractmethod
     def verify_artifacts(self, workload_id: str) -> Optional[ArtifactCheck]:
         """Checksum-verify the workload's artifacts, newest first.
 
@@ -234,6 +279,48 @@ class CheckpointBackend(ABC):
         perturbs the billed cost model.  Returns ``None`` when the
         workload has no artifacts at all.
         """
+        prefix = f"checkpoints/{workload_id}/"
+        entries: List[Tuple[int, bytes, Dict[str, str]]] = []
+        for target, path in self._listing(prefix):
+            stem = path[len(prefix):]
+            if not stem.endswith(".bin"):
+                continue
+            try:
+                sequence = int(stem[:-4])
+            except ValueError:
+                continue
+            stored = self._peek(target, path)
+            if stored is not None:
+                entries.append((sequence, stored.body, stored.metadata))
+        return _check_entries(entries)
+
+    @abstractmethod
+    def _target(self, region: str, workload_id: str) -> Optional[str]:
+        """Bucket or file system an artifact written from *region* lands in.
+
+        ``None`` means the artifact is lost (already dead-lettered).
+        """
+
+    @abstractmethod
+    def _write(
+        self,
+        target: str,
+        path: str,
+        body: bytes,
+        metadata: Dict[str, str],
+        checkpoint_bytes: int,
+        region: str,
+        workload_id: str,
+    ) -> None:
+        """One storage write of an artifact (retried on an outage)."""
+
+    @abstractmethod
+    def _listing(self, prefix: str) -> Iterator[Tuple[str, str]]:
+        """``(target, path)`` of every stored object under *prefix*."""
+
+    @abstractmethod
+    def _peek(self, target: str, path: str) -> Any:
+        """Uncharged read of a stored object (``.body``, ``.metadata``), or None."""
 
     def _persist_with_retries(
         self,
@@ -316,89 +403,47 @@ class DynamoCheckpointBackend(CheckpointBackend):
     """The paper's primary design: DynamoDB progress, S3 artifacts.
 
     Artifact uploads pay cross-region transfer when the results bucket
-    lives elsewhere.  The stored object is capped at 1 MiB to keep
-    simulator memory flat; the remaining logical bytes are charged
+    lives elsewhere; the logical bytes past the stored 1 MiB are charged
     directly (same cost, no storage).
 
     Args:
         provider: The simulated cloud.
         results_bucket: Bucket receiving checkpoint artifacts.
-        progress_store: Override for the progress store (tests pass an
-            in-memory one); defaults to DynamoDB.
     """
 
     name = "s3"
 
-    def __init__(
-        self,
-        provider: "CloudProvider",
-        results_bucket: str,
-        progress_store: Optional[CheckpointStore] = None,
-    ) -> None:
-        self._provider = provider
+    def __init__(self, provider: "CloudProvider", results_bucket: str) -> None:
+        super().__init__(provider)
         self._bucket = results_bucket
-        self._progress = (
-            progress_store
-            if progress_store is not None
-            else DynamoCheckpointStore(provider.dynamodb)
-        )
 
-    def persist_artifact(
-        self,
-        workload_id: str,
-        sequence: int,
-        checkpoint_bytes: int,
-        region: str,
-        segments: int = 0,
-    ) -> None:
+    def _target(self, region: str, workload_id: str) -> Optional[str]:
+        return self._bucket
+
+    def _write(self, target, path, body, metadata, checkpoint_bytes, region, workload_id) -> None:
         from repro.cloud.billing import S3_CROSS_REGION_TRANSFER_PRICE, CostCategory
 
-        stored = min(checkpoint_bytes, 1 << 20)
-        body, digest = _zero_body(stored)
-        metadata = {
-            "actual_bytes": str(checkpoint_bytes),
-            "sha256": digest,
-            "segments": str(segments),
-        }
-
-        def write() -> None:
-            self._provider.s3.put_object(
-                self._bucket,
-                f"checkpoints/{workload_id}/{sequence}.bin",
-                body=body,
-                metadata=metadata,
-                source_region=region,
+        s3 = self._provider.s3
+        s3.put_object(
+            target, path, body=body, metadata=metadata, source_region=region, tag=workload_id
+        )
+        remaining = checkpoint_bytes - len(body)
+        if remaining > 0 and region != s3.bucket_region(target):
+            self._provider.ledger.charge(
+                time=self._provider.engine.now,
+                category=CostCategory.S3_TRANSFER,
+                amount=(remaining / (1024 ** 3)) * S3_CROSS_REGION_TRANSFER_PRICE,
+                region=region,
                 tag=workload_id,
+                detail=f"checkpoint transfer remainder {workload_id}",
             )
-            remaining = checkpoint_bytes - stored
-            bucket_region = self._provider.s3.bucket_region(self._bucket)
-            if remaining > 0 and region != bucket_region:
-                self._provider.ledger.charge(
-                    time=self._provider.engine.now,
-                    category=CostCategory.S3_TRANSFER,
-                    amount=(remaining / (1024 ** 3)) * S3_CROSS_REGION_TRANSFER_PRICE,
-                    region=region,
-                    tag=workload_id,
-                    detail=f"checkpoint transfer remainder {workload_id}",
-                )
 
-        self._persist_with_retries(write, scope="checkpoint:s3", workload_id=workload_id)
-
-    def verify_artifacts(self, workload_id: str) -> Optional[ArtifactCheck]:
-        prefix = f"checkpoints/{workload_id}/"
-        entries: List[Tuple[int, bytes, Dict[str, str]]] = []
+    def _listing(self, prefix: str) -> Iterator[Tuple[str, str]]:
         for key in self._provider.s3.list_objects(self._bucket, prefix):
-            stem = key[len(prefix):]
-            if not stem.endswith(".bin"):
-                continue
-            try:
-                sequence = int(stem[:-4])
-            except ValueError:
-                continue
-            obj = self._provider.s3.peek_object(self._bucket, key)
-            if obj is not None:
-                entries.append((sequence, obj.body, obj.metadata))
-        return _check_entries(entries)
+            yield self._bucket, key
+
+    def _peek(self, target: str, path: str) -> Any:
+        return self._provider.s3.peek_object(target, path)
 
 
 class EFSCheckpointBackend(CheckpointBackend):
@@ -414,8 +459,6 @@ class EFSCheckpointBackend(CheckpointBackend):
     Args:
         provider: The simulated cloud.
         results_region: Region replicas converge toward.
-        progress_store: Override for the progress store; defaults to
-            DynamoDB.
         fs_registry: region -> file-system-id mapping.  Pass a durable
             mapping (``FleetStateStore.mapping``) so a rebuilt control
             plane reuses the file systems the torn-down one created
@@ -428,26 +471,13 @@ class EFSCheckpointBackend(CheckpointBackend):
         self,
         provider: "CloudProvider",
         results_region: str,
-        progress_store: Optional[CheckpointStore] = None,
         fs_registry: Optional[MutableMapping] = None,
     ) -> None:
-        self._provider = provider
+        super().__init__(provider)
         self._results_region = results_region
-        self._progress = (
-            progress_store
-            if progress_store is not None
-            else DynamoCheckpointStore(provider.dynamodb)
-        )
         self._fs_by_region: MutableMapping = fs_registry if fs_registry is not None else {}
 
-    def persist_artifact(
-        self,
-        workload_id: str,
-        sequence: int,
-        checkpoint_bytes: int,
-        region: str,
-        segments: int = 0,
-    ) -> None:
+    def _target(self, region: str, workload_id: str) -> Optional[str]:
         try:
             fs_id = self._fs_by_region.get(region)
             if fs_id is None:
@@ -462,41 +492,24 @@ class EFSCheckpointBackend(CheckpointBackend):
             note_dead_letter(
                 self._provider.telemetry, "checkpoint:efs", str(exc), workload_id=workload_id
             )
-            return
-        stored = min(checkpoint_bytes, 1 << 20)
-        body, digest = _zero_body(stored)
-        metadata = {
-            "actual_bytes": str(checkpoint_bytes),
-            "sha256": digest,
-            "segments": str(segments),
-        }
+            return None
+        return fs_id
 
-        def write() -> None:
-            self._provider.efs.write_file(
-                fs_id,
-                f"checkpoints/{workload_id}/{sequence}.bin",
-                body=body,
-                source_region=region,
-                tag=workload_id,
-                logical_bytes=checkpoint_bytes,
-                metadata=metadata,
-            )
+    def _write(self, target, path, body, metadata, checkpoint_bytes, region, workload_id) -> None:
+        self._provider.efs.write_file(
+            target,
+            path,
+            body=body,
+            source_region=region,
+            tag=workload_id,
+            logical_bytes=checkpoint_bytes,
+            metadata=metadata,
+        )
 
-        self._persist_with_retries(write, scope="checkpoint:efs", workload_id=workload_id)
-
-    def verify_artifacts(self, workload_id: str) -> Optional[ArtifactCheck]:
-        prefix = f"checkpoints/{workload_id}/"
-        entries: List[Tuple[int, bytes, Dict[str, str]]] = []
+    def _listing(self, prefix: str) -> Iterator[Tuple[str, str]]:
         for fs_id in sorted(str(fs) for fs in self._fs_by_region.values()):
             for path in self._provider.efs.list_files(fs_id, prefix):
-                stem = path[len(prefix):]
-                if not stem.endswith(".bin"):
-                    continue
-                try:
-                    sequence = int(stem[:-4])
-                except ValueError:
-                    continue
-                file = self._provider.efs.peek_file(fs_id, path)
-                if file is not None:
-                    entries.append((sequence, file.body, file.metadata))
-        return _check_entries(entries)
+                yield fs_id, path
+
+    def _peek(self, target: str, path: str) -> Any:
+        return self._provider.efs.peek_file(target, path)

@@ -201,6 +201,34 @@ class TelemetryStream:
         return TimeSeriesStore.from_points(self.points)
 
 
+def read_manifest(directory: str) -> Optional[Tuple[List[str], bool]]:
+    """``(segment names in write order, complete)`` from a stream's manifest.
+
+    Returns ``None`` while the directory has no ``manifest.json`` yet.
+
+    Raises:
+        ReproError: The manifest exists but is not a stream manifest.
+            The live exporter replaces it atomically, so a damaged one
+            never heals.
+    """
+    manifest_path = os.path.join(directory, "manifest.json")
+    if not os.path.exists(manifest_path):
+        return None
+    try:
+        with open(manifest_path) as handle:
+            manifest = json.load(handle)
+        if not isinstance(manifest, dict):
+            raise ValueError("not a JSON object")
+        names = [segment["name"] for segment in manifest.get("segments", ())]
+        if manifest.get("active"):
+            names.append(manifest["active"])
+        if not all(isinstance(name, str) for name in names):
+            raise ValueError("segment names are not strings")
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ReproError(f"{manifest_path}: not a stream manifest ({exc})") from exc
+    return names, bool(manifest.get("complete"))
+
+
 def segment_files(directory: str) -> List[str]:
     """The JSONL files of a segmented stream directory, in write order.
 
@@ -208,21 +236,9 @@ def segment_files(directory: str) -> List[str]:
     segments in rotation order, then the active tail); falls back to a
     sorted glob of ``segment-*.jsonl`` when no manifest exists yet.
     """
-    manifest_path = os.path.join(directory, "manifest.json")
-    names: List[str] = []
-    if os.path.exists(manifest_path):
-        try:
-            with open(manifest_path) as handle:
-                manifest = json.load(handle)
-            if not isinstance(manifest, dict):
-                raise ValueError("not a JSON object")
-            names = [segment["name"] for segment in manifest.get("segments", ())]
-            if manifest.get("active"):
-                names.append(manifest["active"])
-            if not all(isinstance(name, str) for name in names):
-                raise ValueError("segment names are not strings")
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ReproError(f"{manifest_path}: not a stream manifest ({exc})") from exc
+    manifest = read_manifest(directory)
+    if manifest is not None:
+        names = manifest[0]
     else:
         names = sorted(
             name
@@ -824,6 +840,7 @@ __all__ = [
     "RunReport",
     "StreamValidator",
     "TelemetryStream",
+    "read_manifest",
     "render_gantt",
     "render_market_tables",
     "render_sparkline",

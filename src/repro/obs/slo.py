@@ -136,6 +136,12 @@ class SLOTarget:
             )
         if self.threshold < 0:
             raise ReproError(f"SLO threshold must be >= 0, got {self.threshold!r}")
+        if self.metric not in LATENCY_METRICS:
+            # An unknown name would score 0 samples and pass vacuously.
+            raise ReproError(
+                f"unknown SLO metric {self.metric!r}; known metrics: "
+                + ", ".join(LATENCY_METRICS)
+            )
 
     def to_dict(self) -> Dict[str, object]:
         payload: Dict[str, object] = {

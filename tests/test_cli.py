@@ -2,10 +2,12 @@
 
 import argparse
 import json
+import time
 
 import pytest
 
 from repro.cli import _build_parser, main
+from repro.obs.slo import LATENCY_METRICS
 from repro.strategies import STRATEGIES
 
 
@@ -442,6 +444,21 @@ class TestObsDeepCommands:
         assert main(["obs", "slo", "--from-events", str(stream)]) == 0
         assert "SLO scorecard" in capsys.readouterr().out
 
+    def test_slo_rejects_unknown_metric(self, capsys, tmp_path):
+        # An unknown name would score no samples and pass vacuously.
+        spec = tmp_path / "spec.json"
+        spec.write_text(
+            json.dumps(
+                {"name": "typo", "targets": [{"metric": "bogus_metric", "threshold": 1}]}
+            )
+        )
+        assert main(self._SMALL + ["slo", "--spec", str(spec)]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith("error: ") and "bogus_metric" in lines[0]
+        for known in LATENCY_METRICS:
+            assert known in lines[0]
+
     def test_slo_rejects_invalid_spec(self, capsys, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"name": "x", "targets": []}))
@@ -501,6 +518,51 @@ class TestObsWatch:
         assert "done=" in out
         # The chaos run also left its run-end blackbox for CI to upload.
         assert (blackbox_dir / "BLACKBOX_final.json").exists()
+
+    @staticmethod
+    def _follow(stream_dir, monkeypatch, on_sleep=None):
+        """Follow *stream_dir*; the third wall-clock sleep fails the test."""
+        sleeps = []
+
+        def sleep(seconds):
+            sleeps.append(seconds)
+            if len(sleeps) >= 3:
+                raise RuntimeError("obs watch is still polling")
+            if on_sleep is not None:
+                on_sleep()
+
+        monkeypatch.setattr(time, "sleep", sleep)
+        code = main(["obs", "watch", "--dir", str(stream_dir), "--interval", "0"])
+        return code, sleeps
+
+    @pytest.mark.parametrize("manifest", ["[]", "{"])
+    def test_follow_exits_on_damaged_manifest(self, capsys, tmp_path, monkeypatch, manifest):
+        stream_dir = tmp_path / "stream"
+        stream_dir.mkdir()
+        (stream_dir / "manifest.json").write_text(manifest)
+        code, sleeps = self._follow(stream_dir, monkeypatch)
+        assert code == 2
+        assert sleeps == []
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith("error: ") and "not a stream manifest" in lines[0]
+
+    def test_follow_polls_until_the_stream_appears(self, capsys, tmp_path, monkeypatch):
+        stream_dir = tmp_path / "stream"
+        stream_dir.mkdir()
+
+        def finish_run():
+            (stream_dir / "segment-000000.jsonl").write_text(_EVENT_LINE)
+            (stream_dir / "manifest.json").write_text(
+                json.dumps({"complete": True, "segments": [{"name": "segment-000000.jsonl"}]})
+            )
+
+        code, sleeps = self._follow(stream_dir, monkeypatch, on_sleep=finish_run)
+        assert code == 0
+        assert len(sleeps) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("error: ") and "no stream segments found" in out
+        assert "stream complete" in out
 
     def test_live_once_runs_a_fleet(self, capsys):
         code = main(

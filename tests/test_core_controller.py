@@ -12,7 +12,6 @@ from repro.core.monitor import Monitor
 from repro.core.optimizer import SpotVerseOptimizer
 from repro.core.result import FleetResult, WorkloadRecord
 from repro.errors import ExperimentError, WorkloadError
-from repro.galaxy.checkpoint import InMemoryCheckpointStore
 from repro.sim.clock import HOUR, MINUTE
 from repro.strategies import OnDemandPolicy, SingleRegionPolicy
 from repro.workloads.base import Workload, WorkloadKind, synthetic_workload
@@ -28,17 +27,17 @@ def provider():
 
 def make_execution(provider, workload, completions, boot_delay=60.0, payloads=False):
     provider.s3.create_bucket("results", "us-east-1")
-    store = InMemoryCheckpointStore()
+    backend = DynamoCheckpointBackend(provider, "results")
     execution = WorkloadExecution(
         workload=workload,
         provider=provider,
-        backend=DynamoCheckpointBackend(provider, "results", progress_store=store),
+        backend=backend,
         results_bucket="results",
         boot_delay=boot_delay,
         execute_payloads=payloads,
         on_complete=lambda e: completions.append(e.workload.workload_id),
     )
-    return execution, store
+    return execution, backend
 
 
 class TestWorkloadExecution:
@@ -72,13 +71,13 @@ class TestWorkloadExecution:
     def test_checkpoint_interruption_keeps_progress(self, provider):
         completions = []
         workload = ngs_preprocessing_workload("w", duration_hours=1.0, n_segments=4)
-        execution, store = make_execution(provider, workload, completions)
+        execution, backend = make_execution(provider, workload, completions)
         instance = provider.ec2.run_on_demand("us-east-1", "m5.xlarge", tag="w")
         execution.attach(instance)
         provider.engine.run_until(30 * MINUTE + 60)
         execution.handle_interruption_notice()
         assert execution.completed_segments == 2
-        assert store.load("w") == 2
+        assert backend.load_progress("w") == 2
         # Checkpoint bytes landed in S3.
         keys = provider.s3.list_objects("results", prefix="checkpoints/w/")
         assert len(keys) == 1
@@ -86,7 +85,7 @@ class TestWorkloadExecution:
     def test_resume_from_checkpoint_on_new_instance(self, provider):
         completions = []
         workload = ngs_preprocessing_workload("w", duration_hours=1.0, n_segments=4)
-        execution, store = make_execution(provider, workload, completions)
+        execution, _ = make_execution(provider, workload, completions)
         first = provider.ec2.run_on_demand("us-east-1", "m5.xlarge", tag="w")
         execution.attach(first)
         provider.engine.run_until(30 * MINUTE + 60)

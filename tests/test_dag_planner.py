@@ -26,7 +26,6 @@ from repro.core.execution import WorkloadExecution
 from repro.core.fleet import DynamoCheckpointBackend
 from repro.core.fleet.state import FleetStateStore
 from repro.errors import DagValidationError
-from repro.galaxy.checkpoint import InMemoryCheckpointStore
 from repro.galaxy.workflow import StepInput, Workflow, WorkflowStep
 from repro.sim.clock import HOUR
 from repro.workloads.base import WorkloadKind, synthetic_workload
@@ -312,9 +311,7 @@ class TestStepInputEgress:
         execution = WorkloadExecution(
             workload=workload,
             provider=provider,
-            backend=DynamoCheckpointBackend(
-                provider, "results", progress_store=InMemoryCheckpointStore()
-            ),
+            backend=DynamoCheckpointBackend(provider, "results"),
             results_bucket="results",
             boot_delay=60.0,
             execute_payloads=False,

@@ -15,7 +15,6 @@ from repro.core.policy import PolicyContext, PurchasingOption
 from repro.core.prediction import InterruptionPredictor, PredictiveOptimizer
 from repro.core.scoring import RegionMetrics
 from repro.errors import ServiceError
-from repro.galaxy.checkpoint import EFSCheckpointStore
 from repro.sim.clock import HOUR
 from repro.workloads.base import synthetic_workload
 from repro.workloads.ngs_preprocessing import ngs_preprocessing_workload
@@ -80,14 +79,6 @@ class TestEFS:
         # 1 GB within the two-minute notice: the property the paper
         # wants from EFS.
         assert provider.efs.write_duration(1024 ** 3) < 120
-
-    def test_efs_checkpoint_store(self, provider):
-        store = EFSCheckpointStore(provider.efs, "us-east-1", replica_region="eu-west-1")
-        assert store.save("w", 3, detail={"region": "us-east-1"})
-        assert not store.save("w", 2)
-        assert store.load("w") == 3
-        assert store.detail("w") == {"region": "us-east-1"}
-        assert provider.efs.list_files(store.fs_id) == ["checkpoints/w.state"]
 
 
 class TestInterruptionPredictor:

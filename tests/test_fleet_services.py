@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.chaos import CampaignSpec, ChaosController, Injection
 from repro.cloud.provider import CloudProvider
 from repro.cloud.services.ec2 import InstanceState, SpotRequestState
 from repro.core.config import SpotVerseConfig
@@ -13,7 +14,6 @@ from repro.core.fleet import (
 )
 from repro.core.fleet.state import DEFAULT_TENANT, shard_index
 from repro.errors import ExperimentError
-from repro.galaxy.checkpoint import InMemoryCheckpointStore
 from repro.obs import EventType
 from repro.sim.clock import HOUR
 from repro.strategies import OnDemandPolicy, SingleRegionPolicy
@@ -220,8 +220,7 @@ class TestCapacityService:
 class TestCheckpointBackends:
     def test_dynamo_backend_progress_and_artifacts(self, provider):
         provider.s3.create_bucket("results", "us-east-1")
-        progress = InMemoryCheckpointStore()
-        backend = DynamoCheckpointBackend(provider, "results", progress_store=progress)
+        backend = DynamoCheckpointBackend(provider, "results")
         assert backend.name == "s3"
         assert backend.save_progress("w", 2, detail={"region": "us-east-1"})
         assert backend.load_progress("w") == 2
@@ -263,6 +262,24 @@ class TestCheckpointBackends:
         )
         second.persist_artifact("w", 2, 1024, region="eu-west-1")
         assert len(provider.efs.file_systems()) == 1
+
+    @pytest.mark.parametrize("backend_cls", [DynamoCheckpointBackend, EFSCheckpointBackend])
+    def test_corrupt_newest_artifact_falls_back_to_older(self, provider, backend_cls):
+        provider.s3.create_bucket("results", "us-east-1")
+        target = "results" if backend_cls is DynamoCheckpointBackend else "us-east-1"
+        backend = backend_cls(provider, target)
+        corruption = Injection(
+            kind="checkpoint-corruption", at=HOUR, duration=HOUR, rate=1.0
+        )
+        ChaosController(provider, CampaignSpec(name="corrupt", injections=(corruption,))).install()
+        backend.persist_artifact("w", 1, 4096, region="eu-west-1", segments=2)
+        # Only the second write lands inside the corruption window.
+        provider.engine.run_until(provider.engine.now + 1.5 * HOUR)
+        backend.persist_artifact("w", 2, 4096, region="eu-west-1", segments=4)
+        check = backend.verify_artifacts("w")
+        assert check.newest_valid is False
+        assert check.valid_segments == 2
+        assert check.corrupt_count == 1
 
     def test_efs_fleet_emits_efs_backend_events(self, provider):
         config = SpotVerseConfig(instance_type="m5.xlarge", checkpoint_backend="efs")

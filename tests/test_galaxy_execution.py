@@ -1,12 +1,12 @@
-"""Unit tests for the job runner, checkpoint stores, Planemo, and the
-Galaxy API facade."""
+"""Unit tests for the job runner, checkpoint progress rows, Planemo, and
+the Galaxy API facade."""
 
 import pytest
 
 from repro.cloud.provider import CloudProvider
+from repro.core.fleet import DynamoCheckpointBackend, EFSCheckpointBackend
 from repro.errors import GalaxyError, JobError
 from repro.galaxy.api import GalaxyInstance
-from repro.galaxy.checkpoint import DynamoCheckpointStore, InMemoryCheckpointStore
 from repro.galaxy.history import History
 from repro.galaxy.jobs import JobRunner, JobState
 from repro.galaxy.planemo import PlanemoRunner
@@ -133,36 +133,38 @@ class TestJobRunner:
 
 
 class TestCheckpointStores:
-    @pytest.fixture(params=["memory", "dynamo"])
-    def store(self, request):
-        if request.param == "memory":
-            return InMemoryCheckpointStore()
+    """Both checkpoint backends keep progress as DynamoDB rows."""
+
+    @pytest.fixture(params=["dynamo", "efs"])
+    def backend(self, request):
         provider = CloudProvider(seed=0)
-        return DynamoCheckpointStore(provider.dynamodb)
+        if request.param == "efs":
+            return EFSCheckpointBackend(provider, "us-east-1")
+        return DynamoCheckpointBackend(provider, "results")
 
-    def test_monotonic_progress(self, store):
-        assert store.load("w") == 0
-        assert store.save("w", 3, detail={"region": "x"})
-        assert store.load("w") == 3
-        assert store.detail("w") == {"region": "x"}
+    def test_monotonic_progress(self, backend):
+        assert backend.load_progress("w") == 0
+        assert backend.save_progress("w", 3, detail={"region": "x"})
+        assert backend.load_progress("w") == 3
+        assert backend.progress_detail("w") == {"region": "x"}
         # A stale instance cannot roll progress back.
-        assert not store.save("w", 2)
-        assert store.load("w") == 3
-        assert store.save("w", 5)
-        assert store.load("w") == 5
+        assert not backend.save_progress("w", 2)
+        assert backend.load_progress("w") == 3
+        assert backend.save_progress("w", 5)
+        assert backend.load_progress("w") == 5
 
-    def test_equal_progress_rejected(self, store):
-        store.save("w", 3)
-        assert not store.save("w", 3)
+    def test_equal_progress_rejected(self, backend):
+        backend.save_progress("w", 3)
+        assert not backend.save_progress("w", 3)
 
-    def test_independent_workloads(self, store):
-        store.save("a", 2)
-        store.save("b", 7)
-        assert store.load("a") == 2
-        assert store.load("b") == 7
+    def test_independent_workloads(self, backend):
+        backend.save_progress("a", 2)
+        backend.save_progress("b", 7)
+        assert backend.load_progress("a") == 2
+        assert backend.load_progress("b") == 7
 
-    def test_detail_empty_when_unsaved(self, store):
-        assert store.detail("ghost") == {}
+    def test_detail_empty_when_unsaved(self, backend):
+        assert backend.progress_detail("ghost") == {}
 
 
 class TestPlanemo:

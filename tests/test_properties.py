@@ -16,7 +16,8 @@ from repro.bio.trim import trim_quality
 from repro.bio.vcf import Variant, parse_vcf, write_vcf
 from repro.cloud.interruptions import interruption_probability
 from repro.cloud.market import diurnal_factor
-from repro.galaxy.checkpoint import InMemoryCheckpointStore
+from repro.cloud.provider import CloudProvider
+from repro.core.fleet import DynamoCheckpointBackend
 from repro.sim.clock import DAY
 from repro.sim.events import EventQueue
 
@@ -223,10 +224,10 @@ class TestPhyloProperties:
 class TestCheckpointProperties:
     @given(st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=30))
     def test_checkpoint_progress_is_monotone(self, saves):
-        store = InMemoryCheckpointStore()
+        backend = DynamoCheckpointBackend(CloudProvider(seed=0), "results")
         expected = None
         for value in saves:
-            advanced = store.save("w", value)
+            advanced = backend.save_progress("w", value)
             if expected is None:
                 # The very first save always lands.
                 assert advanced
@@ -236,4 +237,4 @@ class TestCheckpointProperties:
                 expected = value
             else:
                 assert not advanced
-            assert store.load("w") == expected
+            assert backend.load_progress("w") == expected
