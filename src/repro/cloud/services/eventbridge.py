@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
-from repro.cloud.retry import RetryPolicy, note_dead_letter, note_retry
+from repro.cloud.retry import RetryPolicy, retry_or_dead_letter
 from repro.obs.tracing import TraceContext
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -126,7 +126,7 @@ class EventBridgeService:
             if not rule.matches(event):
                 continue
             for target in list(rule.targets):
-                self._dispatch(rule.name, target, event, attempt=1, trace=trace)
+                self._dispatch(rule.name, target, event, 1, DELIVERY_LATENCY, trace)
         return event
 
     def _dispatch(
@@ -135,14 +135,11 @@ class EventBridgeService:
         target: Target,
         event: Dict[str, Any],
         attempt: int,
+        delay: float,
         trace: Optional[TraceContext] = None,
     ) -> None:
-        """Schedule delivery attempt *attempt* (1 = the original put)."""
+        """Schedule delivery attempt *attempt* (1 = the original put) after *delay*."""
         chaos = self._provider.chaos
-        if attempt == 1:
-            delay = DELIVERY_LATENCY
-        else:
-            delay = REDELIVERY_POLICY.delay_before_attempt(attempt, rng=chaos.retry_rng)
         if chaos is not None:
             delay += chaos.eventbridge_extra_delay(rule_name)
         self._engine.call_in(
@@ -165,37 +162,22 @@ class EventBridgeService:
         tracer = telemetry.tracer
         chaos = self._provider.chaos
         if chaos is not None and chaos.eventbridge_dropped(rule_name):
-            if attempt < REDELIVERY_POLICY.max_attempts:
-                if tracer is not None and trace is not None:
-                    tracer.event(
-                        f"eventbridge:{rule_name}",
-                        "eventbridge",
-                        parent=trace,
-                        status="dropped",
-                        attempt=attempt,
-                    )
-                note_retry(
-                    telemetry,
-                    f"eventbridge:{rule_name}",
-                    attempt,
-                    RuntimeError("delivery dropped"),
-                )
-                self._dispatch(rule_name, target, event, attempt + 1, trace=trace)
-            else:
+            scope = f"eventbridge:{rule_name}"
+            delay = retry_or_dead_letter(
+                self._provider,
+                REDELIVERY_POLICY,
+                attempt,
+                RuntimeError("delivery dropped"),
+                scope,
+                "delivery dropped",
+                leg=(scope, "eventbridge") if trace is not None else None,
+                status="dropped",
+                parent=trace,
+            )
+            if delay is None:
                 self.dead_letter_count += 1
-                if tracer is not None and trace is not None:
-                    tracer.event(
-                        f"eventbridge:{rule_name}",
-                        "eventbridge",
-                        parent=trace,
-                        status="dead_letter",
-                        attempt=attempt,
-                    )
-                note_dead_letter(
-                    telemetry,
-                    f"eventbridge:{rule_name}",
-                    f"delivery dropped after {attempt} attempts",
-                )
+            else:
+                self._dispatch(rule_name, target, event, attempt + 1, delay, trace)
             return
         self.delivered_count += 1
         telemetry.metrics.counter(

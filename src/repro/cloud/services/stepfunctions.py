@@ -33,12 +33,8 @@ class ExecutionStatus(enum.Enum):
     FAILED = "failed"
 
 
-# RetryPolicy moved to :mod:`repro.cloud.retry` when the chaos subsystem
-# generalised it for all client-side resilience; re-exported here because
-# this module is its historical home.
 __all__ = [
     "ExecutionStatus",
-    "RetryPolicy",
     "Execution",
     "StateMachine",
     "StepFunctionsService",

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict
 
-from repro.cloud.retry import note_dead_letter
-from repro.cloud.services.stepfunctions import RetryPolicy
+from repro.cloud.retry import RetryPolicy, note_dead_letter
 from repro.core.execution import ExecutionState
 from repro.errors import ThrottlingError
 from repro.obs import EventType

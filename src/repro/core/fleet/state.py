@@ -30,18 +30,13 @@ import functools
 import zlib
 from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator, List, MutableMapping, Optional, Sequence, Set, Tuple
 
-from repro.cloud.retry import RetryPolicy, call_with_retries, note_dead_letter, note_retry
-from repro.errors import ExperimentError, ThrottlingError
+from repro.cloud.retry import call_with_retries
+from repro.errors import ExperimentError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.cloud.services.dynamodb import DynamoDBService
     from repro.cloud.services.ec2 import Instance, SpotRequest
     from repro.core.execution import WorkloadExecution
-
-#: Synchronous retry schedule for store reads/writes against an injected
-#: DynamoDB throttle.  The retries happen inside the calling event (no
-#: simulated time passes), so only ``max_attempts`` matters here.
-STORE_RETRY_POLICY = RetryPolicy(max_attempts=5, interval=0.0, backoff_rate=1.0)
 
 #: Tenant every workload belongs to unless the tenancy layer says
 #: otherwise — single-tenant runs never mention tenants at all.
@@ -224,8 +219,6 @@ class FleetStateStore:
         #: Memoised :func:`shard_index` per workload.  An entry means
         #: the store has routed the workload, which pins its tenant.
         self._shard_of: Dict[str, int] = {}
-        #: ``(on_retry, on_exhausted)`` telemetry hooks per retry scope.
-        self._hooks: Dict[str, Tuple[Callable[..., None], Callable[..., None]]] = {}
         dynamodb.provider.engine.add_tick_hook(self.flush)
         self.router = ControlPlaneRouter()
 
@@ -271,21 +264,10 @@ class FleetStateStore:
     # Store traffic is the control plane's most frequent DynamoDB use,
     # so it is the first casualty of an injected throttle window.  Both
     # helpers retry in place (no simulated time passes inside an event);
-    # a write exhausted past ``STORE_RETRY_POLICY.max_attempts`` is
-    # dropped with a dead letter — the mirror self-heals on the next
-    # ``_sync`` — while an exhausted read re-raises, because callers
-    # cannot act on state they never saw.
-
-    def _scope_hooks(self, scope: str) -> Tuple[Callable[..., None], Callable[..., None]]:
-        """``(on_retry, on_exhausted)`` for *scope*, built once per scope."""
-        hooks = self._hooks.get(scope)
-        if hooks is None:
-            telemetry = self._telemetry
-            hooks = self._hooks[scope] = (
-                functools.partial(note_retry, telemetry, scope),
-                lambda exc: note_dead_letter(telemetry, scope, str(exc)),
-            )
-        return hooks
+    # a write exhausted past the in-place budget is dropped with a dead
+    # letter — the mirror self-heals on the next ``_sync`` — while an
+    # exhausted read re-raises, because callers cannot act on state they
+    # never saw.
 
     def _write(self, fn: Callable[[], Any], scope: str) -> Any:
         """*fn*'s result, or ``None`` when the write was dead-lettered."""
@@ -294,22 +276,10 @@ class FleetStateStore:
             # Store traffic off a causal chain (setup, bookkeeping
             # sweeps) stays out of every trace tree.
             tracer.event(scope, "dynamodb")
-        on_retry, on_exhausted = self._scope_hooks(scope)
-        return call_with_retries(
-            fn,
-            STORE_RETRY_POLICY,
-            retryable=ThrottlingError,
-            on_retry=on_retry,
-            on_exhausted=on_exhausted,
-        )
+        return call_with_retries(fn, self._telemetry, scope, drop=True)
 
     def _read(self, fn: Callable[[], Any], scope: str) -> Any:
-        return call_with_retries(
-            fn,
-            STORE_RETRY_POLICY,
-            retryable=ThrottlingError,
-            on_retry=self._scope_hooks(scope)[0],
-        )
+        return call_with_retries(fn, self._telemetry, scope)
 
     # ------------------------------------------------------------------
     # Batched write-through overlay

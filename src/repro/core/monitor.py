@@ -11,20 +11,15 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, List, Sequence, Tuple
 
-from repro.cloud.retry import RetryPolicy, call_with_retries, note_dead_letter, note_retry
+from repro.cloud.retry import call_with_retries, note_dead_letter
 from repro.cloud.services.cloudwatch import Dims
 from repro.core.scoring import RegionMetrics
-from repro.errors import CloudError, LambdaError, ThrottlingError
+from repro.errors import CloudError, LambdaError
 from repro.obs.tracing import traced_hop
 from repro.sim.clock import MINUTE
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cloud.provider import CloudProvider
-
-#: In-event retry budget for the collector's DynamoDB traffic.  A
-#: snapshot row that still throttles after this is dropped (the next
-#: cycle rewrites it); a snapshot *read* that exhausts retries raises.
-MONITOR_RETRY_POLICY = RetryPolicy(max_attempts=5, interval=0.0, backoff_rate=1.0)
 
 METRICS_TABLE = "spotverse-metrics"
 NAMESPACE = "SpotVerse"
@@ -130,21 +125,15 @@ class Monitor:
         """Write one cycle's snapshot rows as a single batched request.
 
         The whole batch rides out DynamoDB throttling together; a batch
-        that still throttles after the retry budget is dropped wholesale
-        (the next cycle rewrites every row), which mirrors the old
-        per-row drop semantics at batch granularity.
+        that still throttles after the in-place retry budget is dropped
+        wholesale (the next cycle rewrites every row), which mirrors the
+        old per-row drop semantics at batch granularity.
         """
-        telemetry = self._provider.telemetry
         call_with_retries(
             lambda: self._provider.dynamodb.batch_write_item(METRICS_TABLE, puts=rows),
-            MONITOR_RETRY_POLICY,
-            retryable=ThrottlingError,
-            on_retry=lambda attempt, exc: note_retry(
-                telemetry, "monitor:put-metrics", attempt, exc
-            ),
-            on_exhausted=lambda exc: note_dead_letter(
-                telemetry, "monitor:put-metrics", str(exc)
-            ),
+            self._provider.telemetry,
+            "monitor:put-metrics",
+            drop=True,
         )
 
     def collect(self) -> int:
@@ -192,18 +181,16 @@ class Monitor:
 
         Raises:
             CloudError: If the type has never been collected.
+            ThrottlingError: If an injected throttle outlasted the
+                in-place retry budget.
         """
-        telemetry = self._provider.telemetry
         rows = call_with_retries(
             lambda: self._provider.dynamodb.scan(
                 METRICS_TABLE,
                 predicate=lambda item: item["instance_type"] == instance_type,
             ),
-            MONITOR_RETRY_POLICY,
-            retryable=ThrottlingError,
-            on_retry=lambda attempt, exc: note_retry(
-                telemetry, "monitor:snapshot", attempt, exc
-            ),
+            self._provider.telemetry,
+            "monitor:snapshot",
         )
         if not rows:
             raise CloudError(

@@ -4,8 +4,9 @@ import pytest
 
 from repro.cloud.billing import CostCategory
 from repro.cloud.provider import CloudProvider
+from repro.cloud.retry import RetryPolicy
 from repro.cloud.services.ec2 import InstanceLifecycle, InstanceState, SpotRequestState
-from repro.cloud.services.stepfunctions import ExecutionStatus, RetryPolicy
+from repro.cloud.services.stepfunctions import ExecutionStatus
 from repro.errors import (
     CapacityError,
     ConditionalCheckFailedError,

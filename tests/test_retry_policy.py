@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.cloud.retry import RetryPolicy, call_with_retries
+from repro.cloud import retry
+from repro.cloud.retry import IN_PLACE_ATTEMPTS, RetryPolicy, call_with_retries
 from repro.errors import ServiceError, ThrottlingError
+from repro.obs import EventType, Telemetry
 
 
 class TestDelayBeforeAttempt:
@@ -47,18 +49,28 @@ class TestDelayBeforeAttempt:
             assert base <= delay <= base * 1.5
 
 
+def _retries(telemetry):
+    return [
+        (event.attrs["attempt"], event.attrs["error"])
+        for event in telemetry.bus.events(EventType.RESILIENCE_RETRY)
+    ]
+
+
+def _dead_letters(telemetry):
+    return [
+        (event.attrs["scope"], event.attrs["detail"])
+        for event in telemetry.bus.events(EventType.RESILIENCE_DEAD_LETTER)
+    ]
+
+
 class TestCallWithRetries:
+    """The in-place call: ``IN_PLACE_ATTEMPTS`` back-to-back attempts."""
+
     def test_success_first_try_calls_nothing_else(self):
-        hooks = []
-        result = call_with_retries(
-            lambda: "ok",
-            RetryPolicy(max_attempts=3),
-            retryable=(ThrottlingError,),
-            on_retry=lambda attempt, exc: hooks.append(("retry", attempt)),
-            on_exhausted=lambda exc: hooks.append(("exhausted", exc)),
-        )
+        telemetry = Telemetry()
+        result = call_with_retries(lambda: "ok", telemetry, "probe", drop=True)
         assert result == "ok"
-        assert hooks == []
+        assert telemetry.bus.events() == []
 
     def test_retries_until_success(self):
         calls = {"n": 0}
@@ -69,56 +81,54 @@ class TestCallWithRetries:
                 raise ThrottlingError("throttled")
             return calls["n"]
 
-        retries = []
-        result = call_with_retries(
-            flaky,
-            RetryPolicy(max_attempts=5),
-            retryable=(ThrottlingError,),
-            on_retry=lambda attempt, exc: retries.append(attempt),
-        )
+        telemetry = Telemetry()
+        result = call_with_retries(flaky, telemetry, "probe", workload_id="w0")
         assert result == 3
-        assert retries == [1, 2]
+        assert _retries(telemetry) == [
+            (1, "ThrottlingError: throttled"),
+            (2, "ThrottlingError: throttled"),
+        ]
+        assert {event.workload_id for event in telemetry.bus.events()} == {"w0"}
+        assert _dead_letters(telemetry) == []
 
     def test_max_attempts_exhaustion_raises_last_error(self):
-        errors = [ThrottlingError(f"boom {i}") for i in range(3)]
+        errors = [ThrottlingError(f"boom {i}") for i in range(IN_PLACE_ATTEMPTS)]
+        seen = []
 
         def always_fails():
-            raise errors[len(seen)]
+            seen.append(errors[len(seen)])
+            raise seen[-1]
 
-        seen = []
+        telemetry = Telemetry()
         with pytest.raises(ThrottlingError) as excinfo:
-            call_with_retries(
-                always_fails,
-                RetryPolicy(max_attempts=3),
-                retryable=(ThrottlingError,),
-                on_retry=lambda attempt, exc: seen.append(exc),
-            )
+            call_with_retries(always_fails, telemetry, "probe")
         # the surfaced error is the *last* attempt's, not the first's
-        assert excinfo.value is errors[2]
-        assert seen == errors[:2]
+        assert excinfo.value is errors[-1]
+        assert seen == errors
+        assert _retries(telemetry) == [
+            (i + 1, f"ThrottlingError: boom {i}") for i in range(IN_PLACE_ATTEMPTS - 1)
+        ]
+        assert _dead_letters(telemetry) == []
 
     def test_on_exhausted_result_replaces_raise(self):
+        # With ``drop`` an exhausted call is dead-lettered with the last
+        # error's text and returns None instead of raising.
         def always_fails():
             raise ThrottlingError("nope")
 
-        result = call_with_retries(
-            always_fails,
-            RetryPolicy(max_attempts=2),
-            retryable=(ThrottlingError,),
-            on_exhausted=lambda exc: "fallback",
-        )
-        assert result == "fallback"
+        telemetry = Telemetry()
+        assert call_with_retries(always_fails, telemetry, "probe", drop=True) is None
+        assert len(_retries(telemetry)) == IN_PLACE_ATTEMPTS - 1
+        assert _dead_letters(telemetry) == [("probe", "nope")]
 
-    def test_max_attempts_one_never_retries(self):
-        retries = []
+    def test_max_attempts_one_never_retries(self, monkeypatch):
+        monkeypatch.setattr(retry, "IN_PLACE_ATTEMPTS", 1)
+        telemetry = Telemetry()
         with pytest.raises(ThrottlingError):
             call_with_retries(
-                lambda: (_ for _ in ()).throw(ThrottlingError("once")),
-                RetryPolicy(max_attempts=1),
-                retryable=(ThrottlingError,),
-                on_retry=lambda attempt, exc: retries.append(attempt),
+                lambda: (_ for _ in ()).throw(ThrottlingError("once")), telemetry, "probe"
             )
-        assert retries == []
+        assert _retries(telemetry) == []
 
     def test_non_retryable_error_propagates_immediately(self):
         calls = {"n": 0}
@@ -127,10 +137,8 @@ class TestCallWithRetries:
             calls["n"] += 1
             raise ServiceError("not retryable")
 
+        telemetry = Telemetry()
         with pytest.raises(ServiceError):
-            call_with_retries(
-                fails_differently,
-                RetryPolicy(max_attempts=5),
-                retryable=(ThrottlingError,),
-            )
+            call_with_retries(fails_differently, telemetry, "probe", drop=True)
         assert calls["n"] == 1
+        assert telemetry.bus.events() == []
