@@ -245,16 +245,20 @@ class FleetController:
     def teardown(self) -> None:
         """Discard this controller's in-process state, mid-run.
 
-        Pending boot/segment timers are cancelled (they lived in the
-        dead process) and the router endpoints detach.  The cloud-side
-        wiring and every byte of fleet state stay put — build a new
-        controller over ``state_store``, :meth:`restore`, and
-        :meth:`wait` to continue.
+        Pending boot/segment timers, spot-request refilings and
+        checkpoint-artifact write retries are cancelled (they lived in
+        the dead process) and the router endpoints detach.  The
+        cloud-side wiring (EventBridge redelivery and Step Functions
+        retries included) and every byte of fleet state stay put —
+        build a new controller over ``state_store``, :meth:`restore`,
+        and :meth:`wait` to continue.
         """
         # Land staged writes first: the store is the only thing the next
         # controller can rebuild from, so nothing may die in the overlay.
         self.state_store.flush()
         self._lifecycle.teardown()
+        self._capacity.teardown()
+        self._backend.teardown()
         self.state_store.router.unbind()
 
     def restore(self, workloads: Sequence[Workload]) -> None:
