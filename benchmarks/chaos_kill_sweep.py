@@ -9,11 +9,10 @@ workloads, 12 h and 12 segments each) under the benchmark's campaign:
 ``default_campaign()`` plus controller kills at 1.5 h + 2 h * k.
 
 It prints one line per seed that raised or failed an invariant, then
-the seeds that raised ``ThrottlingError`` (an open bug: a state-store
-read exhausts its in-place retries) and the seeds that failed
-``single-completion`` or ``stream-valid``.  It exits 1 when any seed
-failed one of those two invariants, or raised anything other than
-``ThrottlingError``.
+the seeds that raised ``ThrottlingError`` (a state-store read exhausted
+its in-place retries) and the seeds that failed ``single-completion``
+or ``stream-valid``.  It exits 1 when any seed raised or failed one of
+those two invariants.
 """
 
 from __future__ import annotations
@@ -53,8 +52,9 @@ def kill_fleet(per_kind: int) -> list:
 def run_seed(seed: int, per_kind: int) -> Tuple[int, str, List[str]]:
     """``(seed, error, failed invariant names)``.
 
-    *error* is ``""`` when the run finished, ``"ThrottlingError"`` for
-    the known crash, and the traceback of any other exception.
+    *error* is ``""`` when the run finished, ``"ThrottlingError"`` when
+    a store read stayed throttled, and the traceback of any other
+    exception.
     """
     try:
         outcome = run_campaign(
@@ -91,7 +91,7 @@ def main(argv=None) -> int:
     print(f"  {' / '.join(GATED)} failures ({len(gated)}): {gated}")
     if other:
         print(f"  other exceptions ({len(other)}): {other}")
-    return 1 if gated or other else 0
+    return 1 if throttled or gated or other else 0
 
 
 if __name__ == "__main__":

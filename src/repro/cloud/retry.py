@@ -204,6 +204,10 @@ class ScheduledRetries:
         event = self._engine.call_in(delay, fire, label=label)
         self._pending[event] = on_cancel
 
+    def has(self, label: str) -> bool:
+        """Whether a retry scheduled under *label* is still pending."""
+        return any(event.label == label for event in self._pending)
+
     def cancel(self) -> None:
         """Cancel every pending retry (the client is going away)."""
         pending, self._pending = self._pending, {}

@@ -15,7 +15,7 @@ composing the :mod:`repro.core.fleet` services:
   requests, on-demand fallback, and the **CloudWatch 15-minute sweep**
   for requests that stayed ``open``,
 * the :class:`~repro.core.fleet.lifecycle.LifecycleService` owns
-  registration, completion accounting, and result assembly; run logs
+  registration, completion listeners, and result assembly; run logs
   and checkpoints land in **S3** via the configured
   :class:`~repro.core.fleet.checkpoint.CheckpointBackend`.
 
@@ -135,17 +135,17 @@ class FleetController:
             lifecycle=self._lifecycle,
             place=self._place,
         )
-        self.state_store.router.bind(self._capacity, self._interruption, provider.ec2)
+        router = self.state_store.router
+        router.bind(self._capacity, self._interruption, provider.ec2)
 
         # Control-plane wiring (Section 4) targets the store's router,
-        # so it is deployed once per store: a controller rebuilt over an
-        # existing store reuses the live Lambda / rule / state machine /
-        # sweep, exactly as a redeployed serverless stack would.
-        meta = self.state_store.mapping("control-plane")
-        if not meta.get("deployed"):
+        # so it is deployed once per router: a controller rebuilt over
+        # an existing store reuses the live Lambda / rule / state
+        # machine / sweep, exactly as a redeployed serverless stack would.
+        if not router.deployed:
             self._interruption.deploy()
             self._capacity.deploy()
-            meta["deployed"] = True
+            router.deployed = True
 
     @staticmethod
     def _make_backend(

@@ -73,15 +73,12 @@ class CapacityService:
         """
         self._retries.cancel()
 
-    def deploy(self) -> None:
-        """Schedule the CloudWatch open-request sweep (once per store).
+    def retry_pending(self, workload_id: str) -> bool:
+        """Whether a spot-request refiling for *workload_id* is scheduled."""
+        return self._retries.has(f"capacity:retry-spot:{workload_id}")
 
-        A rebuilt control plane skips this: the rule from the first
-        deployment still targets the store's router, and re-scheduling
-        would shift the sweep's phase.
-        """
-        if "spotverse-open-request-sweep" in self._provider.cloudwatch.scheduled_rules():
-            return
+    def deploy(self) -> None:
+        """Schedule the CloudWatch open-request sweep (once per router)."""
         self._provider.cloudwatch.schedule_rule(
             "spotverse-open-request-sweep",
             interval=self._config.sweep_interval,
@@ -228,15 +225,16 @@ class CapacityService:
             if tracer is not None
             else None
         )
-        workload_id = self._store.pop_request(request.request_id)
-        if workload_id is None:
-            # Request no longer tracked (workload finished meanwhile).
+        # The tag names the workload the request was filed for.
+        workload_id = request.tag
+        execution = self._lifecycle.find(workload_id)
+        if execution is None:
             if tracer is not None:
                 tracer.end(await_ctx, status="discarded", reason="untracked-request")
             self._discard(request, instance, reason="untracked-request")
             return
-        execution = self._lifecycle.find(workload_id)
-        if execution is None or not execution.needs_instance:
+        self._store.drop_request(request.request_id, workload_id)
+        if not execution.needs_instance:
             if tracer is not None:
                 tracer.end(await_ctx, status="discarded", reason="workload-satisfied")
             self._discard(request, instance, reason="workload-satisfied")
@@ -305,12 +303,12 @@ class CapacityService:
                 # Fulfillments are untracked on attach, so a tracked
                 # request that is no longer open was cancelled or
                 # failed: drop the stale entry.
-                self._store.pop_request(request_id)
+                self._store.drop_request(request_id, workload_id)
                 continue
             execution = self._lifecycle.find(workload_id)
             if execution is None or not execution.needs_instance:
                 self._provider.ec2.cancel_spot_request(request_id)
-                self._store.pop_request(request_id)
+                self._store.drop_request(request_id, workload_id)
                 continue
             self._provider.ec2.retry_open_request(
                 request_id, on_fulfilled=self._store.router.spot_fulfilled

@@ -181,7 +181,7 @@ class InterruptionService:
             if execution.state not in (ExecutionState.BOOTING, ExecutionState.RUNNING):
                 continue
             workload_id = execution.workload.workload_id
-            self._store.pop_instance(instance.instance_id)
+            self._store.drop_instance(instance.instance_id, workload_id)
             lost_region = execution.handle_interruption_notice()
             self._telemetry.bus.emit(
                 EventType.MIGRATION_STARTED,
@@ -215,6 +215,7 @@ class InterruptionService:
                 not execution.needs_instance
                 or workload_id in tracked
                 or workload_id in reacquiring
+                or self._capacity.retry_pending(workload_id)
             ):
                 continue
             self._telemetry.metrics.counter(

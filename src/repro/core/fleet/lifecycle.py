@@ -1,4 +1,4 @@
-"""LifecycleService: registration, completion accounting, results.
+"""LifecycleService: registration, completion listeners, results.
 
 The service owns the in-memory registry of live
 :class:`~repro.core.execution.WorkloadExecution` objects — the only
@@ -32,7 +32,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class LifecycleService:
-    """Start/complete accounting and result assembly for fleets.
+    """Registration, completion listeners and result assembly for fleets.
 
     Args:
         provider: The simulated cloud.
@@ -61,7 +61,6 @@ class LifecycleService:
         self._telemetry = provider.telemetry
         self._executions: Dict[str, WorkloadExecution] = {}
         self._completion_listeners: List[Callable[[WorkloadExecution], None]] = []
-        self.done = store.done_count()
 
     def add_completion_listener(
         self, listener: Callable[[WorkloadExecution], None]
@@ -70,7 +69,7 @@ class LifecycleService:
 
         The DAG coordinator uses this to release downstream steps;
         listeners run synchronously inside the completing event, after
-        the ``workload.done`` emission and completion accounting.
+        the ``workload.done`` emission.
         """
         self._completion_listeners.append(listener)
 
@@ -157,7 +156,6 @@ class LifecycleService:
             )
 
     def _on_workload_complete(self, execution: WorkloadExecution) -> None:
-        self.done += 1
         for listener in list(self._completion_listeners):
             listener(execution)
 
@@ -206,7 +204,6 @@ class LifecycleService:
             )
             self._executions[workload.workload_id] = execution
             self._ctx.records[workload.workload_id] = execution.record
-        self.done = self._store.done_count()
 
     def teardown(self) -> None:
         """Cancel in-process timers and forget the live executions.

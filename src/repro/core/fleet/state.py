@@ -97,27 +97,34 @@ class _MetaMapping(MutableMapping):
         """
         self._store._stage(self._store.meta_table, (self._section, key), None, scope=self._scope)
 
-    def __iter__(self) -> Iterator[str]:
+    def _rows(self) -> Dict[str, Any]:
+        """Every ``key -> value`` of the section: one ``query``, overlay merged."""
         store = self._store
         rows = store._read(
             functools.partial(store._dynamodb.query, store.meta_table, self._section),
             scope=self._scope,
         )
-        keys = {row["key"] for row in rows}
+        merged = {row["key"]: row["value"] for row in rows}
         for (section, key), staged in store._pending[store.meta_table].items():
             if section != self._section:
                 continue
             if staged is None:
-                keys.discard(key)
+                merged.pop(key, None)
             else:
-                keys.add(key)
+                merged[key] = staged["value"]
         # The flushed path reads through ``query``, which returns rows
-        # sorted by sort key; sorting the merged set keeps iteration
+        # sorted by sort key; sorting the merged rows keeps iteration
         # order independent of flush timing.
-        return iter(sorted(keys))
+        return dict(sorted(merged.items()))
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._rows())
+
+    def items(self):
+        return self._rows().items()
 
     def __len__(self) -> int:
-        return len(list(iter(self)))
+        return len(self._rows())
 
 
 class FleetStateStore:
@@ -209,8 +216,8 @@ class FleetStateStore:
         self._flush_order = {table: index for index, (table, _) in enumerate(self._flush_tables)}
         self._dirty: Set[str] = set()
         # Shard routing state.  Both maps are in-process conveniences
-        # over durable data: tenants are re-assigned on resume (the
-        # tenancy layer persists its map in the meta table) and
+        # over durable data: a workload's tenant is stored in its own
+        # row, so a workload scan re-derives the tenant map, and
         # instance/request shards fall back to an all-shard probe when
         # unknown, so a rebuilt controller over the same store object —
         # the crash-recovery contract — never loses an item.
@@ -228,8 +235,7 @@ class FleetStateStore:
     def assign_tenant(self, workload_id: str, tenant_id: str) -> None:
         """Pin *workload_id*'s shard to *tenant_id* (before registration).
 
-        Re-assigning the same tenant is a no-op (tenancy restore does
-        it for every stored workload).
+        Re-assigning the same tenant is a no-op.
 
         Raises:
             ExperimentError: When a sharded store already routed the
@@ -237,16 +243,17 @@ class FleetStateStore:
                 tenant's shard, and a second routing would store it
                 twice.
         """
-        if workload_id in self._shard_of and self.tenant_of(workload_id) != tenant_id:
+        routed_for = self._tenant_of.get(workload_id, DEFAULT_TENANT)
+        if workload_id in self._shard_of and routed_for != tenant_id:
             raise ExperimentError(
                 f"workload {workload_id!r} is already routed for tenant "
-                f"{self.tenant_of(workload_id)!r}; cannot move it to {tenant_id!r}"
+                f"{routed_for!r}; cannot move it to {tenant_id!r}"
             )
         self._tenant_of[workload_id] = tenant_id
 
-    def tenant_of(self, workload_id: str) -> str:
-        """Tenant a workload was admitted for (:data:`DEFAULT_TENANT` if none)."""
-        return self._tenant_of.get(workload_id, DEFAULT_TENANT)
+    def tenant_of(self, workload_id: str) -> Optional[str]:
+        """Tenant a workload was assigned (``None`` if never assigned)."""
+        return self._tenant_of.get(workload_id)
 
     def shard_of(self, workload_id: str) -> int:
         """The shard *workload_id*'s items live on (memoised: routing is fixed)."""
@@ -254,7 +261,8 @@ class FleetStateStore:
             return 0
         shard = self._shard_of.get(workload_id)
         if shard is None:
-            shard = shard_index(self.tenant_of(workload_id), workload_id, self.n_shards)
+            tenant_id = self._tenant_of.get(workload_id, DEFAULT_TENANT)
+            shard = shard_index(tenant_id, workload_id, self.n_shards)
             self._shard_of[workload_id] = shard
         return shard
 
@@ -422,11 +430,14 @@ class FleetStateStore:
     # Workload state
     # ------------------------------------------------------------------
     def save_execution(self, execution: "WorkloadExecution") -> None:
-        """Persist one execution's full durable state (upsert)."""
+        """Persist one execution's full durable state (upsert), with its assigned tenant."""
         item = execution.state_item()
+        workload_id = item["workload_id"]
+        if workload_id in self._tenant_of:
+            item["tenant_id"] = self._tenant_of[workload_id]
         self._stage(
-            self._workload_shards[self.shard_of(item["workload_id"])],
-            (item["workload_id"], None),
+            self._workload_shards[self.shard_of(workload_id)],
+            (workload_id, None),
             item,
             scope="fleet-state:save-execution",
         )
@@ -450,17 +461,18 @@ class FleetStateStore:
 
         With shards, the order is per-shard registration order
         concatenated in shard order — deterministic, but interleaved
-        differently than a 1-shard store would show.
+        differently than a 1-shard store would show.  The scan also
+        re-derives the tenant map from the rows' ``tenant_id``.
         """
-        return self._scan(self._workload_shards, "workload_id", "fleet-state:workload-items")
+        items = self._scan(self._workload_shards, "workload_id", "fleet-state:workload-items")
+        for item in items:
+            if "tenant_id" in item:
+                self._tenant_of[item["workload_id"]] = item["tenant_id"]
+        return items
 
     def has_workload(self, workload_id: str) -> bool:
         """Whether *workload_id* is registered."""
         return self.workload_item(workload_id) is not None
-
-    def done_count(self) -> int:
-        """How many stored workloads have finished."""
-        return sum(1 for item in self.workload_items() if item["state"] == "done")
 
     def state_counts(self) -> Dict[str, int]:
         """Stored workloads per state, name-sorted.
@@ -510,11 +522,20 @@ class FleetStateStore:
         self._entity_shard.pop(entity_id, None)
         return item["workload_id"]
 
+    def _drop_row(self, tables: List[str], entity_id: str, workload_id: str, scope: str) -> None:
+        """Tombstone a row of *workload_id* on its shard, where it was staged; no read."""
+        self._stage(tables[self.shard_of(workload_id)], (entity_id, None), None, scope=scope)
+        self._entity_shard.pop(entity_id, None)
+
     def pop_instance(self, instance_id: str) -> Optional[str]:
         """Remove and return the workload bound to *instance_id*."""
         return self._pop_row(
             self._instance_shards, instance_id, scope="fleet-state:pop-instance"
         )
+
+    def drop_instance(self, instance_id: str, workload_id: str) -> None:
+        """Remove *workload_id*'s binding to *instance_id* (no read)."""
+        self._drop_row(self._instance_shards, instance_id, workload_id, "fleet-state:pop-instance")
 
     def instance_bindings(self) -> Dict[str, str]:
         """Current ``instance_id -> workload_id`` map."""
@@ -541,6 +562,10 @@ class FleetStateStore:
         return self._pop_row(
             self._request_shards, request_id, scope="fleet-state:pop-request"
         )
+
+    def drop_request(self, request_id: str, workload_id: str) -> None:
+        """Stop tracking *workload_id*'s request *request_id* (no read)."""
+        self._drop_row(self._request_shards, request_id, workload_id, "fleet-state:pop-request")
 
     def tracked_requests(self) -> List[Tuple[str, str]]:
         """``(request_id, workload_id)`` pairs, in filing order."""
@@ -625,6 +650,8 @@ class ControlPlaneRouter:
         self._capacity = None
         self._interruption = None
         self._ec2 = None
+        #: Whether the wiring that targets this router is deployed.
+        self.deployed = False
 
     def bind(self, capacity, interruption, ec2) -> None:
         """Point the endpoints at freshly constructed services."""

@@ -43,6 +43,7 @@ from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Sequence, Tu
 
 from repro.core.config import SpotVerseConfig
 from repro.core.controller import FleetController, drive
+from repro.core.execution import ExecutionState
 from repro.core.fleet.state import DEFAULT_TENANT, FleetStateStore
 from repro.core.policy import PlacementPolicy
 from repro.core.result import FleetResult
@@ -129,13 +130,11 @@ class TenantRegistry:
 
     def __init__(self, store: FleetStateStore) -> None:
         self._store = store
+        # Insertion-ordered: an update keeps the tenant's first position.
         self._specs: Dict[str, TenantSpec] = {}
-        self._order: List[str] = []
 
     def register(self, spec: TenantSpec, bus=None) -> TenantSpec:
         """Add (or update) *spec*; persists it and announces on *bus*."""
-        if spec.tenant_id not in self._specs:
-            self._order.append(spec.tenant_id)
         self._specs[spec.tenant_id] = spec
         self._store.save_tenant(spec.to_dict())
         if bus is not None:
@@ -152,11 +151,9 @@ class TenantRegistry:
     def reload(self) -> None:
         """Rebuild the roster from the tenants table (controller restore)."""
         self._specs = {}
-        self._order = []
         for item in self._store.tenant_items():
             spec = TenantSpec.from_dict(item)
             self._specs[spec.tenant_id] = spec
-            self._order.append(spec.tenant_id)
 
     def has(self, tenant_id: str) -> bool:
         """Whether *tenant_id* is registered."""
@@ -177,10 +174,10 @@ class TenantRegistry:
 
     def tenants(self) -> List[TenantSpec]:
         """Every spec, in registration order."""
-        return [self._specs[tenant_id] for tenant_id in self._order]
+        return list(self._specs.values())
 
     def __len__(self) -> int:
-        return len(self._order)
+        return len(self._specs)
 
 
 @dataclass(frozen=True)
@@ -217,7 +214,7 @@ class AdmissionController:
         self._global_virtual = 0.0
         self._queued_total = 0
         self.admitted_counts: Dict[str, int] = {}
-        self.done_counts: Dict[str, int] = {}
+        self.completed_counts: Dict[str, int] = {}
         self.throttled_counts: Dict[str, int] = {}
 
     # -- submission ----------------------------------------------------
@@ -245,7 +242,7 @@ class AdmissionController:
     def release(self, tenant_id: str) -> None:
         """A workload of *tenant_id* completed; frees one quota slot."""
         self._in_flight[tenant_id] = max(0, self._in_flight.get(tenant_id, 0) - 1)
-        self.done_counts[tenant_id] = self.done_counts.get(tenant_id, 0) + 1
+        self.completed_counts[tenant_id] = self.completed_counts.get(tenant_id, 0) + 1
 
     def note_in_flight(self, tenant_id: str, count: int = 1) -> None:
         """Seed quota usage from stored state (controller restore)."""
@@ -298,14 +295,6 @@ class AdmissionController:
             return len(self._queues.get(tenant_id, ()))
         return self._queued_total
 
-    def queued(self) -> List[Tuple[str, Workload]]:
-        """Every queued ``(tenant, workload)``, tenant-sorted FIFO."""
-        return [
-            (tenant_id, workload)
-            for tenant_id in sorted(self._queues)
-            for workload in self._queues[tenant_id]
-        ]
-
     def in_flight(self, tenant_id: str) -> int:
         """Currently admitted, not-yet-done workloads of *tenant_id*."""
         return self._in_flight.get(tenant_id, 0)
@@ -333,12 +322,11 @@ class MultiTenantController:
             synchronous drain at :meth:`wait` entry is unaffected.
     """
 
-    #: Meta-table sections the tenancy layer persists its recovery
-    #: state in: the admission queue (one row per queued submission,
-    #: keyed by a zero-padded enqueue sequence so iteration order is
-    #: submission order) and the workload -> tenant assignment map.
+    #: Meta-table section holding the admission queue: one row per
+    #: queued submission, keyed by a zero-padded enqueue sequence so
+    #: iteration order is submission order.  Admitted workloads keep
+    #: their tenant in their own workload row.
     QUEUE_SECTION = "tenancy-queue"
-    TENANT_MAP_SECTION = "tenancy-tenant-of"
 
     def __init__(
         self,
@@ -365,13 +353,11 @@ class MultiTenantController:
         self.admission = AdmissionController(self.registry)
         self._bus = provider.telemetry.bus
         self._queue_meta = store.mapping(self.QUEUE_SECTION)
-        self._map_meta = store.mapping(self.TENANT_MAP_SECTION)
-        self._tenant_of: Dict[str, str] = {}
         self._queue_keys: Dict[str, str] = {}
         self._queue_seq = 0
         self._admitted: List[Workload] = []
         self._drain_pending = False
-        provider.telemetry.decisions.set_tenant_resolver(self._tenant_of.get)
+        provider.telemetry.decisions.set_tenant_resolver(store.tenant_of)
         self._fleet.services["lifecycle"].add_completion_listener(self._on_complete)
 
     # ------------------------------------------------------------------
@@ -444,9 +430,7 @@ class MultiTenantController:
             workload = admission.workload
             workload_id = workload.workload_id
             spec = self.registry.get(admission.tenant_id)
-            self._tenant_of[workload_id] = admission.tenant_id
             self._fleet.state_store.assign_tenant(workload_id, admission.tenant_id)
-            self._map_meta[workload_id] = admission.tenant_id
             key = self._queue_keys.pop(workload_id, None)
             if key is not None:
                 # ``_queue_keys`` holds exactly the stored queue rows,
@@ -471,8 +455,7 @@ class MultiTenantController:
         self._fleet.submit(batch)
 
     def _on_complete(self, execution: "WorkloadExecution") -> None:
-        workload_id = execution.workload.workload_id
-        tenant_id = self._tenant_of.get(workload_id)
+        tenant_id = self._fleet.state_store.tenant_of(execution.workload.workload_id)
         if tenant_id is None:
             return
         self.admission.release(tenant_id)
@@ -523,32 +506,21 @@ class MultiTenantController:
         """
         defs = {workload.workload_id: workload for workload in definitions}
         self.registry.reload()
-        for workload_id in sorted(self._map_meta):
-            tenant_id = self._map_meta[workload_id]
-            self._tenant_of[workload_id] = tenant_id
-            self._fleet.state_store.assign_tenant(workload_id, tenant_id)
-        stored = self._fleet.state_store.workload_items()
-        missing = [item["workload_id"] for item in stored if item["workload_id"] not in defs]
-        if missing:
-            raise ExperimentError(
-                f"restore needs definitions for stored workloads: {sorted(missing)}"
-            )
-        self._fleet.restore([defs[item["workload_id"]] for item in stored])
-        for item in stored:
-            workload_id = item["workload_id"]
-            self._admitted.append(defs[workload_id])
-            tenant_id = self._tenant_of.get(workload_id, DEFAULT_TENANT)
-            if item["state"] == "done":
-                self.admission.done_counts[tenant_id] = (
-                    self.admission.done_counts.get(tenant_id, 0) + 1
-                )
-            else:
-                self.admission.note_in_flight(tenant_id)
+        # One workload scan rebuilds the executions and, from their
+        # rows, the store's tenant map.
+        self._fleet.restore(definitions)
+        store = self._fleet.state_store
+        for execution in self._fleet.services["lifecycle"].executions():
+            workload = execution.workload
+            self._admitted.append(workload)
+            tenant_id = store.tenant_of(workload.workload_id) or DEFAULT_TENANT
+            self.admission.note_in_flight(tenant_id)
+            if execution.state is ExecutionState.DONE:
+                self.admission.release(tenant_id)
         # Re-queue submissions that never cleared admission, in their
         # original enqueue order (the zero-padded meta keys sort by
         # submission sequence).
-        for key in sorted(self._queue_meta):
-            row = self._queue_meta[key]
+        for key, row in self._queue_meta.items():
             workload = defs.get(row["workload_id"])
             if workload is None:
                 raise ExperimentError(
@@ -576,7 +548,7 @@ class MultiTenantController:
 
     def tenant_of(self, workload_id: str) -> Optional[str]:
         """Tenant a workload was admitted for (None when unknown)."""
-        return self._tenant_of.get(workload_id)
+        return self._fleet.state_store.tenant_of(workload_id)
 
     def usage(self) -> Dict[str, Dict[str, Any]]:
         """Per-tenant scorecard rows, in registration order."""
@@ -590,7 +562,7 @@ class MultiTenantController:
                 "in_flight": self.admission.in_flight(tenant_id),
                 "queued": self.admission.queued_count(tenant_id),
                 "admitted": self.admission.admitted_counts.get(tenant_id, 0),
-                "done": self.admission.done_counts.get(tenant_id, 0),
+                "done": self.admission.completed_counts.get(tenant_id, 0),
                 "throttled": self.admission.throttled_counts.get(tenant_id, 0),
             }
         return rows

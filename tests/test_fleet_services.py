@@ -128,7 +128,10 @@ class TestShardedStoreMisses:
         # maps: a rebuilt controller whose map was never restored.
         rebuilt = FleetStateStore(provider.dynamodb, namespace=store.namespace, n_shards=n)
         assert rebuilt.shard_of(workload_id) != store.shard_of(workload_id)
-        assert rebuilt.workload_item(workload_id) == _StateRow(workload_id).state_item()
+        assert rebuilt.workload_item(workload_id) == {
+            **_StateRow(workload_id).state_item(),
+            "tenant_id": "t1",
+        }
         assert rebuilt.pop_instance(instance.instance_id) == workload_id
         assert rebuilt.pop_request(request.request_id) == workload_id
         assert rebuilt.pop_instance(home.instance_id) == home_id

@@ -162,6 +162,28 @@ class TestScheduledSites:
         assert fallbacks[0].seq > dead[0].seq
         assert controller.execution("w0").instance.lifecycle.value == "on-demand"
 
+    def test_sweep_leaves_a_pending_spot_retry_alone(self):
+        provider = faulty_provider("ec2-request-error")
+        controller = FleetController(
+            provider,
+            SingleRegionPolicy(instance_type="m5.xlarge"),
+            SpotVerseConfig(instance_type="m5.xlarge"),
+        )
+        controller.submit([synthetic_workload("w0", duration_hours=1.0, n_segments=1)])
+        started = []
+        start_execution = provider.stepfunctions.start_execution
+
+        def spy(name, input):
+            started.append(input["workload_id"])
+            return start_execution(name, input=input)
+
+        provider.stepfunctions.start_execution = spy
+        # ``capacity:retry-spot:w0`` is pending: the workload has no
+        # tracked request, yet it is not stranded.
+        controller.state_store.router.sweep()
+        assert started == []
+        assert controller.services["capacity"].retry_pending("w0")
+
     def test_artifact_write_is_lost_without_persisted_event(self):
         provider = faulty_provider("checkpoint-write-error")
         provider.s3.create_bucket("results", "us-east-1")

@@ -12,11 +12,14 @@ import pytest
 
 from repro.cloud.provider import CloudProvider
 from repro.core.config import SpotVerseConfig
+from repro.core.controller import FleetController
 from repro.core.fleet.state import FleetStateStore, shard_index
 from repro.core.monitor import Monitor
 from repro.core.optimizer import SpotVerseOptimizer
 from repro.core.tenancy import MultiTenantController, TenantSpec
 from repro.errors import ExperimentError
+from repro.sim.clock import HOUR
+from repro.strategies import SingleRegionPolicy
 from repro.workloads.base import synthetic_workload
 
 SHARDS = 16
@@ -73,7 +76,11 @@ def test_assigned_workload_reads_only_the_owning_shard(provider):
     store.save_execution(_StateRow("wl-new"))
     store.flush()
     spy.reset()
-    assert store.workload_item("wl-new") == _StateRow("wl-new").state_item()
+    # The row carries its tenant, from which a scan re-derives routing.
+    assert store.workload_item("wl-new") == {
+        **_StateRow("wl-new").state_item(),
+        "tenant_id": "tenant-a",
+    }
     assert spy.ops == Counter(get_item=1)
 
 
@@ -174,3 +181,76 @@ def test_default_routed_workload_cannot_change_tenant(provider):
     store.save_execution(_StateRow("wl-default"))
     with pytest.raises(ExperimentError):
         store.assign_tenant("wl-default", "tenant-a")
+
+
+def _fleet(provider, state_store=None):
+    config = SpotVerseConfig(instance_type="m5.xlarge")
+    return FleetController(
+        provider, SingleRegionPolicy(instance_type="m5.xlarge"), config, state_store=state_store
+    )
+
+
+def _reads(spy):
+    return {op: count for op, count in spy.ops.items() if op != "batch_write_item"}
+
+
+def test_fulfillment_reads_nothing(provider):
+    controller = _fleet(provider)
+    controller.submit([synthetic_workload("w0", duration_hours=1.0)])
+    controller.state_store.flush()
+    (request,) = provider.ec2.describe_spot_requests()
+    instance = provider.ec2.run_on_demand(request.region, "m5.xlarge", tag="w0")
+    spy = _Spy(provider.dynamodb)
+    controller.services["capacity"].on_spot_fulfilled(request, instance)
+    assert _reads(spy) == {}
+    assert controller.execution("w0").instance is instance
+    # The tracking row is gone all the same.
+    assert controller.state_store.tracked_requests() == []
+
+
+def test_building_a_controller_reads_nothing(provider):
+    spy = _Spy(provider.dynamodb)
+    controller = _fleet(provider)
+    controller.submit([synthetic_workload("w0", duration_hours=1.0)])
+    controller.teardown()
+    spy.reset()
+    _fleet(provider, state_store=controller.state_store)
+    # No deploy flag to read back and no completion count to scan.
+    assert _reads(spy) == {}
+
+
+def test_fleet_restore_scans_the_workloads_once(provider):
+    controller = _fleet(provider)
+    fleet = [synthetic_workload(f"w{i}", duration_hours=2.0) for i in range(3)]
+    controller.submit(fleet)
+    provider.engine.run_until(HOUR)
+    controller.teardown()
+    rebuilt = _fleet(provider, state_store=controller.state_store)
+    spy = _Spy(provider.dynamodb)
+    rebuilt.restore(fleet)
+    assert _reads(spy) == {"scan": 1}
+    assert spy.tables["scan", controller.state_store.workloads_table] == 1
+
+
+def test_tenancy_restore_reads_each_table_once(provider):
+    provider.warmup_markets(24)
+    config = SpotVerseConfig(instance_type="m5.xlarge")
+    policy = SingleRegionPolicy(instance_type="m5.xlarge")
+    controller = MultiTenantController(provider, policy, config)
+    controller.register_tenant(TenantSpec(tenant_id="lab", max_in_flight=1))
+    fleet = [synthetic_workload(f"wl-{i}", duration_hours=4.0) for i in range(3)]
+    for workload in fleet:
+        controller.submit("lab", workload)
+    provider.engine.run_until(HOUR)
+    store = controller.state_store
+    controller.teardown()
+    rebuilt = MultiTenantController(provider, policy, config, state_store=store)
+    spy = _Spy(provider.dynamodb)
+    rebuilt.restore(fleet)
+    assert _reads(spy) == {"scan": 2, "query": 1}
+    assert spy.tables["scan", store.workloads_table] == 1
+    assert spy.tables["scan", store.tenants_table] == 1
+    assert spy.tables["query", store.meta_table] == 1
+    assert rebuilt.tenant_of("wl-0") == "lab"
+    assert rebuilt.usage()["lab"]["in_flight"] == 1
+    assert rebuilt.admission.queued_count("lab") == 2
